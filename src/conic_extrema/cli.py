@@ -29,7 +29,7 @@ from .exparabola import Triangle, exparabolas
 from .horocycle import Horocycle, common_cover_unchecked, intersection_points
 from .maxparabola import ConvexRegion, HalfPlane, solve_max_parabola
 from .minhorocycle import solve_min_horocycle
-from .verify import run_suite, thread_count
+from .verify import run_suite
 
 COMMANDS = ("exparabola", "max-parabola", "lemma-shrink", "min-horocycle", "verify")
 
@@ -198,7 +198,6 @@ def _run_verify(data, args):
     report = run_suite(
         name,
         seed=args.seed,
-        workers=thread_count(),
         **{k: v for k, v in data.items() if k in ("cases", "samples", "a_range")},
     )
     return report, None

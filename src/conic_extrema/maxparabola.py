@@ -22,13 +22,18 @@ parabolas tangent to (at least) three boundary lines and contained in the
 region.  For a region bounded by the three side lines of a triangle that
 maximum is exactly the corresponding exparabola.
 
-The search runs in two stages: a multi-start derivative-free pattern
-search over (apex_x, apex_y, axis_angle, p), with an exact penalty on the
-three smallest containment slacks pulling iterates onto the pinned set,
-followed by an exact polish that maximizes the rational squared-parameter
-function along the dual pencil of the identified tangent triple.  A
-direct enumeration of all tangent triples independently cross-checks the
-multi-start result.
+The maximum itself is exact.  For every one of the C(m, 3) tangent
+triples of boundary lines, the dual pencil D(lam) of parabolas tangent
+to the triple is linear in the tangency abscissa lam, so each further
+half-plane admits a lam-interval cut out by two linear conditions; the
+squared parameter is unimodal along the pencil, so the triple's
+constrained maximum is its cubic root clipped to that interval.  The
+largest of these over all triples is the solution.  Independently, a
+multi-start derivative-free pattern search over (apex_x, apex_y,
+axis_angle, p), with an exact penalty on the three smallest containment
+slacks pulling iterates onto the pinned set, is run from seeded starts;
+assigning each converged start to its nearest pinned triple gives the
+agreement certificate.
 """
 
 from __future__ import annotations
@@ -44,15 +49,14 @@ from .errors import (
     NoInscribedParabola,
     NotAParabola,
     NumericalRootFailure,
-    SingularPencilMember,
     UnboundedParameter,
 )
 from .exparabola import (
     Triangle,
     _primal_matrix,
     canonical_frame,
+    dual_pencil,
     solve_cubic,
-    squared_parameter,
     tangency_cubic,
 )
 from .parabola import Parabola, apex_form
@@ -70,12 +74,15 @@ class HalfPlane:
 
     def __init__(self, normal, offset: float):
         n = np.asarray(normal, dtype=float).reshape(2).copy()
+        offset = float(offset)
+        if not (np.isfinite(n).all() and np.isfinite(offset)):
+            raise ValueError("half-plane normal and offset must be finite")
         nn = np.linalg.norm(n)
         if abs(nn - 1.0) > 1e-12:
             raise ValueError("half-plane normal must be a unit vector")
         n.flags.writeable = False
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(offset))
+        object.__setattr__(self, "offset", offset)
 
     @staticmethod
     def from_direction(direction, offset: float) -> "HalfPlane":
@@ -278,14 +285,25 @@ def _pencil_world(frame, lam: float):
     return apex, np.array([np.cos(angle), np.sin(angle)]), p, conic_world
 
 
-def _polish_triple(region: ConvexRegion, triple, scale: float):
+def _polish_triple(region: ConvexRegion, triple):
     """Maximize the parameter along one tangent triple's pencil.
 
-    Returns (p, apex, axis_angle, conic, lam, frame) or None.  The
-    squared parameter is unimodal on (a1, b1) with its maximum at the
-    in-interval cubic root; containment of the remaining half-planes
-    clips the admissible set, so the constrained maximum sits either at
-    the root or on a feasibility boundary located by bisection.
+    Returns (p, apex, axis_angle, conic, lam, frame) or None.  In the
+    triple's canonical frame the dual pencil D(lam) is linear in lam, so
+    every remaining half-plane n.x <= d, whose line u = (-d, n) maps to
+    frame coordinates u_f = F^T u (F = frame_to_world), admits the members
+    satisfying two linear conditions in lam:
+
+    (i)  u_f^T D(lam) u_f <= 0: the line misses the member (the line
+         y = eps gives -2 eps c2 < 0, which fixes the sign);
+    (ii) n_f . (lam - a1 - b1, c2) >= 0: the member opens into the
+         half-plane, its axis pointing along -(lam - a1 - b1, c2).
+
+    The squared parameter is unimodal on (a1, b1) with its maximum at the
+    in-interval cubic root, so the constrained maximum is that root
+    clipped to the intersection of the admissible intervals.  A line
+    that is tangent to every member (a copy of one of the triple's own
+    lines) makes (i) vanish identically up to rounding and does not clip.
     """
     frame = _triple_frame(region, triple)
     if frame is None:
@@ -294,59 +312,39 @@ def _polish_triple(region: ConvexRegion, triple, scale: float):
         roots = solve_cubic(tangency_cubic(frame))
     except NumericalRootFailure:
         return None
-    inside = roots[(roots > frame.a1) & (roots < frame.b1)]
+    a1, b1, c2 = frame.a1, frame.b1, frame.c2
+    inside = roots[(roots > a1) & (roots < b1)]
     if inside.size != 1:
         return None
-    lam_star = float(inside[0])
+    lo, hi = a1, b1
     rest = [h for idx, h in enumerate(region.halfplanes) if idx not in triple]
-    tol = 1e-11 * max(scale, 1.0)
-
-    def worst(lam: float) -> float:
-        if not rest:
-            return -np.inf
-        try:
-            apex, axis_dir, p, _ = _pencil_world(frame, lam)
-        except (SingularPencilMember, NotAParabola, ValueError):
-            return np.inf
-        return max(
-            halfplane_violation(apex, axis_dir, p, h.normal, h.offset) for h in rest
+    if rest:
+        u = np.array([[-h.offset, *h.normal] for h in rest]) @ frame.frame_to_world
+        d0 = dual_pencil(frame, 0.0).m
+        d1 = dual_pencil(frame, 1.0).m - d0
+        # each row: slope * lam + icept <= 0
+        slope_i = np.einsum("ni,ij,nj->n", u, d1, u)
+        icept_i = np.einsum("ni,ij,nj->n", u, d0, u)
+        s = frame.scale
+        tangent_to_all = (
+            np.abs(slope_i) * s + np.abs(icept_i) <= 1e-13 * s * (np.abs(u[:, 0]) + s)
         )
-
-    candidates = []
-    if worst(lam_star) <= tol:
-        candidates.append(lam_star)
-    else:
-        a1, b1 = frame.a1, frame.b1
-        span = b1 - a1
-        grid = np.linspace(a1 + 1e-9 * span, b1 - 1e-9 * span, 257)
-        vals = np.array([worst(l) for l in grid])
-        feas = vals <= tol
-        if not feas.any():
+        slope = np.concatenate([slope_i[~tangent_to_all], -u[:, 1]])
+        icept = np.concatenate(
+            [icept_i[~tangent_to_all], u[:, 1] * (a1 + b1) - u[:, 2] * c2]
+        )
+        if (icept[slope == 0.0] > 0.0).any():
             return None
-        # bisect every feasible/infeasible edge to locate boundary points
-        for e in np.nonzero(feas[:-1] != feas[1:])[0]:
-            lo, hi = grid[e], grid[e + 1]
-            lo_feas = bool(feas[e])
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if (worst(mid) <= tol) == lo_feas:
-                    lo = mid
-                else:
-                    hi = mid
-            candidates.append(lo if lo_feas else hi)
-        candidates.extend(grid[feas][np.argsort(np.abs(grid[feas] - lam_star))][:2])
-
-    best = None
-    for lam in candidates:
-        if worst(lam) > tol:
-            continue
-        p2 = squared_parameter(frame, lam)
-        if best is None or p2 > best[0]:
-            best = (p2, lam)
-    if best is None:
+        up, down = slope > 0.0, slope < 0.0
+        hi = float((-icept[up] / slope[up]).min(initial=hi))
+        lo = float((-icept[down] / slope[down]).max(initial=lo))
+        if lo > hi:
+            return None
+    lam = min(max(float(inside[0]), lo), hi)
+    try:
+        apex, axis_dir, p, conic = _pencil_world(frame, lam)
+    except NotAParabola:
         return None
-    lam = best[1]
-    apex, axis_dir, p, conic = _pencil_world(frame, lam)
     angle = float(np.arctan2(axis_dir[1], axis_dir[0])) % (2.0 * np.pi)
     return p, apex, angle, conic, lam, frame
 
@@ -510,12 +508,13 @@ def solve_max_parabola(
 ) -> MaxParabolaSolution:
     """Largest parabola pinned by three boundary tangencies in the region.
 
-    Runs ``starts`` independent pattern searches from seeded apexes and
-    axis directions, polishes each converged start exactly along the dual
-    pencil of its tangent triple, and merges.  An independent enumeration
-    of all tangent triples guards against every start missing the global
-    basin.  Tolerances are relative to ``probe_diameter``, the reference
-    length for these unbounded regions.
+    Enumerates all C(m, 3) tangent triples and takes the largest exact
+    pinned member (see ``_polish_triple``).  ``starts`` independent
+    pattern searches from seeded apexes and axis directions are assigned
+    to their nearest pinned member; the starts that reach the maximum
+    and their spread form the agreement certificate in ``convergence``.
+    Tolerances are relative to ``probe_diameter``, the reference length
+    for these unbounded regions.
 
     Raises NoInscribedParabola when no parabola fits at all (parallel or
     surrounding boundary normals, empty region) and UnboundedParameter
@@ -548,33 +547,11 @@ def solve_max_parabola(
         states = np.where(bad[:, None], seeds, states)
     unfinished = escaped | drifted
 
-    polish_cache: dict = {}
-
-    def polish(triple):
-        if triple not in polish_cache:
-            polish_cache[triple] = _polish_triple(region, triple, scale)
-        return polish_cache[triple]
-
-    if m <= 12:
-        candidate_triples = list(itertools.combinations(range(m), 3))
-    else:
-        candidate_triples = set()
-        for idx in range(len(states)):
-            if unfinished[idx]:
-                continue
-            ap, th, p = states[idx, :2], states[idx, 2], states[idx, 3]
-            u = np.array([np.cos(th), np.sin(th)])
-            viol = np.array(
-                [
-                    halfplane_violation(ap, u, p, h.normal, h.offset)
-                    for h in region.halfplanes
-                ]
-            )
-            binding = sorted(int(i) for i in np.argsort(-viol)[:5])
-            candidate_triples.update(itertools.combinations(binding, 3))
-        candidate_triples = sorted(candidate_triples)
-
-    solutions = [r for t in candidate_triples if (r := polish(t)) is not None]
+    solutions = [
+        r
+        for t in itertools.combinations(range(m), 3)
+        if (r := _polish_triple(region, t)) is not None
+    ]
     if not solutions:
         raise UnboundedParameter(
             "region admits parabolas but no tangent triple pins one; "

@@ -3,13 +3,10 @@
 Each suite draws reproducible random instances, checks the claim on a
 sampled set, and returns a plain dict report with a ``passed`` flag and
 violation counts.  Case seeds derive from the master seed, so reports
-are deterministic and cases can run concurrently (see ``run_parallel``).
+are deterministic.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,25 +30,9 @@ from .projective import (
 BLEND_GRID = np.arange(0.1, 0.95, 0.1)
 
 
-def thread_count() -> int:
-    """Worker cap from CONIC_EXTREMA_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("CONIC_EXTREMA_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(8, os.cpu_count() or 1)
-    return n
-
-
-def run_parallel(fun, args_list, workers: int | None = None):
+def run_parallel(fun, args_list):
     """Order-preserving map over independent verification cases."""
-    workers = workers if workers is not None else thread_count()
-    if workers <= 1 or len(args_list) <= 1:
-        return [fun(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fun, args_list))
+    return [fun(a) for a in args_list]
 
 
 # -- primal pencil: common interior points stay interior ----------------------
@@ -77,7 +58,7 @@ def _random_ellipse_through_origin(rng) -> ConicMatrix:
 
 
 def pencil_interior_preservation(
-    pairs: int = 40, points_per_pair: int = 250, seed: int = 0, workers: int | None = None
+    pairs: int = 40, points_per_pair: int = 250, seed: int = 0
 ) -> dict:
     """Common interior points of two conics stay interior along the blend."""
 
@@ -103,7 +84,7 @@ def pencil_interior_preservation(
         return len(pts) * len(BLEND_GRID), bad
 
     seeds = [seed * 100_003 + i for i in range(pairs)]
-    results = run_parallel(one, seeds, workers)
+    results = run_parallel(one, seeds)
     checked = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)
     return {
@@ -128,7 +109,7 @@ def _line_misses_parabola(apex, angle, p, normal, offset) -> bool:
 
 
 def dual_pencil_line_preservation(
-    pairs: int = 25, lines_per_pair: int = 400, seed: int = 0, workers: int | None = None
+    pairs: int = 25, lines_per_pair: int = 400, seed: int = 0
 ) -> dict:
     """Lines disjoint from both parabolas stay disjoint from dual blends.
 
@@ -202,7 +183,7 @@ def dual_pencil_line_preservation(
         return checked, bad
 
     seeds = [seed * 100_019 + i for i in range(pairs)]
-    results = run_parallel(one, seeds, workers)
+    results = run_parallel(one, seeds)
     checked = sum(r[0] for r in results)
     violations = sum(r[1] for r in results)
     return {
@@ -229,7 +210,6 @@ def size_reduction_suite(
     cases: int = 100,
     seed: int = 0,
     a_range=(0.05, 0.70),
-    workers: int | None = None,
 ) -> dict:
     """Random same-size pairs: the cover must be strictly smaller.
 
@@ -261,7 +241,7 @@ def size_reduction_suite(
         }
 
     seeds = [seed * 100_043 + i for i in range(cases)]
-    results = run_parallel(one, seeds, workers)
+    results = run_parallel(one, seeds)
     worst_margin = min(r["margin"] for r in results)
     factor_errs = [r["factor_err"] for r in results if r["factor_err"] is not None]
     return {
@@ -280,7 +260,6 @@ def cover_containment_suite(
     samples: int = 100_000,
     seed: int = 0,
     a_range=(0.05, 0.70),
-    workers: int | None = None,
 ) -> dict:
     """Sampled containment of the common interior in the cover.
 
@@ -305,7 +284,7 @@ def cover_containment_suite(
         }
 
     seeds = [seed * 100_057 + i for i in range(cases)]
-    results = run_parallel(one, seeds, workers)
+    results = run_parallel(one, seeds)
     k_viol = sum(r["k_viol"] for r in results)
     cont_viol = sum(r["cont_viol"] for r in results)
     below = a_range[1] <= INV_SQRT2
@@ -321,33 +300,31 @@ def cover_containment_suite(
     }
 
 
-def run_suite(name: str, seed: int = 0, workers: int | None = None, **kw) -> dict:
+def run_suite(name: str, seed: int = 0, **kw) -> dict:
     """Run one named suite (or 'all') and aggregate the reports."""
     if name == "pencil":
         reports = [
-            pencil_interior_preservation(seed=seed, workers=workers),
-            dual_pencil_line_preservation(seed=seed, workers=workers),
+            pencil_interior_preservation(seed=seed),
+            dual_pencil_line_preservation(seed=seed),
         ]
     elif name == "cover":
         a_range = tuple(kw.get("a_range", (0.05, 0.70)))
         reports = [
             size_reduction_suite(
                 seed=seed,
-                workers=workers,
                 cases=int(kw.get("cases", 100)),
                 a_range=a_range,
             ),
             cover_containment_suite(
                 seed=seed,
-                workers=workers,
                 cases=int(kw.get("cases", 20)),
                 samples=int(kw.get("samples", 20_000)),
                 a_range=a_range,
             ),
         ]
     elif name == "all":
-        reports = run_suite("pencil", seed, workers)["reports"] + run_suite(
-            "cover", seed, workers, **kw
+        reports = run_suite("pencil", seed)["reports"] + run_suite(
+            "cover", seed, **kw
         )["reports"]
     else:
         raise ValueError(f"unknown suite: {name!r}")

@@ -43,7 +43,7 @@ def random_frame_params(rng):
     return a1, b1, c2
 
 
-def random_pinned_region(rng, extra_max: int = 3):
+def random_pinned_region(rng, extra_max: int = 3, extra_min: int = 1):
     """Region with a finite pinned optimum: triangle region plus extras.
 
     Extra half-planes either keep the base exparabola feasible (offset
@@ -59,7 +59,7 @@ def random_pinned_region(rng, extra_max: int = 3):
     p = base.parabola.parameter
     axis = np.array([np.cos(angle), np.sin(angle)])
     hps = list(region.halfplanes)
-    n_extra = rng.integers(1, extra_max + 1)
+    n_extra = rng.integers(extra_min, extra_max + 1)
     tries = 0
     while n_extra > 0 and tries < 200:
         tries += 1

@@ -115,6 +115,20 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "exparabola", {"nope": 1}, "schema")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "normal,offset", [([float("nan"), 0.0], 1.0), ([1.0, 0.0], float("inf"))]
+    )
+    def test_non_finite_halfplane_is_schema_error(self, tmp_path, capsys, normal, offset):
+        # json writes these as the NaN / Infinity literals that json.load accepts
+        payload = {
+            "halfplanes": HALFPLANES["halfplanes"] + [{"normal": normal, "offset": offset}]
+        }
+        code, _ = run_cli(tmp_path, "max-parabola", payload, "nonfinite")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValueError"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from conic_extrema import (
     ConvexRegion,
     HalfPlane,
     NoInscribedParabola,
+    NotAParabola,
     Triangle,
     UnboundedParameter,
     exparabolas,
@@ -18,10 +19,75 @@ from conic_extrema import (
     solve_max_parabola,
     triangle_region,
 )
-from conic_extrema.maxparabola import _polish_triple
+from conic_extrema.exparabola import solve_cubic, tangency_cubic
+from conic_extrema.maxparabola import _pencil_world, _polish_triple
 from conftest import random_pinned_region, random_triangle
 
 UP_PARABOLA = parabola_from_apex([0.0, 0.0], np.pi / 2.0, 2.0)  # x^2 = 4y
+
+
+def literal_region(normals, offsets):
+    return ConvexRegion([HalfPlane(n, d) for n, d in zip(normals, offsets)])
+
+
+# Pinned regions with many half-planes whose optimal triple is not among
+# the five most binding half-planes of any converged start.  m = 17: the
+# triples of those half-planes pin nothing; the optimum is p = 0.93079...
+REGION_M17 = literal_region(
+    [
+        [-0.9180814598880412, 0.396391767081309],
+        [0.028096055332355464, 0.999605227914881],
+        [-0.9563634021381635, -0.2921798128733698],
+        [0.1465229331314336, 0.9892072735612903],
+        [-0.9998532405102775, -0.01713176701620015],
+        [0.6889877584393609, 0.7247729773665026],
+        [-0.6977443368524667, 0.7163468715575656],
+        [-0.49265906045202307, 0.8702224141876201],
+        [-0.9304458327501361, 0.3664294643146287],
+        [-0.9986177964709441, 0.05255945748879182],
+        [-0.7163313091548108, 0.6977603138073667],
+        [-0.9822888751702167, 0.18737279876446983],
+        [-0.9906625953336512, -0.13633643022609312],
+        [0.6455961198503302, 0.7636790229109335],
+        [-0.987533702405908, -0.15740770823717457],
+        [0.6219979727551508, 0.7830188515537048],
+        [0.6673428549414767, 0.7447506387768722],
+    ],
+    [
+        1.204246207958275, -2.0045636264065934, 4.213906216074583,
+        -1.6073078102933485, 2.6345854162097657, -1.6908399125687514,
+        -0.11271327070374873, -0.9121052238561536, 1.0943357617943472,
+        2.149424092487064, 0.26317099491125334, 1.6895388863751315,
+        3.5807272619710955, -1.1960880959087137, 3.518712703936598,
+        -1.6831325267545427, -1.2109187324638713,
+    ],
+)
+# m = 13: the triples of those half-planes pin at most p = 4.0199...,
+# below the optimum p = 5.6198...
+REGION_M13 = literal_region(
+    [
+        [-0.9707748210722471, 0.23999218064792557],
+        [-0.7426636556746189, 0.6696646134745445],
+        [-0.6423477033051197, 0.7664133532622184],
+        [-0.6513889731969117, 0.7587439657733517],
+        [-0.60204446879294, -0.7984625586687373],
+        [-0.48405550727345215, -0.8750372939927994],
+        [-0.7774390717505579, -0.6289582575303633],
+        [-0.7128351647315003, 0.7013316105254452],
+        [-0.4209266062122927, 0.9070946985748519],
+        [-0.7301343763586691, -0.6833035873309442],
+        [-0.6456900235289462, 0.7635996290695727],
+        [-0.48305125867747456, 0.8755920748214362],
+        [-0.9652796832924796, 0.2612185541319189],
+    ],
+    [
+        2.710824318368348, 2.526214414444272, 3.6406422229345496,
+        3.4684426790871616, 2.361970777488254, 2.1373832118267875,
+        0.8538085633554795, 7.277789072750774, 6.588845716293666,
+        3.249035546075584, 4.199194225480776, 7.014061291916644,
+        5.030353376740344,
+    ],
+)
 
 
 class TestHalfplaneContainment:
@@ -41,6 +107,13 @@ class TestHalfplaneContainment:
     def test_tangency_counts_as_contained(self):
         # y >= 0 touches at the apex only
         assert parabola_in_halfplane(UP_PARABOLA, HalfPlane([0.0, -1.0], 0.0))
+
+    @pytest.mark.parametrize(
+        "normal,offset", [([np.nan, 0.0], 1.0), ([1.0, 0.0], np.inf)]
+    )
+    def test_non_finite_rejected(self, normal, offset):
+        with pytest.raises(ValueError):
+            HalfPlane(normal, offset)
 
     def test_violation_units(self):
         axis = np.array([0.0, 1.0])
@@ -122,15 +195,87 @@ class TestSolver:
             assert sol.convergence.spread <= 1e-4 * 1e3
 
     def test_matches_triple_enumeration(self, rng):
-        for trial in range(6):
-            region, _ = random_pinned_region(rng)
+        regions = [random_pinned_region(rng)[0] for _ in range(6)]
+        regions += [
+            random_pinned_region(rng, extra_max=14, extra_min=10)[0] for _ in range(2)
+        ]
+        regions.append(REGION_M13)
+        for trial, region in enumerate(regions):
             sol = solve_max_parabola(region, starts=24, seed=trial + 99)
             best = None
             for triple in itertools.combinations(range(len(region.halfplanes)), 3):
-                res = _polish_triple(region, triple, 1e3)
+                res = _polish_triple(region, triple)
                 if res is not None and (best is None or res[0] > best):
                     best = res[0]
             assert sol.parabola.parameter == pytest.approx(best, rel=1e-12)
+        assert min(len(r.halfplanes) for r in regions[6:]) >= 13
+
+    def test_pencil_beyond_halfplane_rejected(self):
+        # x - 0.1 y <= -10 keeps part of the worked region, and its line
+        # misses the worked pencil's members, which lie wholly on the far
+        # side: they open out of the half-plane
+        t = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+        region = triangle_region(t, "C")
+        far = HalfPlane.from_direction([1.0, -0.1], -10.0 / np.hypot(1.0, 0.1))
+        assert far.contains_point([-15.0, -20.0]) and region.contains_point([-15.0, -20.0])
+        cut = ConvexRegion(list(region.halfplanes) + [far])
+        assert _polish_triple(region, (0, 1, 2)) is not None
+        assert _polish_triple(cut, (0, 1, 2)) is None
+
+    def test_repeated_halfplane(self, rng):
+        # a copy of one of a triple's own lines is tangent to every member
+        # of its pencil, so it must not clip the pencil
+        for k in range(6):
+            t = random_triangle(rng, min_ratio=0.06)
+            hps = list(triangle_region(t, "C").halfplanes)
+            expected = next(
+                r.parabola.parameter for r in exparabolas(t) if r.opposite_vertex == "C"
+            )
+            sol = solve_max_parabola(ConvexRegion(hps + [hps[k % 3]]), starts=8, seed=0)
+            assert sol.parabola.parameter == pytest.approx(expected, rel=1e-9)
+
+    def test_many_halfplanes_pinned(self):
+        sol = solve_max_parabola(REGION_M17, starts=64, seed=1219079220)
+        assert sol.parabola.parameter == pytest.approx(0.9307912009489689, rel=1e-9)
+        assert len(sol.active_constraints) >= 3
+
+    def test_clipped_triple_matches_dense_scan(self, rng):
+        # Reference: 10^4 tangency abscissas along the base triple's pencil,
+        # kept when the member lies in every half-plane by the support
+        # formula; the clipped closed form must be at least as large.
+        checked = 0
+        while checked < 4:
+            region, _ = random_pinned_region(rng)
+            res = _polish_triple(region, (0, 1, 2))
+            if res is None:
+                continue
+            p, apex, angle, _, lam, frame = res
+            roots = solve_cubic(tangency_cubic(frame))
+            lam_star = roots[(roots > frame.a1) & (roots < frame.b1)][0]
+            if lam == lam_star:
+                continue  # the cubic root is feasible: nothing clipped
+            checked += 1
+            size = frame.scale
+            axis = np.array([np.cos(angle), np.sin(angle)])
+            viol = [
+                halfplane_violation(apex, axis, p, h.normal, h.offset)
+                for h in region.halfplanes
+            ]
+            assert max(viol) <= 1e-12 * size
+            assert max(viol[3:]) >= -1e-12 * size  # a clipping half-plane is active
+            best = 0.0
+            for lam_k in np.linspace(frame.a1, frame.b1, 10_002)[1:-1]:
+                try:
+                    apex_k, axis_k, p_k, _ = _pencil_world(frame, lam_k)
+                except NotAParabola:  # members next to the singular ends
+                    continue
+                if all(
+                    halfplane_violation(apex_k, axis_k, p_k, h.normal, h.offset) <= 0.0
+                    for h in region.halfplanes[3:]
+                ):
+                    best = max(best, p_k)
+            assert best > 0.0
+            assert p >= best * (1.0 - 1e-12)
 
     def test_fixed_triple_monotone_under_added_halfplane(self, rng):
         # Adding a half-plane can only shrink the admissible tangency
@@ -141,7 +286,7 @@ class TestSolver:
         for trial in range(8):
             t = random_triangle(rng, min_ratio=0.06)
             region = triangle_region(t, "C")
-            base = _polish_triple(region, (0, 1, 2), 1e3)
+            base = _polish_triple(region, (0, 1, 2))
             p0, apex, angle = base[0], base[1], base[2]
             axis = np.array([np.cos(angle), np.sin(angle)])
             n = -axis
@@ -149,12 +294,12 @@ class TestSolver:
             cut = ConvexRegion(
                 list(region.halfplanes) + [HalfPlane(n, sup - 0.05 * p0)]
             )
-            res = _polish_triple(cut, (0, 1, 2), 1e3)
+            res = _polish_triple(cut, (0, 1, 2))
             assert res is None or res[0] <= p0 * (1.0 + 1e-12)
             keep = ConvexRegion(
                 list(region.halfplanes) + [HalfPlane(n, sup + 0.5 * p0)]
             )
-            res2 = _polish_triple(keep, (0, 1, 2), 1e3)
+            res2 = _polish_triple(keep, (0, 1, 2))
             assert res2[0] == pytest.approx(p0, rel=1e-12)
 
     def test_new_boundary_line_can_increase_pinned_optimum(self, rng):
