@@ -12,6 +12,14 @@ returns the global minimum.  Below the critical size 2^{-1/2} the
 minimizer is provably unique; a point set containing the disk center
 forces a constant profile at exactly 2^{-1/2}, where infinitely many
 horocycles are minimal and the solution is flagged non-unique.
+
+Every horocycle interior is a Euclidean ellipse interior, hence convex,
+so a horocycle encloses the set exactly when it encloses the set's
+convex-hull vertices, and the profile over any superset of those
+vertices is the profile over all points.  The grid scan and the refine
+therefore run on the points an Akl-Toussaint extreme-point filter keeps,
+and their cost follows the number of extreme points, not n.  The
+boundary ``support`` and :func:`verify_solution` use every input point.
 """
 
 from __future__ import annotations
@@ -29,12 +37,17 @@ UNIQUE_SIZE_MARGIN = 1e-9  # below 2^{-1/2} required to certify uniqueness
 UNIQUE_VALUE_TOL = 1e-7  # minima within this of the best are "ties"
 UNIQUE_ANGLE_TOL = 1e-6  # tied minimizers must coincide to this angle
 
+PRUNE_DIRECTIONS = 64  # extreme-point directions of the hull prefilter
+PRUNE_MARGIN = 1e-12  # relative depth inside the polygon a dropped point needs
+
 
 def as_point_set(points) -> np.ndarray:
     """Validate and return an (n, 2) array of points strictly inside the disk."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ValueError("point set must be a nonempty list of (x, y) pairs")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite")
     if np.any((pts**2).sum(axis=1) >= 1.0):
         raise ValueError("all points must lie strictly inside the unit disk")
     return pts
@@ -88,6 +101,34 @@ def _golden_minimize(fun, lo: float, hi: float, tol: float):
     return xm, fun(xm)
 
 
+def _hull_superset(pts: np.ndarray) -> np.ndarray:
+    """Sorted indices of a superset of the convex-hull vertices of ``pts``.
+
+    Akl-Toussaint filter: the extreme points in PRUNE_DIRECTIONS evenly
+    spaced directions, taken in direction order, form a convex polygon in
+    counter-clockwise order whose vertices are hull points.  Only points
+    strictly inside every edge, by far more than rounding, are dropped;
+    such a point lies inside the hull and is never one of its vertices.
+    """
+    n = len(pts)
+    if n <= PRUNE_DIRECTIONS:
+        return np.arange(n)
+    phi = np.linspace(0.0, 2.0 * np.pi, PRUNE_DIRECTIONS, endpoint=False)
+    ext = (np.stack([np.cos(phi), np.sin(phi)], axis=1) @ pts.T).argmax(axis=1)
+    ext = ext[ext != np.roll(ext, 1)]
+    if len(ext) < 3:
+        return np.arange(n)
+    poly = pts[ext]
+    edge = np.roll(poly, -1, axis=0) - poly
+    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward
+    # two copies of one point can each win a direction by a rounding
+    # difference; their zero edge gets a zero normal and drops nothing
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True).clip(min=np.finfo(float).tiny)
+    depth = (poly * normals).sum(axis=1)[:, None] - normals @ pts.T
+    margin = PRUNE_MARGIN * float(np.abs(pts).max())
+    return np.nonzero(depth.min(axis=0) <= margin)[0]
+
+
 def solve_min_horocycle(
     points,
     grid: int = 720,
@@ -101,17 +142,25 @@ def solve_min_horocycle(
     ``refine_tol`` radians, and takes the best.  The solution is flagged
     unique iff the minimal size is strictly below 2^{-1/2} and all
     near-minimal refined minimizers coincide in angle.
+
+    The scan and the refine see only a superset of the convex-hull
+    vertices: horocycle interiors are convex, so the profile over those
+    points is the profile over all of them.  ``support`` holds the
+    indices, into ``points``, of every input point on the boundary.
     """
+    if grid < 1:
+        raise ValueError("grid must be at least 1")
     pts = as_point_set(points)
+    hull = pts[_hull_superset(pts)]
     thetas = (grid_offset + np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)) % (
         2.0 * np.pi
     )
     order = np.argsort(thetas)
     thetas = thetas[order]
-    values = min_sizes_for_points(thetas, pts).max(axis=1)
+    values = min_sizes_for_points(thetas, hull).max(axis=1)
 
     def profile(th: float) -> float:
-        return float(min_sizes_for_points([th], pts).max())
+        return float(min_sizes_for_points([th], hull).max())
 
     n = len(thetas)
     left = np.roll(values, 1)

@@ -129,6 +129,21 @@ class TestExitCodes:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "points,extra",
+        [
+            ([[float("nan"), 0.1], [0.2, 0.1]], []),
+            ([[0.1, float("inf")]], []),
+            ([[0.2, 0.1]], ["--grid", "0"]),
+        ],
+    )
+    def test_bad_min_horocycle_input_is_schema_error(self, tmp_path, capsys, points, extra):
+        code, _ = run_cli(tmp_path, "min-horocycle", {"points": points}, "badpts", extra=extra)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValueError"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from conic_extrema import (
     MinHorocycleSolution,
@@ -11,6 +14,7 @@ from conic_extrema import (
     verify_solution,
 )
 from conic_extrema.horocycle import INV_SQRT2, Horocycle, min_sizes_for_points
+from conic_extrema.minhorocycle import PRUNE_DIRECTIONS, _hull_superset
 
 
 def _rotate(pts, phi):
@@ -109,6 +113,91 @@ class TestSolve:
                 - np.pi
             )
             assert dth <= 1e-6
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            solve_min_horocycle([[bad, 0.1], [0.2, 0.1]])
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            solve_min_horocycle([[0.2, 0.1]], grid=grid)
+
+
+def _in_horocycle(rng, n, theta, a, shrink):
+    """n points spread over the horocycle (theta, a), shrunk about its centre."""
+    u = np.array([np.cos(theta), np.sin(theta)])
+    w = np.array([-u[1], u[0]])
+    rho = np.sqrt(rng.uniform(0.0, 1.0, n))
+    ang = rng.uniform(0.0, 2.0 * np.pi, n)
+    along = (1.0 - a * a) + shrink * a * a * rho * np.cos(ang)
+    across = shrink * a * rho * np.sin(ang)
+    return along[:, None] * u + across[:, None] * w
+
+
+def _point_family(name, rng, n):
+    """Point sets inside the disk whose hulls stress the prune differently."""
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    u = np.array([np.cos(phi), np.sin(phi)])
+    if name == "random":
+        return rng.uniform(-0.6, 0.6, (n, 2))
+    if name == "on-circle":
+        t = rng.uniform(0.0, 2.0 * np.pi, n)
+        return rng.uniform(0.05, 0.99) * np.stack([np.cos(t), np.sin(t)], axis=1)
+    if name == "near-collinear":
+        t = rng.uniform(-0.5, 0.5, (n, 1))
+        return 0.3 * u + t * u + rng.normal(0.0, 1e-7, (n, 1)) * np.array([-u[1], u[0]])
+    if name == "duplicate-heavy":
+        base = rng.uniform(-0.5, 0.5, (max(n // 20, 3), 2))
+        return base[rng.integers(0, len(base), n)]
+    if name == "tiny-near-boundary":
+        return 0.999 * u + rng.normal(0.0, 1e-9, (n, 2))
+    if name == "near-boundary":
+        r = rng.uniform(0.85, 0.995)
+        pts = r * u + rng.normal(0.0, rng.uniform(0.05, 0.5) * (1.0 - r), (n, 2))
+        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+        return np.where(norms > 0.999, pts * (0.999 / norms), pts)
+    if name == "spread":
+        return _in_horocycle(rng, n, phi, rng.uniform(0.6, 0.7), 0.98)
+    if name == "centre":
+        return np.vstack([np.zeros((1, 2)), _in_horocycle(rng, n - 1, phi, INV_SQRT2, 0.9)])
+    raise ValueError(name)
+
+
+class TestHullPrune:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(
+            ["random", "on-circle", "near-collinear", "duplicate-heavy", "tiny-near-boundary"]
+        ),
+        n=st.integers(PRUNE_DIRECTIONS + 1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_keeps_every_hull_vertex(self, family, n, seed):
+        pts = _point_family(family, np.random.default_rng(seed), n)
+        kept = {tuple(p) for p in pts[_hull_superset(pts)]}
+        assert {tuple(p) for p in pts[ConvexHull(pts).vertices]} <= kept
+
+    @pytest.mark.parametrize("family", ["near-boundary", "spread", "centre"])
+    def test_profile_matches_all_points(self, family):
+        pts = _point_family(family, np.random.default_rng(2024), 20_000)
+        assert len(_hull_superset(pts)) < 500
+        sol = solve_min_horocycle(pts)
+        # in slices of angles: the profile over all points at once needs
+        # several 720 x 20 000 temporaries
+        full = np.concatenate([size_profile(pts, t) for t in np.split(sol.profile.thetas, 8)])
+        assert np.array_equal(sol.profile.values, full)
+        verify_solution(pts, sol)
+
+    def test_support_indexes_input_duplicates(self, rng):
+        pts = _point_family("spread", rng, 500)
+        first = solve_min_horocycle(pts).support[0]
+        pts = np.vstack([pts, pts[first]])
+        perm = rng.permutation(len(pts))
+        copies = np.nonzero((perm == first) | (perm == len(pts) - 1))[0]
+        sol = solve_min_horocycle(pts[perm])
+        assert set(copies.tolist()) <= set(sol.support)
 
 
 class TestVerifySolution:
