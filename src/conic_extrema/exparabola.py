@@ -52,6 +52,8 @@ class Triangle:
         B = np.asarray(B, float).reshape(2).copy()
         C = np.asarray(C, float).reshape(2).copy()
         for v in (A, B, C):
+            if not np.isfinite(v).all():
+                raise ValueError("triangle vertices must be finite")
             v.flags.writeable = False
         ex1, ey1 = B[0] - A[0], B[1] - A[1]
         ex2, ey2 = C[0] - A[0], C[1] - A[1]

@@ -34,6 +34,11 @@ axis_angle, p), with an exact penalty on the three smallest containment
 slacks pulling iterates onto the pinned set, is run from seeded starts;
 assigning each converged start to its nearest pinned triple gives the
 agreement certificate.
+
+``probe_diameter`` is a reference length (tolerances, growth cap, seed
+spread), not a box: the first seed apex lies on a ray from the centre of
+the boundary arrangement, so translating the region translates the
+solution.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateTriangle,
@@ -220,26 +224,15 @@ def _feasible_direction_arc(normals: np.ndarray):
     return last + 0.5 * np.pi, first + 1.5 * np.pi
 
 
-def _chebyshev_point(normals, offsets, box_half: float):
-    """Deepest interior point of the region within the probe box."""
-    m = len(normals)
-    # maximize r  s.t.  n.x + r <= d  and  |x| <= box_half componentwise
-    a_ub = np.column_stack([normals, np.ones(m)])
-    box = np.array(
-        [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -1.0, 1.0]]
-    )
-    a_ub = np.vstack([a_ub, box])
-    b_ub = np.concatenate([offsets, np.full(4, box_half)])
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None), (None, None), (None, None)],
-        method="highs",
-    )
-    if not res.success or res.x[2] <= 0.0:
-        return None
-    return res.x[:2], res.x[2]
+def _chebyshev_point(normals, offsets, arc, center, gscale: float):
+    """Point on the ray from ``center`` along the mid-arc axis direction u
+    where the smallest slack first reaches ``gscale``; every n . u < 0, so
+    all slacks grow along the ray.  Returns (point, smallest slack)."""
+    mid = 0.5 * (arc[0] + arc[1])
+    u = np.array([np.cos(mid), np.sin(mid)])
+    t = float(((gscale - (offsets - normals @ center)) / -(normals @ u)).max())
+    x = center + max(0.0, t) * u
+    return x, float((offsets - normals @ x).min())
 
 
 # -- exact polish along the dual pencil of a tangent triple ------------------
@@ -450,7 +443,8 @@ def _coarse_search(normals, offsets, seeds, scale, gscale, center, kappa, max_it
 
 def _make_seeds(region, arc, scale, gscale, center, starts, rng):
     """Seed states: pairwise inward-normal bisector directions plus random
-    feasible directions, apexes from Chebyshev-like interior samples."""
+    feasible directions, apexes from interior samples.  The first apex is
+    ``_chebyshev_point``, so the apex pool is never empty."""
     ns, ds = region.normals, region.offsets
     m = len(ns)
     lo, hi = arc
@@ -471,10 +465,7 @@ def _make_seeds(region, arc, scale, gscale, center, starts, rng):
     thetas = np.array(thetas[:starts])
     rng.shuffle(thetas)
 
-    cheb = _chebyshev_point(ns, ds, 0.5 * scale)
-    if cheb is None:
-        raise NoInscribedParabola("region is empty within the probe box")
-    apex0, _ = cheb
+    apex0, _ = _chebyshev_point(ns, ds, arc, center, gscale)
     box = min(2.0 * gscale, 0.5 * scale)
     samples = np.vstack(
         [
@@ -514,14 +505,20 @@ def solve_max_parabola(
     to their nearest pinned member; the starts that reach the maximum
     and their spread form the agreement certificate in ``convergence``.
     Tolerances are relative to ``probe_diameter``, the reference length
-    for these unbounded regions.
+    for these unbounded regions; it bounds no search box, and translating
+    the region translates the solution.
 
     Raises NoInscribedParabola when no parabola fits at all (parallel or
     surrounding boundary normals, empty region) and UnboundedParameter
     when parabolas fit but their size is unbounded (e.g. a two-line
-    wedge).
+    wedge).  Raises ValueError when ``starts < 1`` or ``probe_diameter``
+    is not finite and positive.
     """
     scale = float(probe_diameter)
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise ValueError("probe_diameter must be finite and positive")
+    if starts < 1:
+        raise ValueError("starts must be at least 1")
     ns, ds = region.normals, region.offsets
     m = len(ns)
     arc = _feasible_direction_arc(ns)

@@ -130,6 +130,25 @@ class TestExitCodes:
         assert json.loads(err[0])["error"] == "ValueError"
 
     @pytest.mark.parametrize(
+        "command,payload,extra",
+        [
+            ("max-parabola", HALFPLANES, ["--starts", "0"]),
+            ("max-parabola", {**HALFPLANES, "probe_diameter": 0}, []),
+            (
+                "exparabola",
+                {"triangle": {**TRIANGLE["triangle"], "A": [float("nan"), 0.0]}},
+                [],
+            ),
+        ],
+    )
+    def test_bad_solver_input_is_schema_error(self, tmp_path, capsys, command, payload, extra):
+        code, _ = run_cli(tmp_path, command, payload, "badin", extra=extra)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
         "points,extra",
         [
             ([[float("nan"), 0.1], [0.2, 0.1]], []),

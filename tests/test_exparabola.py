@@ -69,6 +69,13 @@ class TestCanonicalFrame:
         with pytest.raises(DegenerateTriangle):
             Triangle([0.0, 0.0], [1.0, 0.0], [2.0, 1e-12])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Triangle([bad, 0.0], [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, bad])
+
     def test_round_trip_world_frame(self, rng):
         for _ in range(50):
             t = random_triangle(rng)

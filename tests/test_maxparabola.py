@@ -1,10 +1,14 @@
 """Containment tests and the pinned maximal-parabola solver."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conic_extrema
 from conic_extrema import (
     ConvexRegion,
     HalfPlane,
@@ -20,7 +24,13 @@ from conic_extrema import (
     triangle_region,
 )
 from conic_extrema.exparabola import solve_cubic, tangency_cubic
-from conic_extrema.maxparabola import _pencil_world, _polish_triple
+from conic_extrema.maxparabola import (
+    _chebyshev_point,
+    _feasible_direction_arc,
+    _geometry_scale,
+    _pencil_world,
+    _polish_triple,
+)
 from conftest import random_pinned_region, random_triangle
 
 UP_PARABOLA = parabola_from_apex([0.0, 0.0], np.pi / 2.0, 2.0)  # x^2 = 4y
@@ -233,6 +243,64 @@ class TestSolver:
             )
             sol = solve_max_parabola(ConvexRegion(hps + [hps[k % 3]]), starts=8, seed=0)
             assert sol.parabola.parameter == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("shift", [(0.0, -600.0), (3000.0, -3000.0), (-1e4, 2e4)])
+    def test_translated_triangle_regions(self, shift):
+        # the maximal parabola is a Euclidean invariant: shifting the
+        # worked triangle shifts each side's exparabola and nothing else
+        base = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+        shift = np.array(shift)
+        t = Triangle(base.A + shift, base.B + shift, base.C + shift)
+        for r in exparabolas(base):
+            sol = solve_max_parabola(
+                triangle_region(t, r.opposite_vertex), starts=16, seed=0
+            )
+            assert sol.parabola.parameter == pytest.approx(r.parabola.parameter, rel=1e-9)
+            err = np.abs(sol.apex - shift - r.parabola.apex).max()
+            assert err <= 1e-9 * np.linalg.norm(shift)
+            assert sol.convergence.agreeing_starts >= 1
+
+    def test_seed_point_is_deep_inside(self, rng):
+        # the closed-form seed apex has every slack >= gscale, for random
+        # pinned regions and for far translates of them
+        for trial in range(40):
+            region, _ = random_pinned_region(rng, extra_max=6)
+            if trial % 2:
+                shift = rng.uniform(-1e4, 1e4, 2)
+                region = ConvexRegion(
+                    [HalfPlane(h.normal, h.offset + h.normal @ shift) for h in region.halfplanes]
+                )
+            ns, ds = region.normals, region.offsets
+            gscale, center = _geometry_scale(ns, ds, 1e3)
+            x, smallest = _chebyshev_point(ns, ds, _feasible_direction_arc(ns), center, gscale)
+            slack = ds - ns @ x
+            assert smallest == slack.min()
+            assert (slack >= gscale * (1.0 - 1e-9)).all()
+
+    @pytest.mark.parametrize("starts", [0, -2])
+    def test_starts_below_one_rejected(self, starts):
+        t = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="starts"):
+            solve_max_parabola(triangle_region(t, "C"), starts=starts)
+
+    @pytest.mark.parametrize("probe", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_probe_diameter_rejected(self, probe):
+        t = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="probe_diameter"):
+            solve_max_parabola(triangle_region(t, "C"), probe_diameter=probe)
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(conic_extrema.__file__))
+        code = (
+            "import sys, conic_extrema; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_many_halfplanes_pinned(self):
         sol = solve_max_parabola(REGION_M17, starts=64, seed=1219079220)
