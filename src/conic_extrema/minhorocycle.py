@@ -20,10 +20,20 @@ vertices is the profile over all points.  The grid scan and the refine
 therefore run on the points an Akl-Toussaint extreme-point filter keeps,
 and their cost follows the number of extreme points, not n.  The
 boundary ``support`` and :func:`verify_solution` use every input point.
+
+Two choices keep the interpreter and memory traffic out of the way
+without changing a single output bit.  The profile kernel takes the max
+of the squared size over the points and one square root after it, in
+cache-sized blocks of angle rows.  The golden-section refine advances
+every bracket in lockstep, one vectorized profile call per step, while
+each bracket takes exactly the steps of its own scalar search: a flat
+plateau with a hundred grid minima costs about as many profile calls as
+a single minimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +41,7 @@ import numpy as np
 from .errors import VerificationFailure
 from .horocycle import INV_SQRT2, Horocycle, min_sizes_for_points
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 UNIQUE_SIZE_MARGIN = 1e-9  # below 2^{-1/2} required to certify uniqueness
 UNIQUE_VALUE_TOL = 1e-7  # minima within this of the best are "ties"
@@ -39,6 +49,8 @@ UNIQUE_ANGLE_TOL = 1e-6  # tied minimizers must coincide to this angle
 
 PRUNE_DIRECTIONS = 64  # extreme-point directions of the hull prefilter
 PRUNE_MARGIN = 1e-12  # relative depth inside the polygon a dropped point needs
+
+PROFILE_BLOCK = 1 << 15  # angle x point elements per block of the profile kernel
 
 
 def as_point_set(points) -> np.ndarray:
@@ -57,7 +69,7 @@ def size_profile(points, theta) -> float | np.ndarray:
     """Smallest enclosing size with the ideal point fixed at angle theta."""
     pts = as_point_set(points)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    prof = min_sizes_for_points(thetas, pts).max(axis=1)
+    prof = _profile(thetas, pts)
     return float(prof[0]) if np.isscalar(theta) or np.ndim(theta) == 0 else prof
 
 
@@ -84,21 +96,77 @@ class MinHorocycleSolution:
         return self.horocycle.theta
 
 
-def _golden_minimize(fun, lo: float, hi: float, tol: float):
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = fun(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = fun(x2)
-    xm = 0.5 * (lo + hi)
-    return xm, fun(xm)
+def _profile(thetas: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """``min_sizes_for_points(thetas, pts).max(axis=1)``, bit for bit.
+
+    Takes the max of the squared-size ratio (1 - y')^2 / (2 - 2 y' - x'^2)
+    over the points and the square root after it: sqrt is monotone and
+    correctly rounded, so the result is the same.  2 - 2 y' is formed as
+    (1 - y') + (1 - y'), which rounds to the same double because scaling
+    by 2 is exact.  Works in blocks of whole angle rows of about
+    PROFILE_BLOCK elements with in-place operations, so the block
+    temporaries stay in cache.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    col = thetas[:, None]
+    st, ct = np.sin(col), np.cos(col)
+    rows = -(-PROFILE_BLOCK // len(x))
+    out = np.empty(len(thetas))
+    for i in range(0, len(thetas), rows):
+        s, c = st[i : i + rows], ct[i : i + rows]
+        xr = x * s
+        xr -= y * c
+        yr = x * c
+        yr += y * s
+        ratio = 1.0 - yr
+        den = np.add(ratio, ratio, out=yr)
+        xr *= xr
+        den -= xr
+        ratio *= ratio
+        ratio /= den
+        np.maximum.reduce(ratio, axis=1, out=out[i : i + rows])
+    return np.sqrt(out, out=out)
+
+
+def _golden_minimize(fun, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """Golden-section minima of ``fun`` on every bracket [lo[k], hi[k]].
+
+    The brackets are refined in lockstep: ``fun`` maps an array of angles
+    to their profile values, and each step makes one call for the new
+    probes of all brackets still wider than ``tol``.  Each bracket takes
+    exactly the steps of its own scalar golden-section search, so its
+    minimum does not depend on the other brackets.  A bracket also stops
+    when a step no longer narrows it, which only happens once ``tol`` is
+    below the spacing of floats near the bracket.  Returns the midpoints
+    of the final brackets and their values, as lists.
+    """
+    g = GOLDEN
+    # one [lo, hi, x1, x2, f1, f2] list of Python floats per bracket
+    state = [[l, h, h - g * (h - l), l + g * (h - l)] for l, h in zip(lo.tolist(), hi.tolist())]
+    f = fun(np.array([b[2] for b in state] + [b[3] for b in state])).tolist()
+    for b, f1, f2 in zip(state, f, f[len(state) :]):
+        b += (f1, f2)
+    active = [b for b in state if b[1] - b[0] > tol]
+    while active:
+        slots, probes, narrowed = [], [], []
+        for b in active:
+            l, h, x1, x2, f1, f2 = b
+            if f1 <= f2:  # keep [l, x2]; x1 moves to x2, probe a new x1
+                p = x2 - g * (x2 - l)
+                b[1], b[2], b[3], b[5] = x2, p, x1, f1
+                slots.append(4)
+            else:  # keep [x1, h]; x2 moves to x1, probe a new x2
+                p = x1 + g * (h - x1)
+                b[0], b[2], b[3], b[4] = x1, x2, p, f2
+                slots.append(5)
+            probes.append(p)
+            if tol < b[1] - b[0] < h - l:
+                narrowed.append(b)
+        for b, j, v in zip(active, slots, fun(np.array(probes)).tolist()):
+            b[j] = v
+        active = narrowed
+    xm = [0.5 * (b[0] + b[1]) for b in state]
+    return xm, fun(np.array(xm)).tolist()
 
 
 def _hull_superset(pts: np.ndarray) -> np.ndarray:
@@ -139,9 +207,13 @@ def solve_min_horocycle(
 
     Scans ``grid`` ideal angles (optionally offset, for independent
     reruns), golden-section refines every bracketed local minimum down to
-    ``refine_tol`` radians, and takes the best.  The solution is flagged
-    unique iff the minimal size is strictly below 2^{-1/2} and all
-    near-minimal refined minimizers coincide in angle.
+    ``refine_tol`` radians (all brackets in lockstep, one vectorized
+    profile call per step), and takes the best.  ``refine_tol`` must be
+    finite and positive and ``grid_offset`` finite; a bracket that can no
+    longer narrow, because ``refine_tol`` is below the spacing of floats
+    near it, stops there.  The solution is flagged unique iff the minimal
+    size is strictly below 2^{-1/2} and all near-minimal refined
+    minimizers coincide in angle.
 
     The scan and the refine see only a superset of the convex-hull
     vertices: horocycle interiors are convex, so the profile over those
@@ -150,6 +222,10 @@ def solve_min_horocycle(
     """
     if grid < 1:
         raise ValueError("grid must be at least 1")
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValueError("refine_tol must be finite and positive")
+    if not math.isfinite(grid_offset):
+        raise ValueError("grid_offset must be finite")
     pts = as_point_set(points)
     hull = pts[_hull_superset(pts)]
     thetas = (grid_offset + np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)) % (
@@ -157,21 +233,17 @@ def solve_min_horocycle(
     )
     order = np.argsort(thetas)
     thetas = thetas[order]
-    values = min_sizes_for_points(thetas, hull).max(axis=1)
+    values = _profile(thetas, hull)
 
-    def profile(th: float) -> float:
-        return float(min_sizes_for_points([th], hull).max())
-
-    n = len(thetas)
     left = np.roll(values, 1)
     right = np.roll(values, -1)
-    is_min = (values <= left) & (values <= right)
-    minima = []
-    for i in np.nonzero(is_min)[0]:
-        lo = thetas[i - 1] if i > 0 else thetas[-1] - 2.0 * np.pi
-        hi = thetas[(i + 1) % n] if i + 1 < n else thetas[0] + 2.0 * np.pi
-        th, val = _golden_minimize(profile, lo, hi, refine_tol)
-        minima.append((val, th % (2.0 * np.pi)))
+    idx = np.nonzero((values <= left) & (values <= right))[0]
+    # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
+    wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
+    xs, vals = _golden_minimize(
+        lambda th: _profile(th, hull), wrapped[idx], wrapped[idx + 2], refine_tol
+    )
+    minima = [(val, th % (2.0 * np.pi)) for th, val in zip(xs, vals)]
     minima.sort()
     a_star, th_star = minima[0]
 
@@ -213,7 +285,7 @@ def verify_solution(
     mags = 10.0 ** rng.uniform(-6.0, -2.0, perturbations)
     signs = rng.choice([-1.0, 1.0], perturbations)
     deltas = mags * signs
-    vals = min_sizes_for_points(th_star + deltas, pts).max(axis=1)
+    vals = _profile(th_star + deltas, pts)
     if np.any(vals < a_star - 1e-12):
         raise VerificationFailure("local optimality: a nearby angle does better")
 

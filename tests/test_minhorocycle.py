@@ -14,7 +14,14 @@ from conic_extrema import (
     verify_solution,
 )
 from conic_extrema.horocycle import INV_SQRT2, Horocycle, min_sizes_for_points
-from conic_extrema.minhorocycle import PRUNE_DIRECTIONS, _hull_superset
+from conic_extrema.minhorocycle import (
+    GOLDEN,
+    PROFILE_BLOCK,
+    PRUNE_DIRECTIONS,
+    _golden_minimize,
+    _hull_superset,
+    _profile,
+)
 
 
 def _rotate(pts, phi):
@@ -124,6 +131,24 @@ class TestSolve:
         with pytest.raises(ValueError, match="grid"):
             solve_min_horocycle([[0.2, 0.1]], grid=grid)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_refine_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="refine_tol"):
+            solve_min_horocycle([[0.2, 0.1]], refine_tol=tol)
+
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_grid_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="grid_offset"):
+            solve_min_horocycle([[0.2, 0.1]], grid_offset=offset)
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_refine_tol_below_float_spacing_terminates(self, tol):
+        # no bracket can get narrower than the spacing of floats near it
+        pts = [[0.3, 0.2], [-0.1, 0.4], [0.2, -0.3]]
+        fine, default = solve_min_horocycle(pts, refine_tol=tol), solve_min_horocycle(pts)
+        assert fine.horocycle.theta == pytest.approx(default.horocycle.theta, abs=1e-12)
+        assert fine.horocycle.a == pytest.approx(default.horocycle.a, rel=1e-13)
+
 
 def _in_horocycle(rng, n, theta, a, shrink):
     """n points spread over the horocycle (theta, a), shrunk about its centre."""
@@ -198,6 +223,83 @@ class TestHullPrune:
         copies = np.nonzero((perm == first) | (perm == len(pts) - 1))[0]
         sol = solve_min_horocycle(pts[perm])
         assert set(copies.tolist()) <= set(sol.support)
+
+
+class TestProfileKernel:
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (10, 720),
+            (5000, 720),  # blocks of ceil(PROFILE_BLOCK / n) rows; the last is partial
+            (PROFILE_BLOCK + 7, 5),  # one row per block
+        ],
+    )
+    def test_matches_min_sizes_bitwise(self, rng, n, m):
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        near = 0.999 * np.array([np.cos(phi), np.sin(phi)]) + rng.normal(0.0, 1e-4, (n // 2, 2))
+        pts = np.vstack([rng.uniform(-0.6, 0.6, (n - n // 2, 2)), near])
+        pts = pts[(pts**2).sum(axis=1) < 1.0]
+        thetas = np.concatenate([rng.uniform(-1.0, 7.0, m - 3), phi + np.array([-1e-7, 0.0, 1e-7])])
+        if n == 5000:
+            assert len(thetas) % -(-PROFILE_BLOCK // len(pts)) != 0
+        expect = min_sizes_for_points(thetas, pts).max(axis=1)
+        assert np.array_equal(_profile(thetas, pts), expect)
+
+
+def _scalar_golden(fun, lo, hi, tol):
+    """One bracket's golden-section search, as the solver ran it before lockstep."""
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1, f2 = fun(x1), fun(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = fun(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = fun(x2)
+    xm = 0.5 * (lo + hi)
+    return xm, fun(xm)
+
+
+class TestLockstepRefine:
+    @pytest.mark.parametrize("family, n", [("centre", 10), ("near-boundary", 60)])
+    def test_matches_scalar_search_per_bracket(self, family, n):
+        pts = _point_family(family, np.random.default_rng(3), n)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        values = _profile(thetas, pts)
+        idx = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
+        if family == "centre":
+            assert len(idx) >= 50  # the plateau at 2^(-1/2)
+        lo = np.where(idx > 0, thetas[idx - 1], thetas[-1] - 2.0 * np.pi)
+        hi = np.where(idx < 719, thetas[(idx + 1) % 720], thetas[0] + 2.0 * np.pi)
+
+        scalar_calls = []
+
+        def scalar(th):
+            scalar_calls[-1] += 1
+            return float(min_sizes_for_points([th], pts).max())
+
+        expect = []
+        for l, h in zip(lo, hi):
+            scalar_calls.append(0)
+            expect.append(_scalar_golden(scalar, l, h, 1e-12))
+
+        calls = []
+
+        def lockstep(th):
+            calls.append(len(th))
+            return _profile(th, pts)
+
+        xs, vals = _golden_minimize(lockstep, lo, hi, 1e-12)
+        assert xs == [x for x, _ in expect]
+        assert vals == [v for _, v in expect]
+        # one call for the first two probes, one per step, one for the midpoints
+        steps = max(scalar_calls) - 3
+        assert len(calls) == steps + 2
+        assert sum(calls) == sum(scalar_calls)
 
 
 class TestVerifySolution:
