@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateTriangle, NumericalRootFailure, SingularPencilMember
 from .parabola import Parabola
-from .projective import ConicMatrix, pullback
+from .projective import ConicMatrix
 
 # Triangles with area/diameter^2 below this are rejected outright.
 MIN_AREA_RATIO = 1e-6
@@ -62,7 +62,8 @@ class Triangle:
             math.hypot(ex1, ey1), math.hypot(ex2, ey2), math.hypot(ex3, ey3)
         )
         twice_area = abs(ex1 * ey2 - ey1 * ex2)
-        if twice_area < 1e-9 * diameter**2:
+        # divide twice, never square the diameter: no overflow at any scale
+        if diameter == 0.0 or twice_area / diameter / diameter < 1e-9:
             raise DegenerateTriangle("triangle vertices are nearly collinear")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -115,9 +116,6 @@ class CanonicalFrame:
         v = self.frame_to_world @ np.array([1.0, *np.asarray(pt, float)])
         return v[1:]
 
-    def conic_to_world(self, c: ConicMatrix) -> ConicMatrix:
-        return pullback(c, self.world_to_frame)
-
     @property
     def scale(self) -> float:
         return max(abs(self.a1), abs(self.b1), self.c2)
@@ -129,7 +127,7 @@ def canonical_frame(t: Triangle, side: str) -> CanonicalFrame:
     The frame is invariant under rigid motions of the input triangle: a
     rotated or translated copy yields identical (a1, b1, c2).
     """
-    if t.area / t.diameter**2 < MIN_AREA_RATIO:
+    if t.area / t.diameter / t.diameter < MIN_AREA_RATIO:
         raise DegenerateTriangle("triangle too flat for stable computation")
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
@@ -223,17 +221,21 @@ def tangency_cubic(frame: CanonicalFrame) -> np.ndarray:
 
         E(a1) E(b1) = -(b1^2 + c2^2) (a1 - b1)^2 (a1^2 + c2^2) < 0,
 
-    so exactly one root lies in (a1, b1).
+    so exactly one root lies in (a1, b1).  Raises NumericalRootFailure
+    when a coefficient overflows.
     """
     a1, b1, c2 = frame.a1, frame.b1, frame.c2
-    return np.array(
-        [
-            1.0,
-            -(a1 + b1),
-            -(a1**2) + a1 * b1 - b1**2 - 2.0 * c2**2,
-            a1 * (a1**2 + c2**2) + b1 * (b1**2 + c2**2),
-        ]
-    )
+    try:
+        return np.array(
+            [
+                1.0,
+                -(a1 + b1),
+                -(a1**2) + a1 * b1 - b1**2 - 2.0 * c2**2,
+                a1 * (a1**2 + c2**2) + b1 * (b1**2 + c2**2),
+            ]
+        )
+    except OverflowError as exc:  # a Python-float power
+        raise NumericalRootFailure("tangency cubic coefficients overflow") from exc
 
 
 def solve_cubic(coeffs) -> np.ndarray:
@@ -250,7 +252,10 @@ def solve_cubic(coeffs) -> np.ndarray:
     if p >= -1e-13 * scale:
         raise NumericalRootFailure("cubic does not have three separated real roots")
     m = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * m)
+    pm = p * m
+    if pm == 0.0 or not math.isfinite(pm):
+        raise NumericalRootFailure("cubic coefficients underflow or overflow")
+    arg = 3.0 * q / pm
     if abs(arg) > 1.0 + 1e-9:
         raise NumericalRootFailure("trigonometric form out of range")
     phi = math.acos(min(1.0, max(-1.0, arg))) / 3.0

@@ -63,6 +63,8 @@ class Horocycle:
     a: float
 
     def __post_init__(self):
+        if not np.isfinite(self.theta):
+            raise ValueError("horocycle angle must be finite")
         if not 0.0 < self.a < 1.0:
             raise ValueError("horocycle size must lie strictly between 0 and 1")
 

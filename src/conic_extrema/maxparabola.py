@@ -152,14 +152,6 @@ def halfplane_violation(apex, axis_dir, p: float, normal, offset: float) -> floa
     return -npx2 * p / (2.0 * npy) - e
 
 
-def region_violation(region: ConvexRegion, apex, axis_dir, p: float) -> float:
-    """Worst containment residual over all half-planes of the region."""
-    return max(
-        halfplane_violation(apex, axis_dir, p, h.normal, h.offset)
-        for h in region.halfplanes
-    )
-
-
 def parabola_in_halfplane(para: Parabola, h: HalfPlane, tol: float | None = None) -> bool:
     """Containment test with tangency counting as contained.
 

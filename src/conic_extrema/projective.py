@@ -26,6 +26,8 @@ SYMMETRY_TOL = 1e-12
 
 def _as_vec3(coords) -> np.ndarray:
     v = np.asarray(coords, dtype=float).reshape(3)
+    if not np.isfinite(v).all():
+        raise ValueError("homogeneous coordinates must be finite")
     if not np.any(v != 0.0):
         raise ValueError("homogeneous coordinates must not all be zero")
     v = v.copy()
@@ -41,16 +43,6 @@ class HomPoint:
 
     def __init__(self, coords):
         object.__setattr__(self, "coords", _as_vec3(coords))
-
-    @staticmethod
-    def from_xy(x: float, y: float) -> "HomPoint":
-        return HomPoint([1.0, x, y])
-
-    def to_xy(self) -> np.ndarray:
-        """Affine coordinates (x, y); requires x0 != 0."""
-        if self.coords[0] == 0.0:
-            raise ValueError("point at infinity has no affine coordinates")
-        return self.coords[1:] / self.coords[0]
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,33 @@
 """SVG rendering of conic figures.
 
-Every conic is drawn as a single <path> element: parabolas by adaptive
-polyline sampling clipped to the viewport, circles and horocycles as
-exact two-arc ellipse paths.  World coordinates are mapped to SVG pixels
-with the y axis flipped.
+Every drawn element is a single <path>.  Lines, segments and parabolas
+are polynomial curves c0 + c1 s + c2 s^2 in a parameter s, clipped to the
+viewport in closed form: the parameters where the curve meets a border
+are roots of quadratics.  A parabola arc is emitted as one exact
+quadratic Bezier, a straight piece as one line.  Circles and horocycles
+are exact two-arc ellipse paths.  World coordinates are mapped to SVG
+pixels with the y axis flipped.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .horocycle import Horocycle
 from .parabola import apex_form
+
+
+def _roots(a: float, b: float, c: float) -> list[float]:
+    """Real roots of a s^2 + b s + c = 0 (a may be 0), in the stable closed form."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
 
 
 class SvgFigure:
@@ -38,17 +54,56 @@ class SvgFigure:
             s += f' stroke-dasharray="{self._fmt(dash * self.scale)}"'
         return s
 
-    def add_polyline_path(self, chains, stroke="black", width=0.015, dash=None):
-        """One <path> made of M/L subpaths, one per chain of world points."""
-        parts = []
-        for chain in chains:
-            if len(chain) < 2:
+    def _visible(self, c0, c1, c2, lo: float, hi: float) -> list[tuple[float, float]]:
+        """Parameter intervals within [lo, hi] where c0 + c1 s + c2 s^2 lies in the viewport.
+
+        The cuts are the roots of the four border equations x = xmin,
+        xmax and y = ymin, ymax.  Between two consecutive cuts the curve
+        is wholly inside or wholly outside, so the midpoint decides;
+        adjacent kept intervals are merged.
+        """
+        # Python floats: an overflow far outside the viewport gives a quiet inf
+        (x0, y0), (x1, y1), (x2, y2) = ((float(c[0]), float(c[1])) for c in (c0, c1, c2))
+        cuts = [lo, hi]
+        for c, b, a, bounds in ((x0, x1, x2, (self.xmin, self.xmax)),
+                                (y0, y1, y2, (self.ymin, self.ymax))):
+            for v in bounds:
+                cuts += [s for s in _roots(a, b, c - v) if lo < s < hi]
+        cuts.sort()
+        kept: list[tuple[float, float]] = []
+        for a, b in zip(cuts, cuts[1:]):
+            if not (a < b and math.isfinite(a) and math.isfinite(b)):
                 continue
-            pts = [self._map(p) for p in chain]
-            parts.append(
-                "M "
-                + " L ".join(f"{self._fmt(x)} {self._fmt(y)}" for x, y in pts)
-            )
+            m = 0.5 * (a + b)
+            x = x0 + m * (x1 + m * x2)
+            y = y0 + m * (y1 + m * y2)
+            if self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax:
+                if kept and kept[-1][1] == a:
+                    a = kept.pop()[0]
+                kept.append((a, b))
+        return kept
+
+    def _arcs(self, c0, c1, c2, lo: float, hi: float) -> list[tuple[np.ndarray, ...]]:
+        """World control points of the visible pieces.
+
+        (P0, P2) for a straight curve (c2 = 0); otherwise the exact
+        quadratic Bezier (P0, P1, P2) with P1 = at(a) + (b - a)/2 at'(a).
+        """
+        c0, c1, c2 = (np.asarray(c, float) for c in (c0, c1, c2))
+        arcs = []
+        for a, b in self._visible(c0, c1, c2, lo, hi):
+            p0 = c0 + a * c1 + a * a * c2
+            p2 = c0 + b * c1 + b * b * c2
+            p1 = p0 + 0.5 * (b - a) * (c1 + 2.0 * a * c2)
+            arcs.append((p0, p1, p2) if c2.any() else (p0, p2))
+        return arcs
+
+    def _add_curve(self, c0, c1, c2, lo, hi, stroke="black", width=0.015, dash=None):
+        """One <path> of the visible pieces; nothing when the curve misses the viewport."""
+        parts = []
+        for arc in self._arcs(c0, c1, c2, lo, hi):
+            p0, *rest = (" ".join(map(self._fmt, self._map(p))) for p in arc)
+            parts.append(f"M {p0} {'L' if len(rest) == 1 else 'Q'} {' '.join(rest)}")
         if parts:
             d = " ".join(parts)
             self.elements.append(f'<path d="{d}" {self._style(stroke, width, dash=dash)} />')
@@ -81,92 +136,25 @@ class SvgFigure:
         tangent_angle = h.theta + 0.5 * np.pi
         self.add_ellipse_path(h.center, h.a, h.a**2, tangent_angle, **kw)
 
-    def add_parabola(self, conic, stroke="black", width=0.015, dash=None, points=512):
-        """Parabola clipped to the viewport, adaptively sampled."""
+    def add_parabola(self, conic, **kw):
+        """Parabola clipped to the viewport, as exact quadratic Bezier arcs.
+
+        In apex form the parabola is at(s) = apex + s ux + s^2/(2p) uy.
+        """
         apex, angle, p = apex_form(conic if not hasattr(conic, "conic") else conic.conic)
         uy = np.array([np.cos(angle), np.sin(angle)])
         ux = np.array([uy[1], -uy[0]])
-        diag = float(np.hypot(self.xmax - self.xmin, self.ymax - self.ymin))
-        reach = diag + float(np.linalg.norm(apex - [self.xmin, self.ymin]))
-        s_max = reach + np.sqrt(2.0 * p * reach) + 1.0
-
-        def at(s):
-            return apex + s * ux + (s * s / (2.0 * p)) * uy
-
-        ss = self._adaptive_params(at, -s_max, s_max, points)
-        pts = np.array([at(s) for s in ss])
-        chains = self._clip_chain(pts)
-        self.add_polyline_path(chains, stroke=stroke, width=width, dash=dash)
-
-    def _adaptive_params(self, at, lo, hi, base):
-        """Parameter samples refined where the chord deviates from the curve."""
-        ss = list(np.linspace(lo, hi, base // 4))
-        out = []
-        tol = 0.25 / self.scale
-        stack = [(ss[i], ss[i + 1]) for i in range(len(ss) - 1)]
-        while stack and len(out) < 4 * base:
-            a, b = stack.pop()
-            mid = 0.5 * (a + b)
-            pa, pb, pm = at(a), at(b), at(mid)
-            dev = np.linalg.norm(pm - 0.5 * (pa + pb))
-            if dev > tol and (b - a) > (hi - lo) / (8 * base):
-                stack.append((a, mid))
-                stack.append((mid, b))
-            else:
-                out.append(a)
-        out.append(hi)
-        return np.sort(np.array(out))
-
-    def _inside(self, pt):
-        return self.xmin <= pt[0] <= self.xmax and self.ymin <= pt[1] <= self.ymax
-
-    def _clip_chain(self, pts):
-        """Split a polyline into the sub-chains lying inside the viewport."""
-        chains = []
-        cur = []
-        for i, pt in enumerate(pts):
-            if self._inside(pt):
-                if not cur and i > 0:
-                    cur.append(self._border_point(pts[i - 1], pt))
-                cur.append(pt)
-            else:
-                if cur:
-                    cur.append(self._border_point(pt, cur[-1]))
-                    chains.append(cur)
-                    cur = []
-        if cur:
-            chains.append(cur)
-        return chains
-
-    def _border_point(self, outside, inside):
-        lo, hi = 0.0, 1.0  # inside + t (outside - inside); t=0 inside
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            pt = inside + mid * (np.asarray(outside, float) - inside)
-            if self._inside(pt):
-                lo = mid
-            else:
-                hi = mid
-        return inside + lo * (np.asarray(outside, float) - inside)
+        self._add_curve(apex, ux, uy / (2.0 * p), -math.inf, math.inf, **kw)
 
     def add_line(self, normal, offset: float, **kw):
         """Boundary line {x : normal . x = offset}, clipped to the viewport."""
         n = np.asarray(normal, float)
-        t = np.array([-n[1], n[0]])
         base = n * offset / (n @ n)
-        center = np.array([0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax)])
-        base = base + ((center - base) @ t) * t  # closest point to viewport center
-        diag = np.hypot(self.xmax - self.xmin, self.ymax - self.ymin)
-        ss = np.linspace(-diag, diag, 65)
-        pts = base[None, :] + ss[:, None] * t[None, :]
-        self.add_polyline_path(self._clip_chain(pts), **kw)
+        self._add_curve(base, (-n[1], n[0]), (0.0, 0.0), -math.inf, math.inf, **kw)
 
     def add_segment(self, p1, p2, **kw):
         p1 = np.asarray(p1, float)
-        p2 = np.asarray(p2, float)
-        ss = np.linspace(0.0, 1.0, 33)[:, None]
-        pts = p1[None, :] * (1.0 - ss) + p2[None, :] * ss
-        self.add_polyline_path(self._clip_chain(pts), **kw)
+        self._add_curve(p1, np.asarray(p2, float) - p1, (0.0, 0.0), 0.0, 1.0, **kw)
 
     def add_point(self, pt, r: float = 0.03, fill="black"):
         x, y = self._map(pt)

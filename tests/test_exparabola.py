@@ -1,10 +1,16 @@
 """Canonical frames, the tangent dual pencil, the cubic, and exparabolas."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from conic_extrema import (
     DegenerateTriangle,
+    NumericalRootFailure,
     SingularPencilMember,
     Triangle,
     canonical_frame,
@@ -68,6 +74,10 @@ class TestCanonicalFrame:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangle):
             Triangle([0.0, 0.0], [1.0, 0.0], [2.0, 1e-12])
+
+    def test_coincident_vertices_rejected(self):
+        with pytest.raises(DegenerateTriangle):
+            Triangle([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vertex_rejected(self, bad):
@@ -193,6 +203,13 @@ class TestTangencyCubic:
             coeffs = np.array([1.0, -r.sum(), r[0] * r[1] + r[0] * r[2] + r[1] * r[2], -r.prod()])
             assert np.allclose(solve_cubic(coeffs), r, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e200])
+    def test_out_of_range_coefficients_raise(self, scale):
+        # the worked frame scaled: its cubic underflows to zero or overflows
+        fr = frame_of(-scale, scale, scale)
+        with pytest.raises(NumericalRootFailure):
+            solve_cubic(tangency_cubic(fr))
+
     def test_derivative_vanishes_at_roots(self, rng):
         for _ in range(200):
             fr = frame_of(*random_frame_params(rng))
@@ -306,3 +323,24 @@ class TestExparabolas:
             roots = solve_cubic(tangency_cubic(fr))
             from_one_frame = sorted(np.sqrt(squared_parameter(fr, lam)) for lam in roots)
             assert np.allclose(params, from_one_frame, rtol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e200])
+def test_extreme_scale_cli_reports_json_not_traceback(tmp_path, scale):
+    # the worked triangle at a scale where squares underflow or overflow
+    inp = tmp_path / "tri.json"
+    inp.write_text(json.dumps({"triangle": {
+        "A": [-scale, 0.0], "B": [scale, 0.0], "C": [0.0, scale]}}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else []))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "conic_extrema.cli", "exparabola",
+         "--input", str(inp), "--output", str(tmp_path / "out.json"),
+         "--svg", str(tmp_path / "fig.svg")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 1:
+        assert "error" in json.loads(proc.stderr.strip().splitlines()[-1])

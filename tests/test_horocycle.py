@@ -34,6 +34,12 @@ def expanded_pair_matrices(a, w):
     return h0, h1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_angle_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Horocycle(theta=bad, a=0.5)
+
+
 class TestMatrix:
     def test_half_size_matrix(self):
         m = horocycle_matrix(Horocycle(theta=np.pi / 2, a=0.5)).m

@@ -29,6 +29,18 @@ from conftest import random_regular_conic
 UNIT_CIRCLE = ConicMatrix(np.diag([-1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        HomPoint([1.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_line_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        HomLine([bad, 1.0, 0.0])
+
+
 class TestPolarity:
     def test_polar_point_on_circle_gives_tangent(self):
         line = polar(UNIT_CIRCLE, HomPoint([1.0, 1.0, 0.0]))
