@@ -41,7 +41,7 @@ for v1, v2 in ((triangle.A, triangle.B), (triangle.B, triangle.C), (triangle.C, 
     n = np.array([-e[1], e[0]]) / np.linalg.norm(e)
     fig.add_line(n, float(n @ v1), stroke="gray", width=0.008)
 for r, color in zip(results, ("crimson", "royalblue", "seagreen")):
-    fig.add_parabola(r.parabola.conic, stroke=color, width=0.012)
+    fig.add_parabola(r.parabola, stroke=color, width=0.012)
     fig.add_point(r.tangency, r=0.03, fill=color)
 for v, name in ((triangle.A, "A"), (triangle.B, "B"), (triangle.C, "C")):
     fig.add_point(v, r=0.03)

@@ -60,9 +60,9 @@ os.makedirs(os.path.join(os.path.dirname(__file__), "output"), exist_ok=True)
 fig = SvgFigure(viewport=(-5.0, 5.0, -6.0, 4.0))
 for h in region.halfplanes:
     fig.add_line(h.normal, h.offset, stroke="gray", width=0.008)
-fig.add_parabola(sol.parabola.conic, stroke="crimson", width=0.012)
+fig.add_parabola(sol.parabola, stroke="crimson", width=0.012)
 fig.add_point(sol.apex, r=0.04, fill="crimson")
-fig.add_parabola(plain.parabola.conic, stroke="royalblue", width=0.008, dash=0.08)
+fig.add_parabola(plain.parabola, stroke="royalblue", width=0.008, dash=0.08)
 out = os.path.join(os.path.dirname(__file__), "output", "max_parabola.svg")
 fig.write(out)
 print("wrote", out)

@@ -31,10 +31,12 @@ from .exparabola import (
     canonical_frame,
     dual_pencil,
     exparabolas,
+    pencil_member,
     pencil_parabola,
     solve_cubic,
     squared_parameter,
     tangency_cubic,
+    tangency_root,
 )
 from .horocycle import (
     Horocycle,
@@ -66,7 +68,6 @@ from .parabola import (
     Parabola,
     compare_size,
     is_parabola,
-    parabola_from_apex,
     parameter,
     parameter_squared,
 )

@@ -52,8 +52,9 @@ def _plain(obj):
 
 
 def dumps_result(obj) -> str:
-    """Deterministic JSON: sorted keys, shortest round-trip floats."""
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    """Deterministic strict JSON: sorted keys, shortest round-trip floats;
+    ValueError on NaN or infinity."""
+    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _viewbox(points, pad: float = 1.0):
@@ -100,7 +101,7 @@ def _run_exparabola(data, args):
         for v1, v2 in ((t.A, t.B), (t.B, t.C), (t.C, t.A)):
             fig.add_segment(v1, v2, stroke="black", width=0.01 * t.diameter)
         for r, color in zip(results, ("crimson", "royalblue", "seagreen")):
-            fig.add_parabola(r.parabola.conic, stroke=color, width=0.008 * t.diameter)
+            fig.add_parabola(r.parabola, stroke=color, width=0.008 * t.diameter)
             fig.add_point(r.tangency, r=0.015 * t.diameter, fill=color)
         for v, name in ((t.A, "A"), (t.B, "B"), (t.C, "C")):
             fig.add_point(v, r=0.015 * t.diameter)
@@ -136,7 +137,7 @@ def _run_max_parabola(data, args):
         )
         for h in region.halfplanes:
             fig.add_line(h.normal, h.offset, stroke="gray", width=0.004 * span)
-        fig.add_parabola(sol.parabola.conic, stroke="crimson", width=0.006 * span)
+        fig.add_parabola(sol.parabola, stroke="crimson", width=0.006 * span)
         fig.add_point(sol.apex, r=0.01 * span, fill="crimson")
         svg = fig
     return out, svg
@@ -238,7 +239,8 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        out, fig = RUNNERS[args.command](data, args)
+        with np.errstate(all="ignore"):  # overflow shows as a non-finite result
+            out, fig = RUNNERS[args.command](data, args)
     except VerificationFailure as exc:
         _diag("VerificationFailure", str(exc))
         return 2
@@ -250,8 +252,13 @@ def main(argv=None) -> int:
         return 3
 
     try:
+        text = dumps_result(out)
+    except ValueError as exc:
+        _diag("NonFiniteResult", str(exc))
+        return 1
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dumps_result(out))
+            fh.write(text)
         if args.svg and fig is not None:
             fig.write(args.svg)
     except OSError as exc:

@@ -20,6 +20,10 @@ root in (a1, b1); that root is the exparabola lying in the negative
 half-plane of the chosen side and the positive half-planes of the other
 two sides.  The exparabola is the largest parabola tangent to all three
 side lines within that region.
+
+The solve path (``tangency_root``, then ``pencil_member`` in apex form)
+builds and recognizes no matrix, so results scale linearly with the
+triangle over the whole float range.
 """
 
 from __future__ import annotations
@@ -48,9 +52,7 @@ class Triangle:
     area: float
 
     def __init__(self, A, B, C):
-        A = np.asarray(A, float).reshape(2).copy()
-        B = np.asarray(B, float).reshape(2).copy()
-        C = np.asarray(C, float).reshape(2).copy()
+        A, B, C = (np.asarray(v, float).reshape(2).copy() for v in (A, B, C))
         for v in (A, B, C):
             if not np.isfinite(v).all():
                 raise ValueError("triangle vertices must be finite")
@@ -58,18 +60,19 @@ class Triangle:
         ex1, ey1 = B[0] - A[0], B[1] - A[1]
         ex2, ey2 = C[0] - A[0], C[1] - A[1]
         ex3, ey3 = C[0] - B[0], C[1] - B[1]
-        diameter = max(
-            math.hypot(ex1, ey1), math.hypot(ex2, ey2), math.hypot(ex3, ey3)
-        )
-        twice_area = abs(ex1 * ey2 - ey1 * ex2)
-        # divide twice, never square the diameter: no overflow at any scale
-        if diameter == 0.0 or twice_area / diameter / diameter < 1e-9:
+        diameter = max(math.hypot(ex1, ey1), math.hypot(ex2, ey2), math.hypot(ex3, ey3))
+        # twice area / diameter^2 from the edges over the diameter: no
+        # underflow or overflow at any scale
+        d = diameter or 1.0
+        flatness = abs(ex1 / d * (ey2 / d) - ey1 / d * (ex2 / d))
+        if flatness < 1e-9:
             raise DegenerateTriangle("triangle vertices are nearly collinear")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "area", 0.5 * twice_area)
+        # a Python float: an area beyond the float range is a quiet inf
+        object.__setattr__(self, "area", 0.5 * float(flatness) * diameter * diameter)
 
     def vertex(self, name: str) -> np.ndarray:
         return {"A": self.A, "B": self.B, "C": self.C}[name]
@@ -127,8 +130,6 @@ def canonical_frame(t: Triangle, side: str) -> CanonicalFrame:
     The frame is invariant under rigid motions of the input triangle: a
     rotated or translated copy yields identical (a1, b1, c2).
     """
-    if t.area / t.diameter / t.diameter < MIN_AREA_RATIO:
-        raise DegenerateTriangle("triangle too flat for stable computation")
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
     pa, pb = (t.vertex(v) for v in _SIDE_VERTICES[side])
@@ -143,6 +144,9 @@ def canonical_frame(t: Triangle, side: str) -> CanonicalFrame:
     wx, wy = wx / c2, wy / c2
     a1 = (pa[0] - fx) * ux + (pa[1] - fy) * uy
     b1 = (pb[0] - fx) * ux + (pb[1] - fy) * uy
+    # area / diameter^2 from the frame lengths, free of under- and overflow
+    if 0.5 * (c2 / t.diameter) * ((b1 - a1) / t.diameter) < MIN_AREA_RATIO:
+        raise DegenerateTriangle("triangle too flat for stable computation")
     # world -> frame: x_f = [u w]^T (x - foot)
     h = np.array(
         [
@@ -167,19 +171,6 @@ def dual_pencil(frame: CanonicalFrame, lam: float) -> ConicMatrix:
     )
 
 
-def _primal_matrix(frame: CanonicalFrame, lam: float) -> np.ndarray:
-    a1, b1, c2 = frame.a1, frame.b1, frame.c2
-    q = lam**2 - (a1 + b1) * lam + 2.0 * a1 * b1
-    m = lam - a1 - b1
-    return np.array(
-        [
-            [-c2 * lam**2, c2 * lam, q],
-            [c2 * lam, -c2, m],
-            [q, m, -(m**2) / c2],
-        ]
-    )
-
-
 def pencil_parabola(frame: CanonicalFrame, lam: float) -> Parabola:
     """Primal parabola of the pencil, in frame coordinates.
 
@@ -187,11 +178,14 @@ def pencil_parabola(frame: CanonicalFrame, lam: float) -> Parabola:
     (lam, 0).  The members lam = a1 and lam = b1 are singular (double
     lines) and are rejected.
     """
-    a1, b1 = frame.a1, frame.b1
+    a1, b1, c2 = frame.a1, frame.b1, frame.c2
     s = frame.scale
     if abs((lam - a1) * (lam - b1)) <= 1e-12 * s * s:
         raise SingularPencilMember("pencil member degenerates at lam in {a1, b1}")
-    return Parabola.from_conic(ConicMatrix(_primal_matrix(frame, lam)))
+    q = lam**2 - (a1 + b1) * lam + 2.0 * a1 * b1
+    m = lam - a1 - b1
+    primal = [[-c2 * lam**2, c2 * lam, q], [c2 * lam, -c2, m], [q, m, -(m**2) / c2]]
+    return Parabola.from_conic(ConicMatrix(primal))
 
 
 def squared_parameter(frame: CanonicalFrame, lam) -> float | np.ndarray:
@@ -272,6 +266,51 @@ def solve_cubic(coeffs) -> np.ndarray:
     return np.sort(np.array(roots))
 
 
+def tangency_root(frame: CanonicalFrame) -> float:
+    """The exparabola's tangency abscissa: the cubic root in (a1, b1).
+
+    Solved on the frame divided by 2^k, k the binary exponent of its
+    scale: exact, so the root is the unscaled cubic's, but the cubed
+    lengths never underflow or overflow.  Raises NumericalRootFailure
+    unless exactly one root lies in (a1, b1).
+    """
+    k = math.frexp(frame.scale)[1]
+    a1, b1, c2 = (math.ldexp(v, -k) for v in (frame.a1, frame.b1, frame.c2))
+    roots = solve_cubic(tangency_cubic(CanonicalFrame(a1, b1, c2, frame.world_to_frame)))
+    inside = roots[(roots > a1) & (roots < b1)]
+    if inside.size != 1:
+        raise NumericalRootFailure(f"expected one root in (a1, b1), found {inside.size}")
+    return math.ldexp(float(inside[0]), k)
+
+
+def pencil_member(frame: CanonicalFrame, lam: float) -> Parabola:
+    """The pencil parabola touching the side at (lam, 0), in world coordinates.
+
+    With m = lam - a1 - b1 and r = hypot(m, c2) it opens along
+    u = -(m, c2)/r and p = 2 c2 (c2/r) ((lam - a1)/r) ((b1 - lam)/r), the
+    root of p^2(lam) in ratios that cannot overflow.  The curve
+    apex + X v + X^2/(2p) u, v = (u_y, -u_x), runs parallel to the side at
+    X = p m / c2, through (lam, 0).  Raises SingularPencilMember unless
+    a1 < lam < b1.
+    """
+    a1, b1, c2 = frame.a1, frame.b1, frame.c2
+    m = lam - a1 - b1
+    r = math.hypot(m, c2)
+    p = 2.0 * c2 * (c2 / r) * ((lam - a1) / r) * ((b1 - lam) / r)
+    if not p > 0.0:
+        raise SingularPencilMember("pencil members at and beyond a1, b1 are singular")
+    ux, uy = -m / r, -c2 / r
+    x = p * (m / c2)
+    drop = 0.5 * x * (m / c2)  # X^2 / (2p) without squaring X
+    apex = np.array([lam - x * uy - drop * ux, x * ux - drop * uy])
+    # frame -> world: x = R^T (x_f - t) for world_to_frame [[1, 0], [t, R]]
+    h = frame.world_to_frame
+    rot = h[1:, 1:]
+    apex = rot.T @ (apex - h[1:, 0])
+    axis = rot.T @ np.array([ux, uy])
+    return Parabola(apex, math.atan2(axis[1], axis[0]), p)
+
+
 @dataclass(frozen=True)
 class ExparabolaResult:
     """One exparabola: the side it touches internally and its data."""
@@ -291,42 +330,13 @@ def exparabolas(t: Triangle) -> list[ExparabolaResult]:
     tangent to the three side lines and contained in the negative
     half-plane of its side (and the positive half-planes of the other
     two).  The tangency abscissa is the unique cubic root in (a1, b1) of
-    that side's canonical frame.
+    that side's canonical frame (``tangency_root``), and the parabola is
+    that pencil member in closed form (``pencil_member``).
     """
     out = []
     for side in SIDES:
         frame = canonical_frame(t, side)
-        roots = solve_cubic(tangency_cubic(frame))
-        inside = roots[(roots > frame.a1) & (roots < frame.b1)]
-        if inside.size != 1:
-            raise NumericalRootFailure(
-                f"expected exactly one root in (a1, b1), found {inside.size}"
-            )
-        lam = float(inside[0])
-        h = frame.world_to_frame
-        pf = _primal_matrix(frame, lam)
-        conic_world = ConicMatrix(h.T @ pf @ h)
-        tangency = frame.to_world([lam, 0.0])
-        # seed the recentering cache: the tangency point anchors the
-        # world conic, and the congruence through the frame rotation is
-        # both cheaper and better conditioned than re-deriving it
-        g = h.copy()
-        g[1, 0] = lam
-        g[2, 0] = 0.0
-        object.__setattr__(conic_world, "_recenter_cache", (g.T @ pf @ g, tangency))
-        # constructing the Parabola validates the closed-form parameter
-        # against the size functional of the world conic
-        para_world = Parabola(
-            conic=conic_world, parameter=float(np.sqrt(squared_parameter(frame, lam)))
-        )
-        out.append(
-            ExparabolaResult(
-                opposite_vertex=OPPOSITE[side],
-                side=side,
-                lam=lam,
-                parabola=para_world,
-                tangency=tangency,
-                frame=frame,
-            )
-        )
+        lam = tangency_root(frame)
+        para, tangency = pencil_member(frame, lam), frame.to_world([lam, 0.0])
+        out.append(ExparabolaResult(OPPOSITE[side], side, lam, para, tangency, frame))
     return out

@@ -27,8 +27,9 @@ triples of boundary lines, the dual pencil D(lam) of parabolas tangent
 to the triple is linear in the tangency abscissa lam, so each further
 half-plane admits a lam-interval cut out by two linear conditions; the
 squared parameter is unimodal along the pencil, so the triple's
-constrained maximum is its cubic root clipped to that interval.  The
-largest of these over all triples is the solution.  Independently, a
+constrained maximum is its cubic root clipped to that interval, a member
+written in apex form (``pencil_member``), with no matrix.  The largest
+of these over all triples is the solution.  Independently, a
 multi-start derivative-free pattern search over (apex_x, apex_y,
 axis_angle, p), with an exact penalty on the three smallest containment
 slacks pulling iterates onto the pinned set, is run from seeded starts;
@@ -48,23 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateTriangle,
-    NoInscribedParabola,
-    NotAParabola,
-    NumericalRootFailure,
-    UnboundedParameter,
-)
-from .exparabola import (
-    Triangle,
-    _primal_matrix,
-    canonical_frame,
-    dual_pencil,
-    solve_cubic,
-    tangency_cubic,
-)
-from .parabola import Parabola, apex_form
-from .projective import ConicMatrix
+from .errors import DegenerateTriangle, NoInscribedParabola, NumericalRootFailure, UnboundedParameter
+from .exparabola import Triangle, canonical_frame, dual_pencil, pencil_member, tangency_root
+from .parabola import Parabola
 
 DIRECTION_TOL = 1e-9
 
@@ -159,7 +146,7 @@ def parabola_in_halfplane(para: Parabola, h: HalfPlane, tol: float | None = None
     the apex satisfies the inequality, and the boundary line does not cut
     the parabola's open interior.
     """
-    apex, angle, p = apex_form(para.conic)
+    apex, angle, p = para.apex, para.axis_angle, para.parameter
     axis_dir = np.array([np.cos(angle), np.sin(angle)])
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.linalg.norm(apex)), p, abs(h.offset))
@@ -262,18 +249,16 @@ def _triple_frame(region: ConvexRegion, triple):
 
 
 def _pencil_world(frame, lam: float):
-    """(apex, axis_dir, p, conic_world) of a pencil member in world coords."""
-    conic_world = ConicMatrix(
-        frame.world_to_frame.T @ _primal_matrix(frame, lam) @ frame.world_to_frame
-    )
-    apex, angle, p = apex_form(conic_world)
-    return apex, np.array([np.cos(angle), np.sin(angle)]), p, conic_world
+    """(apex, axis_dir, p, parabola) of a pencil member in world coords."""
+    para = pencil_member(frame, lam)
+    axis_dir = np.array([np.cos(para.axis_angle), np.sin(para.axis_angle)])
+    return para.apex, axis_dir, para.parameter, para
 
 
 def _polish_triple(region: ConvexRegion, triple):
     """Maximize the parameter along one tangent triple's pencil.
 
-    Returns (p, apex, axis_angle, conic, lam, frame) or None.  In the
+    Returns (p, apex, axis_angle, parabola, lam, frame) or None.  In the
     triple's canonical frame the dual pencil D(lam) is linear in lam, so
     every remaining half-plane n.x <= d, whose line u = (-d, n) maps to
     frame coordinates u_f = F^T u (F = frame_to_world), admits the members
@@ -289,18 +274,13 @@ def _polish_triple(region: ConvexRegion, triple):
     clipped to the intersection of the admissible intervals.  A line
     that is tangent to every member (a copy of one of the triple's own
     lines) makes (i) vanish identically up to rounding and does not clip.
+    A clip onto a1 or b1 leaves a singular member: None.
     """
     frame = _triple_frame(region, triple)
     if frame is None:
         return None
-    try:
-        roots = solve_cubic(tangency_cubic(frame))
-    except NumericalRootFailure:
-        return None
     a1, b1, c2 = frame.a1, frame.b1, frame.c2
-    inside = roots[(roots > a1) & (roots < b1)]
-    if inside.size != 1:
-        return None
+    lam_star = tangency_root(frame)
     lo, hi = a1, b1
     rest = [h for idx, h in enumerate(region.halfplanes) if idx not in triple]
     if rest:
@@ -325,13 +305,11 @@ def _polish_triple(region: ConvexRegion, triple):
         lo = float((-icept[down] / slope[down]).max(initial=lo))
         if lo > hi:
             return None
-    lam = min(max(float(inside[0]), lo), hi)
-    try:
-        apex, axis_dir, p, conic = _pencil_world(frame, lam)
-    except NotAParabola:
+    lam = min(max(lam_star, lo), hi)
+    if not a1 < lam < b1:
         return None
-    angle = float(np.arctan2(axis_dir[1], axis_dir[0])) % (2.0 * np.pi)
-    return p, apex, angle, conic, lam, frame
+    apex, _, p, para = _pencil_world(frame, lam)
+    return p, apex, para.axis_angle, para, lam, frame
 
 
 # -- coarse multi-start pattern search ---------------------------------------
@@ -476,7 +454,7 @@ def _make_seeds(region, arc, scale, gscale, center, starts, rng):
     npy_safe = np.minimum(npy, -1e-12)
     cmat = (1.0 - npy_safe**2) / (-2.0 * npy_safe)
     e = ds[None, :] - apexes @ ns.T
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # masked by the where
         pmax = np.where(cmat > 1e-300, e / np.maximum(cmat, 1e-300), np.inf).min(axis=1)
     p0 = 0.5 * np.where(np.isfinite(pmax), pmax, 0.1 * gscale)
     p0 = np.clip(p0, 1e-9 * gscale, 1e3 * scale)
@@ -503,8 +481,9 @@ def solve_max_parabola(
     Raises NoInscribedParabola when no parabola fits at all (parallel or
     surrounding boundary normals, empty region) and UnboundedParameter
     when parabolas fit but their size is unbounded (e.g. a two-line
-    wedge).  Raises ValueError when ``starts < 1`` or ``probe_diameter``
-    is not finite and positive.
+    wedge), or NumericalRootFailure when an unsolved triple might have
+    pinned one.  Raises ValueError when ``starts < 1`` or
+    ``probe_diameter`` is not finite and positive.
     """
     scale = float(probe_diameter)
     if not (np.isfinite(scale) and scale > 0.0):
@@ -536,12 +515,18 @@ def solve_max_parabola(
         states = np.where(bad[:, None], seeds, states)
     unfinished = escaped | drifted
 
-    solutions = [
-        r
-        for t in itertools.combinations(range(m), 3)
-        if (r := _polish_triple(region, t)) is not None
-    ]
+    solutions, failure = [], None
+    for t in itertools.combinations(range(m), 3):
+        try:
+            r = _polish_triple(region, t)
+        except NumericalRootFailure as exc:
+            failure = exc
+            continue
+        if r is not None:
+            solutions.append(r)
     if not solutions:
+        if failure is not None:  # the unsolved triple may pin one
+            raise failure
         raise UnboundedParameter(
             "region admits parabolas but no tangent triple pins one; "
             "the parameter is unbounded"
@@ -569,7 +554,7 @@ def solve_max_parabola(
     found = [r for r in per_start if r is not None]
     overall = max(solutions, key=lambda r: r[0])
 
-    p_best, apex_best, angle_best, conic_best, _lam, _frame = overall
+    p_best, apex_best, angle_best, parabola, _lam, _frame = overall
     agree_tol = max(1e-9 * scale, 1e-7 * p_best)
     agreeing = [r for r in found if abs(r[0] - p_best) <= agree_tol]
     spread = 0.0
@@ -590,7 +575,6 @@ def solve_max_parabola(
         ]
     )
     active = tuple(int(i) for i in np.nonzero(viol >= -1e-7 * scale)[0])
-    parabola = Parabola.from_conic(conic_best)
     return MaxParabolaSolution(
         parabola=parabola,
         apex=apex_best,

@@ -1,4 +1,9 @@
-"""Parabola recognition and the Euclidean size functional.
+"""Parabolas in apex form, matrix recognition and the size functional.
+
+A ``Parabola`` is its apex form (apex, opening direction, parameter);
+its matrix is derived on demand.  Recognizing a matrix (``is_parabola``,
+``apex_form``, ``Parabola.from_conic``) uses a regularity test that
+depends on the length unit, so no solver does it.
 
 A regular conic is a parabola iff it is tangent to the line at infinity,
 which in matrix coefficients reads p11 p22 - p12^2 = 0.  The size of a
@@ -15,6 +20,7 @@ used internally for algebraic identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,58 +93,48 @@ def compare_size(p1: "Parabola", p2: "Parabola") -> int:
 
 @dataclass(frozen=True)
 class Parabola:
-    """A parabola together with its (cached) parameter.
+    """A parabola in apex form.
 
-    Use :meth:`from_conic` to construct from a matrix; the direct
-    constructor cross-checks that the stored parameter matches the conic.
+    It opens toward ``axis_angle`` (radians, in [0, 2 pi)); in its own
+    frame, apex at the origin and opening toward +y, it is x^2 = 2 p y
+    with p = ``parameter``.
     """
 
-    conic: ConicMatrix
+    apex: np.ndarray
+    axis_angle: float
     parameter: float
 
-    def __post_init__(self):
-        p = parameter(self.conic)
-        if not np.isfinite(self.parameter) or abs(self.parameter - p) > 1e-9 * max(p, 1e-300):
-            raise ValueError("stored parameter does not match the conic")
+    def __init__(self, apex, axis_angle: float, parameter: float):
+        apex = np.asarray(apex, dtype=float).reshape(2).copy()
+        axis_angle, parameter = float(axis_angle), float(parameter)
+        if not np.isfinite([*apex, axis_angle, parameter]).all():
+            raise ValueError("parabola apex, axis angle and parameter must be finite")
+        if not parameter > 0.0:
+            raise NonpositiveParameter("parabola parameter must be positive")
+        apex.flags.writeable = False
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "axis_angle", axis_angle % (2.0 * np.pi))
+        object.__setattr__(self, "parameter", parameter)
 
     @classmethod
     def from_conic(cls, c: ConicMatrix) -> "Parabola":
-        return cls(conic=c, parameter=parameter(c))
+        """The parabola of a matrix, reduced by :func:`apex_form`; keeps ``c``."""
+        para = cls(*apex_form(c))
+        para.__dict__["conic"] = c
+        return para
 
-    @property
-    def apex(self) -> np.ndarray:
-        return apex_form(self.conic)[0]
+    @cached_property
+    def conic(self) -> ConicMatrix:
+        """x^2 / p = 2 y pulled back to world coordinates.
 
-    @property
-    def axis_angle(self) -> float:
-        return apex_form(self.conic)[1]
-
-    @property
-    def focus(self) -> np.ndarray:
-        apex, angle, p = apex_form(self.conic)
-        return apex + 0.5 * p * np.array([np.cos(angle), np.sin(angle)])
-
-
-def _canonical_matrix(p: float) -> np.ndarray:
-    # x^2 = 2 p y, apex at the origin, opening toward +y; interior negative.
-    return np.array([[0.0, 0.0, -p], [0.0, 1.0, 0.0], [-p, 0.0, 0.0]])
-
-
-def parabola_from_apex(apex, axis_angle: float, p: float) -> Parabola:
-    """Parabola with given apex, opening direction and parameter.
-
-    ``axis_angle`` is the direction (radians) toward which the parabola
-    opens; the canonical pose (apex at origin, opening toward +y) is the
-    curve x^2 = 2 p y.
-    """
-    if not p > 0.0:
-        raise NonpositiveParameter("parabola parameter must be positive")
-    apex = np.asarray(apex, dtype=float).reshape(2)
-    phi = axis_angle - np.pi / 2.0
-    # world -> canonical: undo the translation, then the rotation
-    world_to_canon = rotation_h(-phi) @ translation_h(-apex)
-    conic = pullback(ConicMatrix(_canonical_matrix(p)), world_to_canon)
-    return Parabola(conic=conic, parameter=float(p))
+        Dividing by p makes the entries |apex|^2 / p, |apex| / p and 1 / p,
+        finite for figures of any size in the float range.
+        """
+        phi = self.axis_angle - np.pi / 2.0
+        # world -> canonical: undo the translation, then the rotation
+        world_to_canon = rotation_h(-phi) @ translation_h(-self.apex)
+        canon = np.array([[0.0, 0.0, -1.0], [0.0, 1.0 / self.parameter, 0.0], [-1.0, 0.0, 0.0]])
+        return pullback(ConicMatrix(canon), world_to_canon)
 
 
 def apex_form(c: ConicMatrix):

@@ -66,17 +66,20 @@ class ConicMatrix:
     """A conic, stored as an unnormalized 3x3 real symmetric matrix.
 
     The matrix is symmetrized on construction after checking that the
-    asymmetry is within ``SYMMETRY_TOL`` relative to the matrix norm.
+    asymmetry is within ``SYMMETRY_TOL`` relative to the largest entry.
+    Entries must be finite.
     """
 
     m: np.ndarray = field(repr=False)
 
     def __init__(self, m):
         m = np.asarray(m, dtype=float).reshape(3, 3)
-        norm = np.linalg.norm(m)
-        if norm == 0.0:
+        if not np.isfinite(m).all():
+            raise ValueError("conic matrix entries must be finite")
+        size = np.abs(m).max()  # not a norm: no overflow near the float limit
+        if size == 0.0:
             raise ValueError("the zero matrix does not represent a conic")
-        if np.linalg.norm(m - m.T) > SYMMETRY_TOL * norm:
+        if np.abs(m - m.T).max() > SYMMETRY_TOL * size:
             raise ValueError("conic matrix must be symmetric")
         m = 0.5 * (m + m.T)
         m.flags.writeable = False
@@ -100,9 +103,6 @@ class ConicMatrix:
         mc, _ = self.recentered()
         norm = np.linalg.norm(mc)
         return abs(np.linalg.det(mc)) / norm**3 >= SINGULAR_DET_TOL
-
-    def scaled(self, s: float) -> "ConicMatrix":
-        return ConicMatrix(self.m * s)
 
 
 def adjugate(m: np.ndarray) -> np.ndarray:

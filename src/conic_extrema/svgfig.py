@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .horocycle import Horocycle
-from .parabola import apex_form
+from .parabola import Parabola
 
 
 def _roots(a: float, b: float, c: float) -> list[float]:
@@ -136,15 +136,14 @@ class SvgFigure:
         tangent_angle = h.theta + 0.5 * np.pi
         self.add_ellipse_path(h.center, h.a, h.a**2, tangent_angle, **kw)
 
-    def add_parabola(self, conic, **kw):
+    def add_parabola(self, para: Parabola, **kw):
         """Parabola clipped to the viewport, as exact quadratic Bezier arcs.
 
         In apex form the parabola is at(s) = apex + s ux + s^2/(2p) uy.
         """
-        apex, angle, p = apex_form(conic if not hasattr(conic, "conic") else conic.conic)
-        uy = np.array([np.cos(angle), np.sin(angle)])
+        uy = np.array([np.cos(para.axis_angle), np.sin(para.axis_angle)])
         ux = np.array([uy[1], -uy[0]])
-        self._add_curve(apex, ux, uy / (2.0 * p), -math.inf, math.inf, **kw)
+        self._add_curve(para.apex, ux, uy / (2.0 * para.parameter), -math.inf, math.inf, **kw)
 
     def add_line(self, normal, offset: float, **kw):
         """Boundary line {x : normal . x = offset}, clipped to the viewport."""

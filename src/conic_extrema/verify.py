@@ -18,7 +18,7 @@ from .horocycle import (
     intersection_radicand,
 )
 from .maxparabola import halfplane_violation
-from .parabola import parabola_from_apex
+from .parabola import Parabola
 from .projective import (
     ConicMatrix,
     HomPoint,
@@ -130,9 +130,8 @@ def dual_pencil_line_preservation(
             apex = rng.uniform(-2.0, 2.0, 2)
             angle = base_angle + rng.uniform(-0.7, 0.7)
             p = rng.uniform(0.3, 3.0)
-            para = parabola_from_apex(apex, angle, p)
             geo.append((apex, angle, p))
-            duals.append(dualize(para.conic))
+            duals.append(dualize(Parabola(apex, angle, p).conic))
 
         def sup_line(normal):
             """Largest offset of a line with this normal touching either parabola."""

@@ -1,13 +1,15 @@
 """CLI subcommands: schemas, determinism, exit codes, SVG output."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from conic_extrema.cli import main
+from conic_extrema import cli
+from conic_extrema.cli import dumps_result, main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -162,6 +164,64 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ValueError"
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity literals."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON literal {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def scaled_payload(command, s):
+    if command == "exparabola":
+        tri = TRIANGLE["triangle"]
+        return {"triangle": {k: [s * v for v in tri[k]] for k in tri}}
+    return {"halfplanes": [
+        {"normal": h["normal"], "offset": s * h["offset"]} for h in HALFPLANES["halfplanes"]
+    ]}
+
+
+class TestStrictOutput:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("command", ["exparabola", "max-parabola"])
+    def test_extreme_scale_subprocess(self, tmp_path, command, scale):
+        # exit 0 or 1, no traceback or warning: stderr is empty or one JSON
+        # line, and the output file is strict JSON
+        inp = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        inp.write_text(json.dumps(scaled_payload(command, scale)))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else []))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "conic_extrema.cli", command, "--input", str(inp),
+             "--output", str(out), "--svg", str(tmp_path / "fig.svg"), "--starts", "8"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == (proc.returncode == 1), proc.stderr
+        if lines:
+            assert "error" in strict_json(lines[0])
+        else:
+            doc = strict_json(out.read_text())
+            p = doc["parameter"] if command == "max-parabola" else doc["exparabolas"][0]["parameter"]
+            assert p == pytest.approx(2.0 * scale, rel=1e-12)
+
+    def test_dumps_result_refuses_non_finite(self):
+        with pytest.raises(ValueError):
+            dumps_result({"parameter": float("inf")})
+
+    def test_non_finite_result_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli.RUNNERS, "exparabola", lambda data, args: ({"p": float("nan")}, None))
+        code, out = run_cli(tmp_path, "exparabola", TRIANGLE, "nan")
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert strict_json(err[0])["error"] == "NonFiniteResult"
 
 
 class TestDeterminism:

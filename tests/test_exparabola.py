@@ -7,21 +7,29 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conic_extrema.parabola as parabola_module
 from conic_extrema import (
+    ConicMatrix,
     DegenerateTriangle,
     NumericalRootFailure,
     SingularPencilMember,
     Triangle,
     canonical_frame,
     dual_pencil,
+    Parabola,
     exparabolas,
+    pencil_member,
     pencil_parabola,
     solve_cubic,
+    solve_max_parabola,
     squared_parameter,
     tangency_cubic,
+    tangency_root,
 )
-from conic_extrema.exparabola import CanonicalFrame
+from conic_extrema.exparabola import MIN_AREA_RATIO, CanonicalFrame
 from conic_extrema.maxparabola import halfplane_violation, triangle_region
 from conic_extrema.parabola import apex_form, is_parabola
 from conic_extrema.projective import adjugate, dualize, proj_equal
@@ -344,3 +352,143 @@ def test_extreme_scale_cli_reports_json_not_traceback(tmp_path, scale):
     assert "Traceback" not in proc.stderr
     if proc.returncode == 1:
         assert "error" in json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+class TestClosedFormMembers:
+    """The solve path builds each exparabola in apex form, with no matrix."""
+
+    def test_tangency_root_is_the_unscaled_root(self, rng):
+        # the power-of-two rescaling is exact: the same double as the
+        # in-interval root of the unscaled cubic
+        for _ in range(500):
+            a1, b1, c2 = random_frame_params(rng)
+            fr = frame_of(a1, b1, c2)
+            roots = solve_cubic(tangency_cubic(fr))
+            assert tangency_root(fr) == roots[(roots > a1) & (roots < b1)][0]
+
+    def test_pencil_member_matches_apex_form(self, rng):
+        # oracle: apex form recognized from the world matrix H^T P(lam) H,
+        # P(lam) the primal pencil matrix in frame coordinates
+        for _ in range(500):
+            t = random_triangle(rng)
+            for side in ("AB", "BC", "CA"):
+                fr = canonical_frame(t, side)
+                lam = tangency_root(fr)
+                para = pencil_member(fr, lam)
+                h = fr.world_to_frame
+                primal = pencil_parabola(fr, lam).conic.m
+                apex, angle, p = apex_form(ConicMatrix(h.T @ primal @ h))
+                assert para.parameter == pytest.approx(p, rel=1e-12)
+                assert np.abs(para.apex - apex).max() <= 1e-12 * t.diameter
+                assert abs((para.axis_angle - angle + np.pi) % (2 * np.pi) - np.pi) <= 1e-12
+
+    def test_pencil_member_in_frame_is_pencil_parabola(self, rng):
+        for _ in range(100):
+            fr = frame_of(*random_frame_params(rng))
+            lam = rng.uniform(fr.a1, fr.b1)
+            member = pencil_member(fr, lam)
+            assert proj_equal(member.conic, pencil_parabola(fr, lam).conic, tol=1e-9)
+
+    @pytest.mark.parametrize("lam", [-1.0, 1.0, -2.0, 3.0])
+    def test_pencil_member_singular_outside_open_interval(self, lam):
+        with pytest.raises(SingularPencilMember):
+            pencil_member(frame_of(-1.0, 1.0, 1.0), lam)
+
+    def test_solve_paths_recognize_no_matrix(self, monkeypatch):
+        def recognition(*args, **kwargs):
+            raise AssertionError("a solve path recognized a conic matrix")
+
+        monkeypatch.setattr(parabola_module, "apex_form", recognition)
+        monkeypatch.setattr(parabola_module, "is_parabola", recognition)
+        monkeypatch.setattr(Parabola, "from_conic", classmethod(recognition))
+        monkeypatch.setattr(ConicMatrix, "recentered", recognition)
+        res = {r.side: r for r in exparabolas(WORKED)}
+        assert res["AB"].parabola.parameter == pytest.approx(2.0, rel=1e-15)
+        sol = solve_max_parabola(triangle_region(WORKED, "C"), starts=4)
+        assert sol.parabola.parameter == pytest.approx(2.0, rel=1e-15)
+
+
+def moved(t, s, angle, shift):
+    """Vertices of t under x -> s (R(angle) x + shift)."""
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return [s * (rot @ v + shift) for v in (t.A, t.B, t.C)], rot
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tri_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    k=st.integers(-150, 150),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+)
+def test_exparabolas_scale_linearly(tri_seed, k, angle, shift):
+    # the worked triangle (None) or a random well-shaped one, moved by a
+    # similarity x -> s (R x + c) with s = 10^k
+    t = WORKED if tri_seed is None else random_triangle(
+        np.random.default_rng(tri_seed), min_ratio=0.05
+    )
+    s = 10.0**k
+    shift = np.array(shift) * t.diameter
+    verts, rot = moved(t, s, angle, shift)
+    for r0, r1 in zip(exparabolas(t), exparabolas(Triangle(*verts))):
+        assert r1.parabola.parameter == pytest.approx(s * r0.parabola.parameter, rel=1e-12)
+        expected = s * (rot @ r0.parabola.apex + shift)
+        size = s * (t.diameter + np.abs(shift).max() + np.abs(r0.parabola.apex).max())
+        assert np.abs(r1.parabola.apex - expected).max() <= 1e-12 * size
+
+
+# a flat triangle on which the matrix recognition once rejected two sides
+FLAT_LITERAL = [
+    [-0.1934379980596987, 0.17572525408948556],
+    [-0.0779640497328667, 0.20390993159849488],
+    [-0.14663477471190084, 0.18714951307694067],
+]
+
+
+def flat_triangles(count, seed):
+    """Triangles with area/diameter^2 log-uniform in [1e-6, 0.1]: a unit
+    base and a low apex, rotated, scaled and moved, vertices shuffled."""
+    rng = np.random.default_rng(seed)
+    out = [np.array(FLAT_LITERAL)]
+    while len(out) <= count:
+        ratio = 10.0 ** rng.uniform(-6.0 + 1e-3, -1.0)
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [rng.uniform(0.05, 0.95), 2.0 * ratio]])
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+        size = 10.0 ** rng.uniform(-3.0, 3.0)
+        out.append(rng.permutation(size * (tri @ rot.T + rng.uniform(-5.0, 5.0, 2))))
+    return out
+
+
+def tangent_offset_error(conic, tri):
+    """Largest distance by which a side line must move to touch the conic.
+
+    The lines n.x = d touching a conic with dual matrix D solve
+    D00 d^2 - 2 (D01 n1 + D02 n2) d + n^T D' n = 0; a parabola has
+    D00 = 0, so the stable root is the one that stays finite.  The conic
+    is first translated to the triangle's centroid.
+    """
+    c = tri.mean(axis=0)
+    shift = np.array([[1.0, 0.0, 0.0], [c[0], 1.0, 0.0], [c[1], 0.0, 1.0]])
+    m = shift.T @ conic.m @ shift
+    dual = adjugate(m / np.abs(m).max())
+    worst = 0.0
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        e = tri[j] - tri[i]
+        n = np.array([-e[1], e[0]]) / np.hypot(*e)
+        d = float(n @ (tri[i] - c))
+        lin = dual[0, 1:] @ n
+        q = n @ dual[1:, 1:] @ n
+        root = q / (lin + np.copysign(np.sqrt(lin * lin - dual[0, 0] * q), lin))
+        worst = max(worst, abs(root - d))
+    return worst
+
+
+def test_flat_triangles_solve():
+    for tri in flat_triangles(300, seed=17):
+        t = Triangle(*tri)
+        assert t.area / t.diameter**2 >= MIN_AREA_RATIO
+        for r in exparabolas(t):
+            p_closed = np.sqrt(squared_parameter(r.frame, r.lam))
+            assert r.parabola.parameter == pytest.approx(p_closed, rel=1e-12)
+            assert tangent_offset_error(r.parabola.conic, tri) <= 1e-7 * t.diameter

@@ -7,18 +7,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conic_extrema
+import conic_extrema.maxparabola as maxparabola_module
 from conic_extrema import (
     ConvexRegion,
     HalfPlane,
     NoInscribedParabola,
     NotAParabola,
+    NumericalRootFailure,
+    Parabola,
     Triangle,
     UnboundedParameter,
     exparabolas,
     halfplane_violation,
-    parabola_from_apex,
     parabola_in_halfplane,
     solve_max_parabola,
     triangle_region,
@@ -33,7 +37,7 @@ from conic_extrema.maxparabola import (
 )
 from conftest import random_pinned_region, random_triangle
 
-UP_PARABOLA = parabola_from_apex([0.0, 0.0], np.pi / 2.0, 2.0)  # x^2 = 4y
+UP_PARABOLA = Parabola([0.0, 0.0], np.pi / 2.0, 2.0)  # x^2 = 4y
 
 
 def literal_region(normals, offsets):
@@ -174,6 +178,17 @@ class TestSolver:
         region = ConvexRegion([HalfPlane([0.0, 1.0], 1.0), HalfPlane([1.0, 0.0], 1.0)])
         with pytest.raises(UnboundedParameter):
             solve_max_parabola(region, seed=0)
+
+    def test_root_failure_is_not_unboundedness(self, monkeypatch):
+        # no triple pins because none could be solved: report that, not
+        # an unbounded parameter
+        def failing_root(frame):
+            raise NumericalRootFailure("cubic could not be solved")
+
+        monkeypatch.setattr(maxparabola_module, "tangency_root", failing_root)
+        t = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(NumericalRootFailure):
+            solve_max_parabola(triangle_region(t, "C"), starts=4)
 
     def test_oracle_agreement_small_batch(self, rng):
         for _ in range(10):
@@ -382,3 +397,22 @@ class TestSolver:
         cut = ConvexRegion(list(region.halfplanes) + [HalfPlane(n, sup - 0.05 * p0)])
         sol2 = solve_max_parabola(cut, starts=16, seed=0)
         assert sol2.parabola.parameter > p0
+
+
+S2 = 0.7071067811865475
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-150, 150), scaled_probe=st.booleans())
+def test_bounded_region_solves_at_every_scale(k, scaled_probe):
+    # y >= 0 under two 45 degree lines, scaled by s: p = 2 s, whether the
+    # reference length scales along or stays at its default
+    s = 10.0**k
+    region = ConvexRegion(
+        [HalfPlane([0.0, 1.0], 0.0), HalfPlane([S2, S2], S2 * s), HalfPlane([-S2, S2], S2 * s)]
+    )
+    probe = 1e3 * s if scaled_probe else 1e3
+    sol = solve_max_parabola(region, starts=4, probe_diameter=probe)
+    assert sol.parabola.parameter == pytest.approx(2.0 * s, rel=1e-12)
+    if scaled_probe:
+        assert sol.active_constraints == (0, 1, 2)

@@ -1,5 +1,7 @@
 """Parabola recognition, the size functional, and apex-form construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from conic_extrema import (
     Parabola,
     compare_size,
     is_parabola,
-    parabola_from_apex,
     parameter,
     parameter_squared,
     proj_equal,
@@ -63,7 +64,7 @@ class TestParameter:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             p = rng.uniform(0.1, 5.0)
-            base = parabola_from_apex(rng.uniform(-3, 3, 2), rng.uniform(0, 2 * np.pi), p)
+            base = Parabola(rng.uniform(-3, 3, 2), rng.uniform(0, 2 * np.pi), p)
             move = rotation_h(rng.uniform(0, 2 * np.pi)) @ translation_h(rng.uniform(-5, 5, 2))
             assert parameter(pullback(base.conic, move)) == pytest.approx(p, rel=1e-9)
 
@@ -72,7 +73,7 @@ class TestParameter:
         for _ in range(200):
             p = rng.uniform(0.1, 5.0)
             sigma = rng.uniform(0.2, 8.0)
-            base = parabola_from_apex(rng.uniform(-2, 2, 2), rng.uniform(0, 2 * np.pi), p)
+            base = Parabola(rng.uniform(-2, 2, 2), rng.uniform(0, 2 * np.pi), p)
             scaled = pullback(base.conic, np.diag([1.0, 1.0 / sigma, 1.0 / sigma]))
             assert parameter(scaled) == pytest.approx(sigma * p, rel=1e-9)
 
@@ -82,25 +83,25 @@ class TestParameter:
 
 class TestCompareSize:
     def test_strict_order(self):
-        p1 = parabola_from_apex([0, 0], 0.0, 1.0)
-        p2 = parabola_from_apex([5, 1], 2.0, 2.0)
+        p1 = Parabola([0, 0], 0.0, 1.0)
+        p2 = Parabola([5, 1], 2.0, 2.0)
         assert compare_size(p1, p2) == -1
         assert compare_size(p2, p1) == 1
 
     def test_congruent_in_different_poses(self):
-        p1 = parabola_from_apex([0, 0], 0.3, 1.5)
-        p2 = parabola_from_apex([-2, 4], 4.0, 1.5)
+        p1 = Parabola([0, 0], 0.3, 1.5)
+        p2 = Parabola([-2, 4], 4.0, 1.5)
         assert compare_size(p1, p2) == 0
 
     def test_equality_within_tolerance(self):
-        p1 = parabola_from_apex([0, 0], 0.0, 2.0)
-        p2 = parabola_from_apex([0, 0], 0.0, 2.0 * (1.0 + 1e-12))
+        p1 = Parabola([0, 0], 0.0, 2.0)
+        p2 = Parabola([0, 0], 0.0, 2.0 * (1.0 + 1e-12))
         assert compare_size(p1, p2) == 0
 
 
 class TestParabolaFromApex:
     def test_canonical_up_opening(self):
-        para = parabola_from_apex([0.0, 0.0], np.pi / 2.0, 2.0)
+        para = Parabola([0.0, 0.0], np.pi / 2.0, 2.0)
         assert proj_equal(para.conic, X2_EQ_4Y)
 
     def test_right_opening_translated(self):
@@ -108,20 +109,20 @@ class TestParabolaFromApex:
         expected = ConicMatrix(
             [[3.0, -1.0, -1.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]
         )
-        para = parabola_from_apex([1.0, 1.0], 0.0, 1.0)
+        para = Parabola([1.0, 1.0], 0.0, 1.0)
         assert proj_equal(para.conic, expected)
 
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(NonpositiveParameter):
-            parabola_from_apex([0, 0], 0.0, 0.0)
+            Parabola([0, 0], 0.0, 0.0)
         with pytest.raises(NonpositiveParameter):
-            parabola_from_apex([0, 0], 0.0, -1.0)
+            Parabola([0, 0], 0.0, -1.0)
 
     def test_round_trip_parameter(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
             p = rng.uniform(1e-3, 10.0)
-            para = parabola_from_apex(rng.uniform(-5, 5, 2), rng.uniform(0, 2 * np.pi), p)
+            para = Parabola(rng.uniform(-5, 5, 2), rng.uniform(0, 2 * np.pi), p)
             assert para.parameter == pytest.approx(p, rel=1e-9)
 
     def test_apex_form_round_trip(self):
@@ -130,15 +131,11 @@ class TestParabolaFromApex:
             apex = rng.uniform(-4, 4, 2)
             angle = rng.uniform(0, 2 * np.pi)
             p = rng.uniform(0.05, 6.0)
-            a2, th2, p2 = apex_form(parabola_from_apex(apex, angle, p).conic)
+            a2, th2, p2 = apex_form(Parabola(apex, angle, p).conic)
             assert np.allclose(a2, apex, atol=1e-9 * max(1.0, p))
             assert p2 == pytest.approx(p, rel=1e-9)
             dth = abs((th2 - angle + np.pi) % (2 * np.pi) - np.pi)
             assert dth < 1e-9
-
-    def test_stored_parameter_validated(self):
-        with pytest.raises(ValueError):
-            Parabola(conic=X2_EQ_4Y, parameter=3.0)
 
 
 class TestFarFromOrigin:
@@ -146,7 +143,7 @@ class TestFarFromOrigin:
     recentering must keep the predicates and reductions accurate."""
 
     def test_offset_parabola_recognized(self):
-        para = parabola_from_apex([400.0, -350.0], 0.7, 2.5)
+        para = Parabola([400.0, -350.0], 0.7, 2.5)
         assert is_parabola(para.conic)
         assert parameter(para.conic) == pytest.approx(2.5, rel=1e-12)
         apex, angle, p = apex_form(para.conic)
@@ -168,3 +165,42 @@ class TestFarFromOrigin:
             for r in exparabolas(Triangle([499.0, 300.0], [501.0, 300.0], [500.0, 301.0]))
         )
         assert np.allclose(base, moved, rtol=1e-12)
+
+
+class TestApexForm:
+    """A Parabola is its apex form; the matrix is derived from it."""
+
+    def test_fields_are_the_apex_form(self):
+        names = tuple(f.name for f in dataclasses.fields(Parabola))
+        assert names == ("apex", "axis_angle", "parameter")
+
+    @pytest.mark.parametrize(
+        "apex,angle,p",
+        [([np.nan, 0.0], 0.0, 1.0), ([0.0, np.inf], 0.0, 1.0), ([0.0, 0.0], np.nan, 1.0),
+         ([0.0, 0.0], -np.inf, 1.0), ([0.0, 0.0], 0.0, np.inf), ([0.0, 0.0], 0.0, np.nan)],
+    )
+    def test_non_finite_rejected(self, apex, angle, p):
+        with pytest.raises(ValueError, match="finite"):
+            Parabola(apex, angle, p)
+
+    def test_from_conic_keeps_the_matrix(self):
+        para = Parabola.from_conic(X2_EQ_4Y)
+        assert para.conic is X2_EQ_4Y
+        assert np.allclose(para.apex, [0.0, 0.0], atol=1e-15)
+        assert para.axis_angle == pytest.approx(np.pi / 2.0, abs=1e-15)
+        assert para.parameter == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_conic_finite_and_exact_at_every_scale(self, s):
+        # points of the curve, apex + X v + X^2 / (2p) u, lie on the matrix;
+        # homogeneous points (1, x, y) / s keep the form in range
+        apex, angle, p = np.array([0.7, -1.3]), 2.2, 0.4
+        para = Parabola(s * apex, angle, s * p)
+        m = para.conic.m
+        assert np.isfinite(m).all()
+        u = np.array([np.cos(angle), np.sin(angle)])
+        v = np.array([u[1], -u[0]])
+        for x in np.linspace(-3.0, 3.0, 13):
+            pt = apex + x * v + x * x / (2.0 * p) * u  # the unit-scale point
+            h = np.array([1.0 / s, *pt])
+            assert abs(h @ m @ h) <= 1e-12 * (np.abs(h) @ np.abs(m) @ np.abs(h))

@@ -41,6 +41,14 @@ def test_non_finite_line_rejected(bad):
         HomLine([bad, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_conic_rejected(bad):
+    m = np.diag([-1.0, 1.0, 1.0])
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ConicMatrix(m)
+
+
 class TestPolarity:
     def test_polar_point_on_circle_gives_tangent(self):
         line = polar(UNIT_CIRCLE, HomPoint([1.0, 1.0, 0.0]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conic_extrema import ConicMatrix
+from conic_extrema import ConicMatrix, Parabola
 from conic_extrema.svgfig import SvgFigure
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -127,7 +127,9 @@ def _numbers(d):
 def test_parabola_is_one_quadratic_bezier():
     # x^2 = 2y (p = 1) meets y = 2 at x = -2, 2; tangents cross at (0, -2)
     fig = SvgFigure(viewport=(-3.0, 3.0, -1.0, 2.0))
-    fig.add_parabola(ConicMatrix([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
+    fig.add_parabola(
+        Parabola.from_conic(ConicMatrix([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
+    )
     (d,) = _paths(fig)
     assert d.startswith("M ") and d.count("M") == 1 and d.count("Q") == 1
     k = 640.0 / 6.0
@@ -153,13 +155,17 @@ def test_curves_missing_the_viewport_draw_nothing():
     fig.add_line((0.0, 1.0), 5.0)
     fig.add_segment((2.0, 2.0), (3.0, 5.0))
     # x^2 = 2 (y - 3): apex above the box, opening upward
-    fig.add_parabola(ConicMatrix([[6.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
+    fig.add_parabola(
+        Parabola.from_conic(ConicMatrix([[6.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
+    )
     assert _paths(fig) == []
 
 
 def test_parabola_crossing_the_box_four_times_is_one_path_of_subpaths():
     # y = x^2 / 2 - 1 enters and leaves the band |y| <= 0.5 on both branches
     fig = SvgFigure(viewport=(-3.0, 3.0, -0.5, 0.5))
-    fig.add_parabola(ConicMatrix([[-2.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
+    fig.add_parabola(
+        Parabola.from_conic(ConicMatrix([[-2.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
+    )
     (d,) = _paths(fig)
     assert d.count("M") == 2 and d.count("Q") == 2
