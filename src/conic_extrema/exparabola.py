@@ -23,7 +23,8 @@ side lines within that region.
 
 The solve path (``tangency_root``, then ``pencil_member`` in apex form)
 builds and recognizes no matrix, so results scale linearly with the
-triangle over the whole float range.
+triangle over the whole float range.  Apex, axis and tangency point go
+back to the world as x = R^T (x_f - t) on scalars, not 2-vector arrays.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ class Triangle:
 
     def __init__(self, A, B, C):
         A, B, C = (np.asarray(v, float).reshape(2).copy() for v in (A, B, C))
+        (ax, ay), (bx, by), (cx, cy) = A.tolist(), B.tolist(), C.tolist()
+        if not all(map(math.isfinite, (ax, ay, bx, by, cx, cy))):
+            raise ValueError("triangle vertices must be finite")
         for v in (A, B, C):
-            if not np.isfinite(v).all():
-                raise ValueError("triangle vertices must be finite")
             v.flags.writeable = False
-        ex1, ey1 = B[0] - A[0], B[1] - A[1]
-        ex2, ey2 = C[0] - A[0], C[1] - A[1]
-        ex3, ey3 = C[0] - B[0], C[1] - B[1]
+        ex1, ey1 = bx - ax, by - ay
+        ex2, ey2 = cx - ax, cy - ay
+        ex3, ey3 = cx - bx, cy - by
         diameter = max(math.hypot(ex1, ey1), math.hypot(ex2, ey2), math.hypot(ex3, ey3))
         # twice area / diameter^2 from the edges over the diameter: no
         # underflow or overflow at any scale
@@ -277,10 +279,10 @@ def tangency_root(frame: CanonicalFrame) -> float:
     k = math.frexp(frame.scale)[1]
     a1, b1, c2 = (math.ldexp(v, -k) for v in (frame.a1, frame.b1, frame.c2))
     roots = solve_cubic(tangency_cubic(CanonicalFrame(a1, b1, c2, frame.world_to_frame)))
-    inside = roots[(roots > a1) & (roots < b1)]
-    if inside.size != 1:
-        raise NumericalRootFailure(f"expected one root in (a1, b1), found {inside.size}")
-    return math.ldexp(float(inside[0]), k)
+    inside = [r for r in roots.tolist() if a1 < r < b1]
+    if len(inside) != 1:
+        raise NumericalRootFailure(f"expected one root in (a1, b1), found {len(inside)}")
+    return math.ldexp(inside[0], k)
 
 
 def pencil_member(frame: CanonicalFrame, lam: float) -> Parabola:
@@ -302,13 +304,11 @@ def pencil_member(frame: CanonicalFrame, lam: float) -> Parabola:
     ux, uy = -m / r, -c2 / r
     x = p * (m / c2)
     drop = 0.5 * x * (m / c2)  # X^2 / (2p) without squaring X
-    apex = np.array([lam - x * uy - drop * ux, x * ux - drop * uy])
     # frame -> world: x = R^T (x_f - t) for world_to_frame [[1, 0], [t, R]]
-    h = frame.world_to_frame
-    rot = h[1:, 1:]
-    apex = rot.T @ (apex - h[1:, 0])
-    axis = rot.T @ np.array([ux, uy])
-    return Parabola(apex, math.atan2(axis[1], axis[0]), p)
+    _, (tx, r00, r01), (ty, r10, r11) = frame.world_to_frame.tolist()
+    ax, ay = lam - x * uy - drop * ux - tx, x * ux - drop * uy - ty
+    apex = (r00 * ax + r10 * ay, r01 * ax + r11 * ay)
+    return Parabola(apex, math.atan2(r01 * ux + r11 * uy, r00 * ux + r10 * uy), p)
 
 
 @dataclass(frozen=True)
@@ -337,6 +337,9 @@ def exparabolas(t: Triangle) -> list[ExparabolaResult]:
     for side in SIDES:
         frame = canonical_frame(t, side)
         lam = tangency_root(frame)
-        para, tangency = pencil_member(frame, lam), frame.to_world([lam, 0.0])
+        # R^T ((lam, 0) - t) from the scalar entries, as in pencil_member
+        _, (tx, r00, r01), (ty, r10, r11) = frame.world_to_frame.tolist()
+        tangency = np.array([r00 * (lam - tx) - r10 * ty, r01 * (lam - tx) - r11 * ty])
+        para = pencil_member(frame, lam)
         out.append(ExparabolaResult(OPPOSITE[side], side, lam, para, tangency, frame))
     return out

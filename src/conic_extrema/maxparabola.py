@@ -124,19 +124,22 @@ class MaxParabolaSolution:
     convergence: Convergence
 
 
-def halfplane_violation(apex, axis_dir, p: float, normal, offset: float) -> float:
-    """Signed containment residual of a parabola against one half-plane.
+def halfplane_violation(apex, axis_dir, p: float, normal, offset):
+    """Signed containment residual of a parabola against half-planes.
 
     Positive means the parabola sticks out by that Euclidean distance;
-    +inf when the opening direction itself escapes the half-plane (then
-    no translation can help).
+    +inf when the opening direction escapes (n . axis_dir >= -1e-14; no
+    translation can help).  One normal gives a float; rows (k, 2) with k
+    offsets give an array, each entry bitwise the one-normal value.
     """
-    npy = float(np.dot(normal, axis_dir))
-    if npy >= -1e-14:
-        return np.inf
-    npx2 = max(0.0, 1.0 - npy * npy)
-    e = offset - float(np.dot(normal, apex))
-    return -npx2 * p / (2.0 * npy) - e
+    n = np.asarray(normal, dtype=float)
+    (ux, uy), (ax, ay) = axis_dir, apex
+    npy = n[..., 0] * ux + n[..., 1] * uy
+    e = offset - (n[..., 0] * ax + n[..., 1] * ay)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked by the where
+        out = -np.maximum(0.0, 1.0 - npy * npy) * p / (2.0 * npy) - e
+    out = np.where(npy < -1e-14, out, np.inf)
+    return float(out) if out.ndim == 0 else out
 
 
 def parabola_in_halfplane(para: Parabola, h: HalfPlane, tol: float | None = None) -> bool:
@@ -476,7 +479,8 @@ def solve_max_parabola(
     and their spread form the agreement certificate in ``convergence``.
     Tolerances are relative to ``probe_diameter``, the reference length
     for these unbounded regions; it bounds no search box, and translating
-    the region translates the solution.
+    the region translates the solution.  A half-plane is active when its
+    violation is >= -1e-7 max(probe_diameter, |offset|, |apex|_inf, p).
 
     Raises NoInscribedParabola when no parabola fits at all (parallel or
     surrounding boundary normals, empty region) and UnboundedParameter
@@ -567,14 +571,10 @@ def solve_max_parabola(
             dth * scale / (2.0 * np.pi),
         )
 
-    axis_dir = np.array([np.cos(angle_best), np.sin(angle_best)])
-    viol = np.array(
-        [
-            halfplane_violation(apex_best, axis_dir, p_best, h.normal, h.offset)
-            for h in region.halfplanes
-        ]
-    )
-    active = tuple(int(i) for i in np.nonzero(viol >= -1e-7 * scale)[0])
+    axis_dir = (np.cos(angle_best), np.sin(angle_best))
+    viol = halfplane_violation(apex_best, axis_dir, p_best, ns, ds)
+    tol = 1e-7 * np.maximum(max(scale, float(np.abs(apex_best).max()), p_best), np.abs(ds))
+    active = tuple(int(i) for i in np.nonzero(viol >= -tol)[0])
     return MaxParabolaSolution(
         parabola=parabola,
         apex=apex_best,

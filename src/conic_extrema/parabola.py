@@ -19,6 +19,7 @@ used internally for algebraic identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,7 +108,7 @@ class Parabola:
     def __init__(self, apex, axis_angle: float, parameter: float):
         apex = np.asarray(apex, dtype=float).reshape(2).copy()
         axis_angle, parameter = float(axis_angle), float(parameter)
-        if not np.isfinite([*apex, axis_angle, parameter]).all():
+        if not all(map(math.isfinite, (*apex.tolist(), axis_angle, parameter))):
             raise ValueError("parabola apex, axis angle and parameter must be finite")
         if not parameter > 0.0:
             raise NonpositiveParameter("parabola parameter must be positive")

@@ -3,7 +3,8 @@
 Each suite draws reproducible random instances, checks the claim on a
 sampled set, and returns a plain dict report with a ``passed`` flag and
 violation counts.  Case seeds derive from the master seed, so reports
-are deterministic.
+are deterministic.  The dual-pencil suite builds each case's witness
+and sampled lines in one array pass of ``halfplane_violation`` on rows.
 """
 
 from __future__ import annotations
@@ -99,13 +100,26 @@ def pencil_interior_preservation(
 # -- dual pencil: lines missing both parabolas miss every blend member --------
 
 
-def _line_misses_parabola(apex, angle, p, normal, offset) -> bool:
-    """True iff the line n.x = offset avoids the parabola entirely."""
-    axis = np.array([np.cos(angle), np.sin(angle)])
-    return (
-        halfplane_violation(apex, axis, p, normal, offset) < 0.0
-        or halfplane_violation(apex, axis, p, -normal, -offset) < 0.0
+def _line_misses_parabola(apex, angle, p, normal, offset):
+    """True where the line n.x = offset avoids the parabola entirely (a bool
+    for one normal, an array for rows of normals and offsets)."""
+    axis, n = (np.cos(angle), np.sin(angle)), np.asarray(normal, dtype=float)
+    return (halfplane_violation(apex, axis, p, n, offset) < 0.0) | (
+        halfplane_violation(apex, axis, p, -n, -offset) < 0.0
     )
+
+
+def _missing_lines(geo, jitters, gaps) -> np.ndarray:
+    """Rows (-d, n) of lines n.x = d missing both parabolas of ``geo``, in one
+    array pass: each normal opposes the mean axis, turned by its jitter, and
+    d is the larger support of n.x plus its gap."""
+    (_, u0, _), (_, u1, _) = geo
+    ang = np.arctan2(np.sin(u0) + np.sin(u1), np.cos(u0) + np.cos(u1)) + np.pi + jitters
+    normals = np.column_stack([np.cos(ang), np.sin(ang)])
+    sup = np.maximum(
+        *(halfplane_violation(a, (np.cos(t), np.sin(t)), p, normals, 0.0) for a, t, p in geo)
+    )
+    return np.column_stack([-(sup + gaps), normals])
 
 
 def dual_pencil_line_preservation(
@@ -133,32 +147,13 @@ def dual_pencil_line_preservation(
             geo.append((apex, angle, p))
             duals.append(dualize(Parabola(apex, angle, p).conic))
 
-        def sup_line(normal):
-            """Largest offset of a line with this normal touching either parabola."""
-            sups = []
-            for apex, angle, p in geo:
-                axis = np.array([np.cos(angle), np.sin(angle)])
-                sups.append(halfplane_violation(apex, axis, p, normal, 0.0))
-            return max(sups)
-
-        def line_for(angle_jitter: float, gap: float):
-            u0 = geo[0][1]
-            u1 = geo[1][1]
-            mid = np.arctan2(
-                np.sin(u0) + np.sin(u1), np.cos(u0) + np.cos(u1)
-            )
-            ang = mid + np.pi + angle_jitter  # normal opposing both axes
-            n = np.array([np.cos(ang), np.sin(ang)])
-            return np.array([-(sup_line(n) + gap), n[0], n[1]])
-
-        witness = HomPoint(line_for(0.0, 1.0))
-        jits = rng.uniform(-0.5, 0.5, lines_per_pair)
-        gaps_ = rng.uniform(0.01, 10.0, lines_per_pair)
-        lines = np.array([line_for(j, g) for j, g in zip(jits, gaps_)])
+        # row 0 is the witness line: no jitter, gap 1
+        jits = np.concatenate([[0.0], rng.uniform(-0.5, 0.5, lines_per_pair)])
+        gaps = np.concatenate([[1.0], rng.uniform(0.01, 10.0, lines_per_pair)])
+        lines = _missing_lines(geo, jits, gaps)
         # all constructed lines genuinely miss both parabolas
-        assert all(
-            _line_misses_parabola(*g, l[1:], -l[0]) for l in lines for g in geo
-        )
+        assert all(_line_misses_parabola(*g, lines[:, 1:], -lines[:, 0]).all() for g in geo)
+        witness, lines = HomPoint(lines[0]), lines[1:]
         d0 = normalize_interior(duals[0], witness)
         d1 = normalize_interior(duals[1], witness)
         checked = 0

@@ -382,6 +382,39 @@ class TestClosedFormMembers:
                 assert np.abs(para.apex - apex).max() <= 1e-12 * t.diameter
                 assert abs((para.axis_angle - angle + np.pi) % (2 * np.pi) - np.pi) <= 1e-12
 
+    def test_scalar_frame_map(self, rng):
+        # seeded triangles plus flat ones (area/diameter^2 1e-6 .. 0.1): the
+        # scalar map back to the world agrees with the frame's matrices
+        seeded = [random_triangle(rng) for _ in range(500)]
+        flat = []
+        for _ in range(200):
+            pts = np.array([[0.0, 0.0], [1.0, 0.0], [rng.uniform(0.05, 0.95), 0.0]])
+            pts[2, 1] = 2.0 * 10.0 ** rng.uniform(-6.0, -1.0)
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+            flat.append(Triangle(*(pts @ rot.T + rng.uniform(-1.0, 1.0, 2))))
+        for k, t in enumerate(seeded + flat):
+            for r in exparabolas(t):
+                fr, para = r.frame, r.parabola
+                assert np.abs(r.tangency - fr.to_world([r.lam, 0.0])).max() <= 1e-15 * t.diameter
+                assert r.lam == tangency_root(fr)
+                # the same member in frame coordinates, moved by the matrix
+                local = pencil_member(frame_of(fr.a1, fr.b1, fr.c2), r.lam)
+                assert para.parameter == local.parameter
+                size = max(t.diameter, np.abs(local.apex).max())
+                assert np.abs(para.apex - fr.to_world(local.apex)).max() <= 1e-15 * size
+                axis = fr.frame_to_world[1:, 1:] @ [np.cos(local.axis_angle), np.sin(local.axis_angle)]
+                assert np.abs(axis - [np.cos(para.axis_angle), np.sin(para.axis_angle)]).max() <= 1e-14
+                if k < len(seeded):
+                    # the recognized world matrix, as in the test below; apex
+                    # recognition is unit-dependent on flat shapes
+                    h = fr.world_to_frame
+                    primal = pencil_parabola(fr, r.lam).conic.m
+                    apex, angle, p = apex_form(ConicMatrix(h.T @ primal @ h))
+                    assert para.parameter == pytest.approx(p, rel=1e-12)
+                    assert np.abs(para.apex - apex).max() <= 1e-12 * t.diameter
+                    assert abs((para.axis_angle - angle + np.pi) % (2 * np.pi) - np.pi) <= 1e-12
+
     def test_pencil_member_in_frame_is_pencil_parabola(self, rng):
         for _ in range(100):
             fr = frame_of(*random_frame_params(rng))

@@ -416,3 +416,43 @@ def test_bounded_region_solves_at_every_scale(k, scaled_probe):
     assert sol.parabola.parameter == pytest.approx(2.0 * s, rel=1e-12)
     if scaled_probe:
         assert sol.active_constraints == (0, 1, 2)
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-10, 1.0, 1e12, 1e100, 1e200, 1e300])
+def test_active_constraints_at_every_scale_default_probe(s):
+    # all three lines touch the exparabola; at the default reference length
+    # a fixed 1e-7 * probe_diameter tolerance lost line 1 from 1e12 up
+    region = ConvexRegion(
+        [HalfPlane([0.0, 1.0], 0.0), HalfPlane([S2, S2], S2 * s), HalfPlane([-S2, S2], S2 * s)]
+    )
+    sol = solve_max_parabola(region, starts=4)
+    assert sol.active_constraints == (0, 1, 2)
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    apex=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    unit_axis=st.booleans(),
+    p=st.floats(1e-3, 1e3),
+    rows=st.lists(st.tuples(UNIT, UNIT, st.floats(-1e3, 1e3)), max_size=12),
+)
+def test_halfplane_violation_rows_equal_single_calls(apex, angle, p, unit_axis, rows):
+    axis = (1.0, 0.0) if unit_axis else (np.cos(angle), np.sin(angle))
+    # escape rows: along the axis, across it, and either side of -1e-14
+    special = [(axis[0], axis[1], 1.0), (-axis[1], axis[0], 0.0), (-axis[0], -axis[1], 2.0)]
+    if unit_axis:
+        special += [(-1e-14, 0.5, 1.0), (np.nextafter(-1e-14, -1.0), 0.5, 1.0)]
+    table = np.array(rows + special)
+    out = halfplane_violation(apex, axis, p, table[:, :2], table[:, 2])
+    assert out.shape == (len(table),)
+    for row, v in zip(table, out):
+        single = halfplane_violation(apex, axis, p, row[:2], row[2])
+        assert type(single) is float
+        assert v == single
+    assert out[len(rows)] == np.inf and out[len(rows) + 1] == np.inf
+    if unit_axis:
+        assert out[-2] == np.inf and out[-1] < np.inf

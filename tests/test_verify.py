@@ -1,0 +1,100 @@
+"""The dual-pencil suite's array-built lines against a per-line loop."""
+
+import numpy as np
+import pytest
+
+from conic_extrema import Parabola
+from conic_extrema.maxparabola import halfplane_violation
+from conic_extrema.projective import HomPoint, dualize, normalize_interior, pencil_blend
+from conic_extrema.verify import (
+    BLEND_GRID,
+    _line_misses_parabola,
+    _missing_lines,
+    dual_pencil_line_preservation,
+)
+
+
+def draw_geo(rng):
+    """The suite's two parabolas, in its draw order."""
+    base_angle = rng.uniform(0.0, 2.0 * np.pi)
+    geo = []
+    for _ in range(2):
+        apex = rng.uniform(-2.0, 2.0, 2)
+        angle = base_angle + rng.uniform(-0.7, 0.7)
+        p = rng.uniform(0.3, 3.0)
+        geo.append((apex, angle, p))
+    return geo
+
+
+def loop_line(geo, angle_jitter, gap):
+    """One line at a time, each support a scalar call."""
+    sups = []
+    mid = np.arctan2(np.sin(geo[0][1]) + np.sin(geo[1][1]), np.cos(geo[0][1]) + np.cos(geo[1][1]))
+    ang = mid + np.pi + angle_jitter
+    n = np.array([np.cos(ang), np.sin(ang)])
+    for apex, angle, p in geo:
+        axis = np.array([np.cos(angle), np.sin(angle)])
+        sups.append(halfplane_violation(apex, axis, p, n, 0.0))
+    return np.array([-(max(sups) + gap), n[0], n[1]])
+
+
+def loop_suite(pairs, lines_per_pair, seed):
+    """The suite with its lines built by ``loop_line``."""
+    checked = bad = 0
+    for case_seed in (seed * 100_019 + i for i in range(pairs)):
+        rng = np.random.default_rng(case_seed)
+        geo = draw_geo(rng)
+        duals = [dualize(Parabola(*g).conic) for g in geo]
+        witness = HomPoint(loop_line(geo, 0.0, 1.0))
+        jits = rng.uniform(-0.5, 0.5, lines_per_pair)
+        gaps = rng.uniform(0.01, 10.0, lines_per_pair)
+        lines = np.array([loop_line(geo, j, g) for j, g in zip(jits, gaps)])
+        d0 = normalize_interior(duals[0], witness)
+        d1 = normalize_interior(duals[1], witness)
+        for d in (d0, d1):
+            bad += int((np.einsum("ni,ij,nj->n", lines, d.m, lines) >= 0.0).sum())
+        checked += 2 * len(lines)
+        e0 = np.array([1.0, 0.0, 0.0])
+        for t in BLEND_GRID:
+            blend = pencil_blend(d0, d1, float(t))
+            bad += int((np.einsum("ni,ij,nj->n", lines, blend.m, lines) >= 0.0).sum())
+            checked += len(lines) + 1
+            if abs(e0 @ blend.m @ e0) > 1e-9 * np.abs(blend.m).max():
+                bad += 1
+    return {
+        "suite": "dual-pencil-lines",
+        "pairs": pairs,
+        "checked": checked,
+        "violations": bad,
+        "passed": bad == 0,
+    }
+
+
+def test_array_lines_match_loop(rng):
+    worst = 0.0
+    for _ in range(50):
+        geo = draw_geo(rng)
+        jits = np.concatenate([[0.0], rng.uniform(-0.5, 0.5, 400)])
+        gaps = np.concatenate([[1.0], rng.uniform(0.01, 10.0, 400)])
+        lines = _missing_lines(geo, jits, gaps)
+        old = np.array([loop_line(geo, j, g) for j, g in zip(jits, gaps)])
+        rel = np.abs(lines - old).max(axis=1) / np.abs(old).max(axis=1)
+        worst = max(worst, float(rel.max()))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reports_equal_loop_suite(seed):
+    assert dual_pencil_line_preservation(pairs=5, lines_per_pair=100, seed=seed) == loop_suite(
+        5, 100, seed
+    )
+
+
+def test_line_misses_parabola_rows():
+    # x^2 = 2y: y = -1 misses it, y = 1 crosses it, and the axis x = 0
+    # crosses it (both half-planes escape)
+    normals = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    offsets = np.array([-1.0, 1.0, 0.0])
+    out = _line_misses_parabola([0.0, 0.0], np.pi / 2.0, 1.0, normals, offsets)
+    assert out.tolist() == [True, False, False]
+    assert _line_misses_parabola([0.0, 0.0], np.pi / 2.0, 1.0, normals[1], 1.0) is False
