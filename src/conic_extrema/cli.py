@@ -113,10 +113,7 @@ def _run_exparabola(data, args):
 def _run_max_parabola(data, args):
     hps = [HalfPlane(h["normal"], h["offset"]) for h in data["halfplanes"]]
     region = ConvexRegion(hps)
-    probe = float(data.get("probe_diameter", 1e3))
-    sol = solve_max_parabola(
-        region, starts=args.starts, seed=args.seed, probe_diameter=probe
-    )
+    sol = solve_max_parabola(region, starts=args.starts, seed=args.seed)
     out = {
         "parameter": sol.parabola.parameter,
         "apex": sol.apex,
@@ -234,7 +231,9 @@ def main(argv=None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(data, dict):
+            raise ValueError("input must be a JSON object")
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         _diag(type(exc).__name__, str(exc))
         return 3
 
@@ -247,7 +246,7 @@ def main(argv=None) -> int:
     except ConicExtremaError as exc:
         _diag(type(exc).__name__, str(exc))
         return 1
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         _diag(type(exc).__name__, str(exc))
         return 3
 

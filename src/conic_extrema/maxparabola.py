@@ -36,21 +36,26 @@ slacks pulling iterates onto the pinned set, is run from seeded starts;
 assigning each converged start to its nearest pinned triple gives the
 agreement certificate.
 
-``probe_diameter`` is a reference length (tolerances, growth cap, seed
-spread), not a box: the first seed apex lies on a ray from the centre of
-the boundary arrangement, so translating the region translates the
-solution.
+The only length is the region's own.  Its vertices (the feasible
+pairwise intersections of the boundary lines) span some length; the
+solver divides the offsets by 2^k, k the binary exponent of that span,
+which is exact, solves on this unit region and scales apex, parameter
+and spread back.  Results are therefore exactly covariant under scaling
+by powers of two, every tolerance is relative to the vertex span, and
+translating the region translates the solution and, with the seeds,
+the agreement certificate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateTriangle, NoInscribedParabola, NumericalRootFailure, UnboundedParameter
-from .exparabola import Triangle, canonical_frame, dual_pencil, pencil_member, tangency_root
+from .exparabola import Triangle, canonical_frame, pencil_member, tangency_root
 from .parabola import Parabola
 
 DIRECTION_TOL = 1e-9
@@ -86,22 +91,24 @@ class HalfPlane:
 
 @dataclass(frozen=True)
 class ConvexRegion:
-    """Intersection of closed half-planes; may be (and usually is) unbounded."""
+    """Intersection of closed half-planes; may be (and usually is) unbounded.
+
+    ``normals`` (m, 2) and ``offsets`` (m,) are read-only arrays built once.
+    """
 
     halfplanes: tuple
 
     def __init__(self, halfplanes):
-        object.__setattr__(self, "halfplanes", tuple(halfplanes))
-        if not self.halfplanes:
+        hps = tuple(halfplanes)
+        if not hps:
             raise ValueError("region needs at least one half-plane")
-
-    @property
-    def normals(self) -> np.ndarray:
-        return np.array([h.normal for h in self.halfplanes])
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.array([h.offset for h in self.halfplanes])
+        object.__setattr__(self, "halfplanes", hps)
+        normals = np.array([h.normal for h in hps])
+        offsets = np.array([h.offset for h in hps])
+        lines = np.column_stack([-offsets, normals])  # rows (-d, n) of n.x = d
+        for name, arr in (("normals", normals), ("offsets", offsets), ("_lines", lines)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def contains_point(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, float)
@@ -285,22 +292,18 @@ def _polish_triple(region: ConvexRegion, triple):
     a1, b1, c2 = frame.a1, frame.b1, frame.c2
     lam_star = tangency_root(frame)
     lo, hi = a1, b1
-    rest = [h for idx, h in enumerate(region.halfplanes) if idx not in triple]
-    if rest:
-        u = np.array([[-h.offset, *h.normal] for h in rest]) @ frame.frame_to_world
-        d0 = dual_pencil(frame, 0.0).m
-        d1 = dual_pencil(frame, 1.0).m - d0
-        # each row: slope * lam + icept <= 0
-        slope_i = np.einsum("ni,ij,nj->n", u, d1, u)
-        icept_i = np.einsum("ni,ij,nj->n", u, d0, u)
+    if len(region.offsets) > 3:
+        u = np.delete(region._lines, triple, axis=0) @ frame.frame_to_world
+        u0, u1, u2 = u.T
+        # u^T D(lam) u = slope * lam + icept <= 0, from the entries of D(lam)
+        slope_i = 2.0 * u1 * (u0 + c2 * u2)
+        icept_i = 2.0 * u0 * (c2 * u2 - (a1 + b1) * u1) - 2.0 * a1 * b1 * u1 * u1
         s = frame.scale
         tangent_to_all = (
-            np.abs(slope_i) * s + np.abs(icept_i) <= 1e-13 * s * (np.abs(u[:, 0]) + s)
+            np.abs(slope_i) * s + np.abs(icept_i) <= 1e-13 * s * (np.abs(u0) + s)
         )
-        slope = np.concatenate([slope_i[~tangent_to_all], -u[:, 1]])
-        icept = np.concatenate(
-            [icept_i[~tangent_to_all], u[:, 1] * (a1 + b1) - u[:, 2] * c2]
-        )
+        slope = np.concatenate([slope_i[~tangent_to_all], -u1])
+        icept = np.concatenate([icept_i[~tangent_to_all], u1 * (a1 + b1) - u2 * c2])
         if (icept[slope == 0.0] > 0.0).any():
             return None
         up, down = slope > 0.0, slope < 0.0
@@ -318,40 +321,43 @@ def _polish_triple(region: ConvexRegion, triple):
 # -- coarse multi-start pattern search ---------------------------------------
 
 
-def _geometry_scale(normals, offsets, probe: float):
-    """Reference length and center of the boundary arrangement itself.
+def _unit_scale(normals, offsets):
+    """(k, span / 2^k, centre / 2^k) of the region's vertices.
 
-    The probe diameter fixes tolerances, but search steps must resolve
-    the actual geometry, whose size is set by the pairwise intersection
-    points of the boundary lines and their offsets.
+    The vertices are the pairwise boundary-line intersections (|det| >
+    1e-12) that satisfy every half-plane to 1e-9 max(|vertex|_inf,
+    max |offset|); span is the largest coordinate range among them, centre
+    their mean, and k = frexp(span)[1], so span / 2^k lies in [0.5, 1).
+    They are found on the offsets divided by a power of two near their
+    largest, so nothing overflows.  Fewer than two distinct vertices leave
+    a wedge or a cone, whose parameter is unbounded.
     """
-    m = len(normals)
-    pts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            a = np.array([normals[i], normals[j]])
-            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            if abs(det) > 1e-12:
-                pts.append(np.linalg.solve(a, np.array([offsets[i], offsets[j]])))
-    if pts:
-        pts = np.array(pts)
-        center = pts.mean(axis=0)
-        span = float(np.ptp(pts, axis=0).max()) + float(
-            np.abs(pts - center).max()
+    k = math.frexp(float(np.abs(offsets).max()))[1]
+    ds = np.ldexp(offsets, -k)
+    i, j = np.triu_indices(len(ds), 1)
+    (a, b), (c, e) = normals[i].T, normals[j].T
+    det = a * e - b * c
+    ok = np.abs(det) > 1e-12
+    verts = np.column_stack([ds[i] * e - ds[j] * b, ds[j] * a - ds[i] * c])[ok] / det[ok, None]
+    slack = ds - verts @ normals.T
+    tol = 1e-9 * np.maximum(np.abs(verts).max(axis=1), np.abs(ds).max())
+    verts = verts[(slack >= -tol[:, None]).all(axis=1)]
+    span = float(np.ptp(verts, axis=0).max()) if len(verts) > 1 else 0.0
+    if not span > 0.0:
+        raise UnboundedParameter(
+            "the boundary lines meet in fewer than two region vertices; "
+            "the parameter is unbounded"
         )
-    else:
-        center = np.zeros(2)
-        span = float(np.abs(offsets).max())
-    gscale = float(np.clip(max(span, 1.0), 1e-6 * probe, probe))
-    return gscale, center
+    k2 = math.frexp(span)[1]
+    return k + k2, math.ldexp(span, -k2), np.ldexp(verts.mean(axis=0), -k2)
 
 
-def _coarse_search(normals, offsets, seeds, scale, gscale, center, kappa, max_iter=600):
+def _coarse_search(normals, offsets, seeds, gscale, center, kappa, max_iter=600):
     """Vectorized compass search maximizing p - kappa * (3 smallest slacks).
 
     States are (apex_x, apex_y, axis_angle, p); infeasible states score
     -inf.  Returns (final states, escaped mask, drifted mask); a start
-    escapes when its parameter exceeds the growth cap 1e6 * scale, and
+    escapes when its parameter exceeds the growth cap 1e6 * gscale, and
     drifts when it leaves a generous multiple of the geometry scale --
     evidence that the penalty weight is too weak for this geometry.
     """
@@ -360,7 +366,7 @@ def _coarse_search(normals, offsets, seeds, scale, gscale, center, kappa, max_it
     nsmall = min(3, m)
     z = seeds.copy()
     s = len(z)
-    p_cap = 1e6 * scale
+    p_cap = 1e6 * gscale
     drift_cap = 100.0 * gscale
 
     def objective(zz):
@@ -385,7 +391,7 @@ def _coarse_search(normals, offsets, seeds, scale, gscale, center, kappa, max_it
         dirs[2 * i, i] = 1.0
         dirs[2 * i + 1, i] = -1.0
     weights = np.array([1.0, 1.0, 1.0 / gscale, 1.0])
-    stop = max(1e-8 * gscale, 1e-10 * scale)
+    stop = 1e-8 * gscale
     escaped = np.zeros(s, dtype=bool)
     drifted = np.zeros(s, dtype=bool)
     for _ in range(max_iter):
@@ -414,7 +420,7 @@ def _coarse_search(normals, offsets, seeds, scale, gscale, center, kappa, max_it
     return z, escaped, drifted
 
 
-def _make_seeds(region, arc, scale, gscale, center, starts, rng):
+def _make_seeds(region, arc, gscale, center, starts, rng):
     """Seed states: pairwise inward-normal bisector directions plus random
     feasible directions, apexes from interior samples.  The first apex is
     ``_chebyshev_point``, so the apex pool is never empty."""
@@ -439,13 +445,7 @@ def _make_seeds(region, arc, scale, gscale, center, starts, rng):
     rng.shuffle(thetas)
 
     apex0, _ = _chebyshev_point(ns, ds, arc, center, gscale)
-    box = min(2.0 * gscale, 0.5 * scale)
-    samples = np.vstack(
-        [
-            center + rng.uniform(-box, box, (4096, 2)),
-            rng.uniform(-0.5, 0.5, (512, 2)) * scale,
-        ]
-    )
+    samples = center + rng.uniform(-2.0 * gscale, 2.0 * gscale, (4096, 2))
     slack = ds[None, :] - samples @ ns.T
     good = samples[slack.min(axis=1) > 0]
     pool = np.vstack([apex0[None, :], good]) if len(good) else apex0[None, :]
@@ -460,16 +460,11 @@ def _make_seeds(region, arc, scale, gscale, center, starts, rng):
     with np.errstate(divide="ignore", over="ignore"):  # masked by the where
         pmax = np.where(cmat > 1e-300, e / np.maximum(cmat, 1e-300), np.inf).min(axis=1)
     p0 = 0.5 * np.where(np.isfinite(pmax), pmax, 0.1 * gscale)
-    p0 = np.clip(p0, 1e-9 * gscale, 1e3 * scale)
+    p0 = np.clip(p0, 1e-9 * gscale, 1e3 * gscale)
     return np.column_stack([apexes, thetas, p0])
 
 
-def solve_max_parabola(
-    region: ConvexRegion,
-    starts: int = 64,
-    seed: int = 0,
-    probe_diameter: float = 1e3,
-) -> MaxParabolaSolution:
+def solve_max_parabola(region: ConvexRegion, starts: int = 64, seed: int = 0) -> MaxParabolaSolution:
     """Largest parabola pinned by three boundary tangencies in the region.
 
     Enumerates all C(m, 3) tangent triples and takes the largest exact
@@ -477,52 +472,34 @@ def solve_max_parabola(
     pattern searches from seeded apexes and axis directions are assigned
     to their nearest pinned member; the starts that reach the maximum
     and their spread form the agreement certificate in ``convergence``.
-    Tolerances are relative to ``probe_diameter``, the reference length
-    for these unbounded regions; it bounds no search box, and translating
-    the region translates the solution.  A half-plane is active when its
-    violation is >= -1e-7 max(probe_diameter, |offset|, |apex|_inf, p).
+    Everything runs on the region divided by 2^k, k the binary exponent
+    of its vertex span (``_unit_scale``), so tolerances are relative to
+    that span and scaling by 2^j scales apex, parameter and spread
+    exactly.  Translating the region translates the solution and the
+    seeds.  A half-plane is active when its violation is
+    >= -1e-7 max(span, |offset|, |apex|_inf, p) in those units.
 
     Raises NoInscribedParabola when no parabola fits at all (parallel or
-    surrounding boundary normals, empty region) and UnboundedParameter
-    when parabolas fit but their size is unbounded (e.g. a two-line
-    wedge), or NumericalRootFailure when an unsolved triple might have
-    pinned one.  Raises ValueError when ``starts < 1`` or
-    ``probe_diameter`` is not finite and positive.
+    surrounding boundary normals) and UnboundedParameter when parabolas
+    fit but their size is unbounded (e.g. a two-line wedge), or
+    NumericalRootFailure when an unsolved triple might have pinned one.
+    Raises ValueError when ``starts < 1``.
     """
-    scale = float(probe_diameter)
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise ValueError("probe_diameter must be finite and positive")
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    ns, ds = region.normals, region.offsets
-    m = len(ns)
-    arc = _feasible_direction_arc(ns)
+    arc = _feasible_direction_arc(region.normals)
     if arc is None:
         raise NoInscribedParabola(
             "no axis direction is compatible with every half-plane"
         )
-    rng = np.random.default_rng(seed)
-    gscale, center = _geometry_scale(ns, ds, scale)
-    seeds = _make_seeds(region, arc, scale, gscale, center, starts, rng)
-
-    states = seeds
-    escaped = np.zeros(len(seeds), dtype=bool)
-    kappa = 8.0
-    while True:
-        states, escaped, drifted = _coarse_search(
-            ns, ds, states, scale, gscale, center, kappa
-        )
-        bad = escaped | drifted
-        if not bad.any() or kappa >= 512.0:
-            break
-        kappa *= 8.0
-        states = np.where(bad[:, None], seeds, states)
-    unfinished = escaped | drifted
+    k, gscale, center = _unit_scale(region.normals, region.offsets)
+    unit = ConvexRegion(HalfPlane(h.normal, math.ldexp(h.offset, -k)) for h in region.halfplanes)
+    ns, ds = unit.normals, unit.offsets
 
     solutions, failure = [], None
-    for t in itertools.combinations(range(m), 3):
+    for t in itertools.combinations(range(len(ns)), 3):
         try:
-            r = _polish_triple(region, t)
+            r = _polish_triple(unit, t)
         except NumericalRootFailure as exc:
             failure = exc
             continue
@@ -536,30 +513,29 @@ def solve_max_parabola(
             "the parameter is unbounded"
         )
 
-    # assign each non-escaped start to the nearest pinned solution in the
+    seeds = _make_seeds(unit, arc, gscale, center, starts, np.random.default_rng(seed))
+    states = seeds
+    kappa = 8.0
+    while True:
+        states, escaped, drifted = _coarse_search(ns, ds, states, gscale, center, kappa)
+        unfinished = escaped | drifted
+        if not unfinished.any() or kappa >= 512.0:
+            break
+        kappa *= 8.0
+        states = np.where(unfinished[:, None], seeds, states)
+
+    # assign each finished start to the nearest pinned solution in the
     # scaled state space (which basin did it converge to)
-    sol_states = np.array(
-        [
-            [r[1][0], r[1][1], r[2], r[0]]  # apex_x, apex_y, angle, p
-            for r in solutions
-        ]
-    )
-    per_start = []
-    for idx in range(len(states)):
-        if unfinished[idx]:
-            per_start.append(None)
-            continue
-        z = states[idx]
+    sol_states = np.array([[*r[1], r[2], r[0]] for r in solutions])  # apex, angle, p
+    found = []
+    for z in states[~unfinished]:
         dpos = np.abs(sol_states[:, :2] - z[:2]).max(axis=1)
         dth = np.abs((sol_states[:, 2] - z[2] + np.pi) % (2.0 * np.pi) - np.pi)
         dist = np.maximum(dpos, np.maximum(dth * gscale, np.abs(sol_states[:, 3] - z[3])))
-        per_start.append(solutions[int(np.argmin(dist))])
+        found.append(solutions[int(np.argmin(dist))])
 
-    found = [r for r in per_start if r is not None]
-    overall = max(solutions, key=lambda r: r[0])
-
-    p_best, apex_best, angle_best, parabola, _lam, _frame = overall
-    agree_tol = max(1e-9 * scale, 1e-7 * p_best)
+    p_best, apex_best, angle_best = max(solutions, key=lambda r: r[0])[:3]
+    agree_tol = max(1e-9 * gscale, 1e-7 * p_best)
     agreeing = [r for r in found if abs(r[0] - p_best) <= agree_tol]
     spread = 0.0
     for r in agreeing:
@@ -568,18 +544,20 @@ def solve_max_parabola(
             spread,
             float(np.abs(r[1] - apex_best).max()),
             abs(r[0] - p_best),
-            dth * scale / (2.0 * np.pi),
+            dth * gscale / (2.0 * np.pi),
         )
 
     axis_dir = (np.cos(angle_best), np.sin(angle_best))
     viol = halfplane_violation(apex_best, axis_dir, p_best, ns, ds)
-    tol = 1e-7 * np.maximum(max(scale, float(np.abs(apex_best).max()), p_best), np.abs(ds))
-    active = tuple(int(i) for i in np.nonzero(viol >= -tol)[0])
+    tol = 1e-7 * np.maximum(max(gscale, float(np.abs(apex_best).max()), p_best), np.abs(ds))
+    with np.errstate(over="ignore"):  # beyond the float range: Parabola's ValueError
+        parabola = Parabola(np.ldexp(apex_best, k), angle_best, np.ldexp(p_best, k))
+        spread = float(np.ldexp(spread, k))
     return MaxParabolaSolution(
         parabola=parabola,
-        apex=apex_best,
-        axis_angle=angle_best,
-        active_constraints=active,
+        apex=parabola.apex,
+        axis_angle=parabola.axis_angle,
+        active_constraints=tuple(int(i) for i in np.nonzero(viol >= -tol)[0]),
         convergence=Convergence(
             starts=len(seeds), agreeing_starts=len(agreeing), spread=spread
         ),

@@ -192,6 +192,16 @@ def dual_pencil_line_preservation(
 # -- horocycle cover: size reduction and containment ---------------------------
 
 
+def _check_cover_args(cases: int, a_range) -> None:
+    """ValueError unless there is a case and an overlapping pair can be
+    drawn: the radicand is largest at the largest size and the smallest
+    angle 0.02, and the draws would never end without one."""
+    if cases < 1:
+        raise ValueError("cases must be at least 1")
+    if not intersection_radicand(max(a_range), 0.02) > 1e-6:
+        raise ValueError(f"a_range {tuple(a_range)} admits no overlapping horocycle pair")
+
+
 def _random_pair_with_overlap(rng, a_lo: float, a_hi: float):
     while True:
         a = rng.uniform(a_lo, a_hi)
@@ -210,8 +220,10 @@ def size_reduction_suite(
     Also checks the endpoint identity R|_{t=1} = 4 a^2 (1 - 2 a^2) and
     the factorization of L^2 - R^2 at each sampled (a, t).  Sizes are
     drawn from ``a_range``; a range above 2^{-1/2} makes the suite fail,
-    which is exactly the sharpness of the bound.
+    which is exactly the sharpness of the bound.  Raises ValueError as
+    ``_check_cover_args`` does.
     """
+    _check_cover_args(cases, a_range)
 
     def one(case_seed: int) -> dict:
         rng = np.random.default_rng(case_seed)
@@ -260,8 +272,12 @@ def cover_containment_suite(
     Below the bound every sampled common-interior point must satisfy the
     certificate k > 0 and lie inside the cover.  The dict also reports
     how many cases had the cover come out larger than a (the sharpness
-    signal when a_range goes above 2^{-1/2}).
+    signal when a_range goes above 2^{-1/2}).  Raises ValueError as
+    ``_check_cover_args`` does, or when ``samples < 1``.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    _check_cover_args(cases, a_range)
 
     def one(case_seed: int) -> dict:
         rng = np.random.default_rng(case_seed)

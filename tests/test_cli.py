@@ -1,12 +1,17 @@
 """CLI subcommands: schemas, determinism, exit codes, SVG output."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conic_extrema import cli
 from conic_extrema.cli import dumps_result, main
@@ -25,6 +30,17 @@ HALFPLANES = {
 LEMMA = {"a": 0.5, "omega": 0.2}
 CENTER = {"points": [[0.0, 0.0]]}
 VERIFY = {"suite": "pencil"}
+
+
+def run_cli_subprocess(argv, timeout=None):
+    """``python -m conic_extrema.cli argv`` with this checkout's src/ on the path."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else []))}
+    return subprocess.run(
+        [sys.executable, "-m", "conic_extrema.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 def run_cli(tmp_path, command, payload, tag, svg=False, extra=()):
@@ -135,7 +151,7 @@ class TestExitCodes:
         "command,payload,extra",
         [
             ("max-parabola", HALFPLANES, ["--starts", "0"]),
-            ("max-parabola", {**HALFPLANES, "probe_diameter": 0}, []),
+            ("max-parabola", {"halfplanes": [{"normal": [1.0, 1.0], "offset": 0.0}]}, []),
             (
                 "exparabola",
                 {"triangle": {**TRIANGLE["triangle"], "A": [float("nan"), 0.0]}},
@@ -192,13 +208,9 @@ class TestStrictOutput:
         inp = tmp_path / "in.json"
         out = tmp_path / "out.json"
         inp.write_text(json.dumps(scaled_payload(command, scale)))
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else []))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "conic_extrema.cli", command, "--input", str(inp),
-             "--output", str(out), "--svg", str(tmp_path / "fig.svg"), "--starts", "8"],
-            capture_output=True, text=True, env=env,
+        proc = run_cli_subprocess(
+            [command, "--input", str(inp), "--output", str(out),
+             "--svg", str(tmp_path / "fig.svg"), "--starts", "8"]
         )
         assert proc.returncode in (0, 1), proc.stderr
         lines = proc.stderr.splitlines()
@@ -222,6 +234,99 @@ class TestStrictOutput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert strict_json(err[0])["error"] == "NonFiniteResult"
+
+
+def assert_one_json_error_line(text):
+    lines = text.splitlines()
+    assert len(lines) == 1, text
+    assert "error" in strict_json(lines[0])
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "raw", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b"[1, 2]"],
+        ids=["not-utf8", "nested-1e5", "not-an-object"],
+    )
+    def test_unreadable_input_is_io_error(self, tmp_path, capsys, raw):
+        inp = tmp_path / "raw.json"
+        inp.write_bytes(raw)
+        code = main(["verify", "--input", str(inp), "--output", str(tmp_path / "o.json")])
+        assert code == 3
+        assert_one_json_error_line(capsys.readouterr().err)
+
+    def test_cover_range_without_overlap_is_schema_error(self, tmp_path):
+        # below a ~ 0.02 no pair of sizes in the range overlaps: the
+        # suite used to redraw pairs forever
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"suite": "cover", "a_range": [0.001, 0.002]}))
+        proc = run_cli_subprocess(
+            ["verify", "--input", str(inp), "--output", str(tmp_path / "o.json")], timeout=60
+        )
+        assert proc.returncode == 3
+        assert_one_json_error_line(proc.stderr)
+
+    @pytest.mark.parametrize("extra", [{"cases": 0}, {"samples": 0}, {"cases": float("inf")}])
+    def test_empty_cover_suite_is_schema_error(self, tmp_path, capsys, extra):
+        code, _ = run_cli(tmp_path, "verify", {"suite": "cover", **extra}, "empty")
+        assert code == 3
+        assert_one_json_error_line(capsys.readouterr().err)
+
+
+# -- contract fuzz: any small payload exits 0..3 with clean stderr -------------
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+    st.lists(st.floats(-2.0, 2.0), max_size=3), st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+NUM = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([float("nan"), float("inf")]), JUNK)
+POINT = st.one_of(st.lists(st.floats(-0.9, 0.9), min_size=2, max_size=2), st.lists(NUM, max_size=3))
+UNIT = st.floats(0.0, 2.0 * math.pi).map(lambda t: [math.cos(t), math.sin(t)])
+
+
+def _payload(fields):
+    # every key may be missing, and every value may be junk
+    return st.one_of(
+        st.fixed_dictionaries({}, optional={k: st.one_of(v, JUNK) for k, v in fields.items()}),
+        JUNK,
+    )
+
+
+PAYLOADS = {
+    "exparabola": _payload(
+        {"triangle": st.fixed_dictionaries({}, optional={v: POINT for v in "ABC"})}
+    ),
+    "max-parabola": _payload({"halfplanes": st.lists(
+        st.fixed_dictionaries({}, optional={"normal": st.one_of(UNIT, POINT), "offset": NUM}),
+        max_size=5,
+    )}),
+    "lemma-shrink": _payload({"a": NUM, "omega": NUM}),
+    "min-horocycle": _payload({"points": st.lists(POINT, max_size=6)}),
+    "verify": _payload({
+        "suite": st.sampled_from(["pencil", "cover", "all", "nope"]),
+        "cases": st.one_of(st.integers(-1, 3), NUM),
+        "samples": st.one_of(st.integers(-1, 200), NUM),
+        "a_range": st.lists(NUM, max_size=3),
+    }),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_fuzz(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(PAYLOADS)))
+    payload = data.draw(PAYLOADS[command])
+    inp = tmp_path / "fuzz.json"
+    inp.write_text(json.dumps(payload))  # NaN and inf as the literals json.load accepts
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(inp), "--output", str(tmp_path / "o.json"),
+                     "--starts", "4", "--grid", "64"])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert_one_json_error_line(err.getvalue())
 
 
 class TestDeterminism:

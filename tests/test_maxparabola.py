@@ -1,6 +1,7 @@
 """Containment tests and the pinned maximal-parabola solver."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -31,9 +32,9 @@ from conic_extrema.exparabola import solve_cubic, tangency_cubic
 from conic_extrema.maxparabola import (
     _chebyshev_point,
     _feasible_direction_arc,
-    _geometry_scale,
     _pencil_world,
     _polish_triple,
+    _unit_scale,
 )
 from conftest import random_pinned_region, random_triangle
 
@@ -276,8 +277,8 @@ class TestSolver:
             assert sol.convergence.agreeing_starts >= 1
 
     def test_seed_point_is_deep_inside(self, rng):
-        # the closed-form seed apex has every slack >= gscale, for random
-        # pinned regions and for far translates of them
+        # the closed-form seed apex of the unit region has every slack >=
+        # gscale, for random pinned regions and for far translates of them
         for trial in range(40):
             region, _ = random_pinned_region(rng, extra_max=6)
             if trial % 2:
@@ -285,8 +286,10 @@ class TestSolver:
                 region = ConvexRegion(
                     [HalfPlane(h.normal, h.offset + h.normal @ shift) for h in region.halfplanes]
                 )
-            ns, ds = region.normals, region.offsets
-            gscale, center = _geometry_scale(ns, ds, 1e3)
+            ns = region.normals
+            k, gscale, center = _unit_scale(ns, region.offsets)
+            assert 0.5 <= gscale < 1.0
+            ds = np.ldexp(region.offsets, -k)
             x, smallest = _chebyshev_point(ns, ds, _feasible_direction_arc(ns), center, gscale)
             slack = ds - ns @ x
             assert smallest == slack.min()
@@ -297,12 +300,6 @@ class TestSolver:
         t = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="starts"):
             solve_max_parabola(triangle_region(t, "C"), starts=starts)
-
-    @pytest.mark.parametrize("probe", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_probe_diameter_rejected(self, probe):
-        t = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-        with pytest.raises(ValueError, match="probe_diameter"):
-            solve_max_parabola(triangle_region(t, "C"), probe_diameter=probe)
 
     def test_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(conic_extrema.__file__))
@@ -403,30 +400,81 @@ S2 = 0.7071067811865475
 
 
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(-150, 150), scaled_probe=st.booleans())
-def test_bounded_region_solves_at_every_scale(k, scaled_probe):
-    # y >= 0 under two 45 degree lines, scaled by s: p = 2 s, whether the
-    # reference length scales along or stays at its default
+@given(k=st.integers(-150, 150))
+def test_bounded_region_solves_at_every_scale(k):
+    # y >= 0 under two 45 degree lines, scaled by s: p = 2 s
     s = 10.0**k
     region = ConvexRegion(
         [HalfPlane([0.0, 1.0], 0.0), HalfPlane([S2, S2], S2 * s), HalfPlane([-S2, S2], S2 * s)]
     )
-    probe = 1e3 * s if scaled_probe else 1e3
-    sol = solve_max_parabola(region, starts=4, probe_diameter=probe)
+    sol = solve_max_parabola(region, starts=4)
     assert sol.parabola.parameter == pytest.approx(2.0 * s, rel=1e-12)
-    if scaled_probe:
-        assert sol.active_constraints == (0, 1, 2)
+    assert sol.active_constraints == (0, 1, 2)
 
 
 @pytest.mark.parametrize("s", [1e-150, 1e-10, 1.0, 1e12, 1e100, 1e200, 1e300])
 def test_active_constraints_at_every_scale_default_probe(s):
-    # all three lines touch the exparabola; at the default reference length
-    # a fixed 1e-7 * probe_diameter tolerance lost line 1 from 1e12 up
+    # all three lines touch the exparabola; a tolerance fixed in world
+    # units (once 1e-7 * 1e3) lost line 1 from 1e12 up
     region = ConvexRegion(
         [HalfPlane([0.0, 1.0], 0.0), HalfPlane([S2, S2], S2 * s), HalfPlane([-S2, S2], S2 * s)]
     )
     sol = solve_max_parabola(region, starts=4)
     assert sol.active_constraints == (0, 1, 2)
+
+
+def scaled_region(region, scale, shift=(0.0, 0.0)):
+    """The region scaled by ``scale`` about the origin, then shifted."""
+    return ConvexRegion(
+        HalfPlane(h.normal, h.offset * scale + h.normal @ np.asarray(shift))
+        for h in region.halfplanes
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e", [14, -14, 16, -16, 100, -100, 200, -200, 300, -300])
+def test_pinned_regions_solve_at_every_scale(e):
+    # the parameter scales with the region; differencing the pencil at
+    # lam = 1 and lam = 0 in world units lost the slope from about 1e14 up
+    rng = np.random.default_rng(1414)
+    for _ in range(6):
+        region, _ = random_pinned_region(rng)
+        p0 = solve_max_parabola(region, starts=8).parabola.parameter
+        big = scaled_region(region, 10.0**e)
+        sol = solve_max_parabola(big, starts=8)
+        p = sol.parabola.parameter
+        assert abs(p / (p0 * 10.0**e) - 1.0) <= 1e-12
+        axis = (math.cos(sol.axis_angle), math.sin(sol.axis_angle))
+        viol = halfplane_violation(sol.apex, axis, p, big.normals, big.offsets)
+        assert viol.max() <= 1e-12 * p
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900))
+def test_power_of_two_scaling_is_exactly_covariant(seed, k):
+    region, _ = random_pinned_region(np.random.default_rng(seed))
+    a = solve_max_parabola(region, starts=8, seed=seed)
+    b = solve_max_parabola(scaled_region(region, 2.0**k), starts=8, seed=seed)  # exact
+    assert b.parabola.parameter == math.ldexp(a.parabola.parameter, k)
+    assert (b.apex == np.ldexp(a.apex, k)).all()
+    assert b.convergence.spread == math.ldexp(a.convergence.spread, k)
+    assert b.axis_angle == a.axis_angle
+    assert b.active_constraints == a.active_constraints
+    assert b.convergence.agreeing_starts == a.convergence.agreeing_starts
+
+
+def test_translation_keeps_the_certificate():
+    # seeds and search live around the region's own vertices, so a shifted
+    # region gives the shifted solution and as many agreeing starts
+    rng = np.random.default_rng(3030)
+    for trial in range(30):
+        region, _ = random_pinned_region(rng)
+        shift = rng.uniform(-1e3, 1e3, 2)
+        a = solve_max_parabola(region, starts=64, seed=trial)
+        b = solve_max_parabola(scaled_region(region, 1.0, shift=shift), starts=64, seed=trial)
+        assert b.parabola.parameter == pytest.approx(a.parabola.parameter, rel=1e-9)
+        assert np.abs(b.apex - shift - a.apex).max() <= 1e-9 * np.abs(shift).max()
+        assert b.convergence.agreeing_starts == a.convergence.agreeing_starts
 
 
 UNIT = st.floats(-1.0, 1.0)
