@@ -13,6 +13,7 @@ from .errors import (
     DegenerateTriangle,
     NoCommonInterior,
     NoInscribedParabola,
+    NonFiniteResult,
     NonpositiveParameter,
     NotAParabola,
     NumericalRootFailure,

@@ -45,6 +45,10 @@ class UnboundedParameter(ConicExtremaError):
     """Inscribed parabola size grows without bound in this region."""
 
 
+class NonFiniteResult(ConicExtremaError):
+    """A result lies outside the float range."""
+
+
 class NoCommonInterior(ConicExtremaError):
     """The two horocycles have no common interior points."""
 

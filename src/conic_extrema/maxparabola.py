@@ -22,19 +22,21 @@ parabolas tangent to (at least) three boundary lines and contained in the
 region.  For a region bounded by the three side lines of a triangle that
 maximum is exactly the corresponding exparabola.
 
-The maximum itself is exact.  For every one of the C(m, 3) tangent
-triples of boundary lines, the dual pencil D(lam) of parabolas tangent
-to the triple is linear in the tangency abscissa lam, so each further
-half-plane admits a lam-interval cut out by two linear conditions; the
-squared parameter is unimodal along the pencil, so the triple's
+The maximum itself is exact.  Only edge lines, the boundary lines
+through a region vertex, can touch a contained parabola: a line that
+meets the region in one point or none could touch it only at a corner.
+For every triple of edge lines, the dual pencil D(lam) of parabolas
+tangent to the triple is linear in the tangency abscissa lam, so every
+other half-plane admits a lam-interval cut out by two linear conditions;
+the squared parameter is unimodal along the pencil, so the triple's
 constrained maximum is its cubic root clipped to that interval, a member
 written in apex form (``pencil_member``), with no matrix.  The largest
-of these over all triples is the solution.  Independently, a
-multi-start derivative-free pattern search over (apex_x, apex_y,
-axis_angle, p), with an exact penalty on the three smallest containment
-slacks pulling iterates onto the pinned set, is run from seeded starts;
-assigning each converged start to its nearest pinned triple gives the
-agreement certificate.
+of these over all triples is the solution.  Independently, a multi-start
+derivative-free pattern search over (apex_x, apex_y, axis_angle, p),
+with an exact penalty on the three smallest containment slacks pulling
+iterates onto the pinned set, is run from seeded starts; assigning each
+converged start to its nearest pinned triple gives the agreement
+certificate.
 
 The only length is the region's own.  Its vertices (the feasible
 pairwise intersections of the boundary lines) span some length; the
@@ -227,35 +229,14 @@ def _chebyshev_point(normals, offsets, arc, center, gscale: float):
 # -- exact polish along the dual pencil of a tangent triple ------------------
 
 
-def _triple_frame(region: ConvexRegion, triple):
-    """Canonical frame of a tangent triple, or None when incompatible.
-
-    The three boundary lines must be pairwise non-parallel and the region
-    orientation must put exactly one of them on the negative side of the
-    triangle they span (parabolas tangent to three lines live in the
-    one-negative-two-positive cells only).
-    """
-    ns = region.normals
-    ds = region.offsets
-    i, j, k = triple
-    verts = {}
-    for opp, (r, s) in ((k, (i, j)), (j, (i, k)), (i, (j, k))):
-        a = np.array([ns[r], ns[s]])
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) < 1e-12:
-            return None
-        verts[opp] = np.linalg.solve(a, np.array([ds[r], ds[s]]))
-    negatives = [l for l in triple if ns[l] @ verts[l] - ds[l] > 0.0]
-    if len(negatives) != 1:
-        return None
-    neg = negatives[0]
-    others = [l for l in triple if l != neg]
-    try:
-        tri = Triangle(A=verts[others[0]], B=verts[others[1]], C=verts[neg])
-        frame = canonical_frame(tri, "AB")
-    except DegenerateTriangle:
-        return None
-    return frame
+def _corners(normals, offsets, i, j):
+    """Meeting points, by Cramer's rule, of the lines n.x = d numbered i[r]
+    and j[r] with |det| > 1e-12; returns (points, mask of those rows)."""
+    (a, b), (c, e) = normals[i].T, normals[j].T
+    det = a * e - b * c
+    ok = np.abs(det) > 1e-12
+    num = np.column_stack([offsets[i] * e - offsets[j] * b, offsets[j] * a - offsets[i] * c])
+    return num[ok] / det[ok, None], ok
 
 
 def _pencil_world(frame, lam: float):
@@ -268,11 +249,15 @@ def _pencil_world(frame, lam: float):
 def _polish_triple(region: ConvexRegion, triple):
     """Maximize the parameter along one tangent triple's pencil.
 
-    Returns (p, apex, axis_angle, parabola, lam, frame) or None.  In the
-    triple's canonical frame the dual pencil D(lam) is linear in lam, so
-    every remaining half-plane n.x <= d, whose line u = (-d, n) maps to
-    frame coordinates u_f = F^T u (F = frame_to_world), admits the members
-    satisfying two linear conditions in lam:
+    Returns (p, apex, axis_angle, parabola, lam, frame) or None.  The
+    three lines must be pairwise non-parallel and the region must put
+    exactly one of them on the negative side of the triangle they span
+    (parabolas tangent to three lines live in the one-negative-two-positive
+    cells only).  In the triple's canonical frame (the triangle's side
+    opposite the negative corner on the x-axis) the dual pencil D(lam) is
+    linear in lam, so every remaining half-plane n.x <= d, whose line
+    u = (-d, n) maps to frame coordinates u_f = F^T u (F = frame_to_world),
+    admits the members satisfying two linear conditions in lam:
 
     (i)  u_f^T D(lam) u_f <= 0: the line misses the member (the line
          y = eps gives -2 eps c2 < 0, which fixes the sign);
@@ -286,8 +271,20 @@ def _polish_triple(region: ConvexRegion, triple):
     lines) makes (i) vanish identically up to rounding and does not clip.
     A clip onto a1 or b1 leaves a singular member: None.
     """
-    frame = _triple_frame(region, triple)
-    if frame is None:
+    i, j, k = triple
+    lines = list(triple)
+    # row r: the corner opposite line triple[r]
+    corners, ok = _corners(region.normals, region.offsets, [j, i, i], [k, k, j])
+    if not ok.all():
+        return None
+    outside = (region.normals[lines] * corners).sum(axis=1) > region.offsets[lines]
+    if outside.sum() != 1:
+        return None
+    neg = int(np.argmax(outside))
+    r1, r2 = (r for r in range(3) if r != neg)
+    try:
+        frame = canonical_frame(Triangle(A=corners[r1], B=corners[r2], C=corners[neg]), "AB")
+    except DegenerateTriangle:
         return None
     a1, b1, c2 = frame.a1, frame.b1, frame.c2
     lam_star = tangency_root(frame)
@@ -322,26 +319,27 @@ def _polish_triple(region: ConvexRegion, triple):
 
 
 def _unit_scale(normals, offsets):
-    """(k, span / 2^k, centre / 2^k) of the region's vertices.
+    """(k, span / 2^k, centre / 2^k, edges) of the region's vertices.
 
-    The vertices are the pairwise boundary-line intersections (|det| >
-    1e-12) that satisfy every half-plane to 1e-9 max(|vertex|_inf,
+    The vertices are the pairwise boundary-line intersections
+    (``_corners``) that satisfy every half-plane to 1e-9 max(|vertex|_inf,
     max |offset|); span is the largest coordinate range among them, centre
     their mean, and k = frexp(span)[1], so span / 2^k lies in [0.5, 1).
     They are found on the offsets divided by a power of two near their
     largest, so nothing overflows.  Fewer than two distinct vertices leave
-    a wedge or a cone, whose parameter is unbounded.
+    a wedge or a cone, whose parameter is unbounded.  With two or more,
+    each edge is a segment or a ray ending at a vertex, so ``edges``, the
+    sorted indices of the lines through a vertex, holds every line that
+    bounds the region along more than a point.
     """
     k = math.frexp(float(np.abs(offsets).max()))[1]
     ds = np.ldexp(offsets, -k)
     i, j = np.triu_indices(len(ds), 1)
-    (a, b), (c, e) = normals[i].T, normals[j].T
-    det = a * e - b * c
-    ok = np.abs(det) > 1e-12
-    verts = np.column_stack([ds[i] * e - ds[j] * b, ds[j] * a - ds[i] * c])[ok] / det[ok, None]
+    verts, ok = _corners(normals, ds, i, j)
     slack = ds - verts @ normals.T
     tol = 1e-9 * np.maximum(np.abs(verts).max(axis=1), np.abs(ds).max())
-    verts = verts[(slack >= -tol[:, None]).all(axis=1)]
+    inside = (slack >= -tol[:, None]).all(axis=1)
+    verts = verts[inside]
     span = float(np.ptp(verts, axis=0).max()) if len(verts) > 1 else 0.0
     if not span > 0.0:
         raise UnboundedParameter(
@@ -349,7 +347,8 @@ def _unit_scale(normals, offsets):
             "the parameter is unbounded"
         )
     k2 = math.frexp(span)[1]
-    return k + k2, math.ldexp(span, -k2), np.ldexp(verts.mean(axis=0), -k2)
+    edges = np.unique(np.concatenate([i[ok][inside], j[ok][inside]])).tolist()
+    return k + k2, math.ldexp(span, -k2), np.ldexp(verts.mean(axis=0), -k2), edges
 
 
 def _coarse_search(normals, offsets, seeds, gscale, center, kappa, max_iter=600):
@@ -467,11 +466,12 @@ def _make_seeds(region, arc, gscale, center, starts, rng):
 def solve_max_parabola(region: ConvexRegion, starts: int = 64, seed: int = 0) -> MaxParabolaSolution:
     """Largest parabola pinned by three boundary tangencies in the region.
 
-    Enumerates all C(m, 3) tangent triples and takes the largest exact
-    pinned member (see ``_polish_triple``).  ``starts`` independent
-    pattern searches from seeded apexes and axis directions are assigned
-    to their nearest pinned member; the starts that reach the maximum
-    and their spread form the agreement certificate in ``convergence``.
+    Enumerates the triples of edge lines (``_unit_scale``), clips each
+    by every half-plane and takes the largest exact pinned member (see
+    ``_polish_triple``).  ``starts`` independent pattern searches from
+    seeded apexes and axis directions are assigned to their nearest
+    pinned member; the starts that reach the maximum and their spread
+    form the agreement certificate in ``convergence``.
     Everything runs on the region divided by 2^k, k the binary exponent
     of its vertex span (``_unit_scale``), so tolerances are relative to
     that span and scaling by 2^j scales apex, parameter and spread
@@ -492,12 +492,12 @@ def solve_max_parabola(region: ConvexRegion, starts: int = 64, seed: int = 0) ->
         raise NoInscribedParabola(
             "no axis direction is compatible with every half-plane"
         )
-    k, gscale, center = _unit_scale(region.normals, region.offsets)
+    k, gscale, center, edges = _unit_scale(region.normals, region.offsets)
     unit = ConvexRegion(HalfPlane(h.normal, math.ldexp(h.offset, -k)) for h in region.halfplanes)
     ns, ds = unit.normals, unit.offsets
 
     solutions, failure = [], None
-    for t in itertools.combinations(range(len(ns)), 3):
+    for t in itertools.combinations(edges, 3):
         try:
             r = _polish_triple(unit, t)
         except NumericalRootFailure as exc:

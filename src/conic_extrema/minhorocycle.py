@@ -51,6 +51,7 @@ PRUNE_DIRECTIONS = 64  # extreme-point directions of the hull prefilter
 PRUNE_MARGIN = 1e-12  # relative depth inside the polygon a dropped point needs
 
 PROFILE_BLOCK = 1 << 15  # angle x point elements per block of the profile kernel
+REFINE_TOL = 1e-12  # radians: golden-section refine stops below this bracket width
 
 
 def as_point_set(points) -> np.ndarray:
@@ -197,23 +198,15 @@ def _hull_superset(pts: np.ndarray) -> np.ndarray:
     return np.nonzero(depth.min(axis=0) <= margin)[0]
 
 
-def solve_min_horocycle(
-    points,
-    grid: int = 720,
-    refine_tol: float = 1e-12,
-    grid_offset: float = 0.0,
-) -> MinHorocycleSolution:
+def solve_min_horocycle(points, grid: int = 720, grid_offset: float = 0.0) -> MinHorocycleSolution:
     """Globally minimal enclosing horocycle of the point set.
 
     Scans ``grid`` ideal angles (optionally offset, for independent
     reruns), golden-section refines every bracketed local minimum down to
-    ``refine_tol`` radians (all brackets in lockstep, one vectorized
-    profile call per step), and takes the best.  ``refine_tol`` must be
-    finite and positive and ``grid_offset`` finite; a bracket that can no
-    longer narrow, because ``refine_tol`` is below the spacing of floats
-    near it, stops there.  The solution is flagged unique iff the minimal
-    size is strictly below 2^{-1/2} and all near-minimal refined
-    minimizers coincide in angle.
+    REFINE_TOL radians (all brackets in lockstep, one vectorized profile
+    call per step), and takes the best.  ``grid_offset`` must be finite.
+    The solution is flagged unique iff the minimal size is strictly below
+    2^{-1/2} and all near-minimal refined minimizers coincide in angle.
 
     The scan and the refine see only a superset of the convex-hull
     vertices: horocycle interiors are convex, so the profile over those
@@ -222,8 +215,6 @@ def solve_min_horocycle(
     """
     if grid < 1:
         raise ValueError("grid must be at least 1")
-    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ValueError("refine_tol must be finite and positive")
     if not math.isfinite(grid_offset):
         raise ValueError("grid_offset must be finite")
     pts = as_point_set(points)
@@ -241,7 +232,7 @@ def solve_min_horocycle(
     # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
     wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
     xs, vals = _golden_minimize(
-        lambda th: _profile(th, hull), wrapped[idx], wrapped[idx + 2], refine_tol
+        lambda th: _profile(th, hull), wrapped[idx], wrapped[idx + 2], REFINE_TOL
     )
     minima = [(val, th % (2.0 * np.pi)) for th, val in zip(xs, vals)]
     minima.sort()

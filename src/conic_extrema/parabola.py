@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonpositiveParameter, NotAParabola
+from .errors import NonFiniteResult, NonpositiveParameter, NotAParabola
 from .projective import ConicMatrix, pullback, rotation_h, translation_h
 
 PARABOLA_TOL = 1e-9
@@ -128,14 +128,17 @@ class Parabola:
     def conic(self) -> ConicMatrix:
         """x^2 / p = 2 y pulled back to world coordinates.
 
-        Dividing by p makes the entries |apex|^2 / p, |apex| / p and 1 / p,
-        finite for figures of any size in the float range.
+        Dividing by p makes the entries |apex|^2 / p, |apex| / p and 1 / p;
+        NonFiniteResult when one of them overflows (p below about 1e-307).
         """
         phi = self.axis_angle - np.pi / 2.0
         # world -> canonical: undo the translation, then the rotation
         world_to_canon = rotation_h(-phi) @ translation_h(-self.apex)
         canon = np.array([[0.0, 0.0, -1.0], [0.0, 1.0 / self.parameter, 0.0], [-1.0, 0.0, 0.0]])
-        return pullback(ConicMatrix(canon), world_to_canon)
+        try:
+            return pullback(ConicMatrix(canon), world_to_canon)
+        except ValueError as exc:  # an entry left the float range
+            raise NonFiniteResult("parabola matrix entries are not finite") from exc
 
 
 def apex_form(c: ConicMatrix):

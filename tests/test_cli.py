@@ -200,11 +200,12 @@ def scaled_payload(command, s):
 
 
 class TestStrictOutput:
-    @pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e-310, 1e-308, 1e-200, 1e-150, 1e150, 1e200, 1e300])
     @pytest.mark.parametrize("command", ["exparabola", "max-parabola"])
     def test_extreme_scale_subprocess(self, tmp_path, command, scale):
         # exit 0 or 1, no traceback or warning: stderr is empty or one JSON
-        # line, and the output file is strict JSON
+        # line, and the output file is strict JSON; a solved figure whose
+        # matrix entries (about 1 / p) overflow is NonFiniteResult
         inp = tmp_path / "in.json"
         out = tmp_path / "out.json"
         inp.write_text(json.dumps(scaled_payload(command, scale)))
@@ -216,7 +217,7 @@ class TestStrictOutput:
         lines = proc.stderr.splitlines()
         assert len(lines) == (proc.returncode == 1), proc.stderr
         if lines:
-            assert "error" in strict_json(lines[0])
+            assert strict_json(lines[0])["error"] == "NonFiniteResult"
         else:
             doc = strict_json(out.read_text())
             p = doc["parameter"] if command == "max-parabola" else doc["exparabolas"][0]["parameter"]

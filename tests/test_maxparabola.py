@@ -45,6 +45,45 @@ def literal_region(normals, offsets):
     return ConvexRegion([HalfPlane(n, d) for n, d in zip(normals, offsets)])
 
 
+def clipped_edge_lines(region):
+    """Oracle: the lines left longer than rounding after clipping by the
+    other half-planes, and the clipped (lo, hi) of every line along
+    x = d n + s (-n_y, n_x)."""
+    ns, ds = region.normals, region.offsets
+    scale = max(1.0, float(np.abs(ds).max()))
+    edges, spans = [], []
+    for i, (n, d) in enumerate(zip(ns, ds)):
+        along = ns @ np.array([-n[1], n[0]])
+        room = ds - d * (ns @ n)  # s * along <= room on every line
+        lo, hi = -np.inf, np.inf
+        for j in range(len(ds)):
+            if j == i:
+                continue
+            if abs(along[j]) <= 1e-12:
+                hi = -np.inf if room[j] < -1e-12 * scale else hi
+            elif along[j] > 0.0:
+                hi = min(hi, room[j] / along[j])
+            else:
+                lo = max(lo, room[j] / along[j])
+        spans.append((lo, hi))
+        if hi - lo > 1e-9 * scale:
+            edges.append(i)
+    return edges, spans
+
+
+def with_vertex_lines(region, spans):
+    """The region with a line through exactly one region vertex added, and
+    with a half-plane whose line misses the region added."""
+    ns, ds = region.normals, region.offsets
+    i = next(i for i, (lo, hi) in enumerate(spans) if lo < hi < np.inf)
+    v = ds[i] * ns[i] + spans[i][1] * np.array([-ns[i][1], ns[i][0]])
+    on = np.abs(ns @ v - ds) <= 1e-9 * max(1.0, float(np.abs(ds).max()))
+    w = ns[on].sum(axis=0)
+    w /= np.linalg.norm(w)  # supports the region at v only
+    hps = list(region.halfplanes)
+    return [ConvexRegion(hps + [HalfPlane(w, w @ v + shift)]) for shift in (0.0, 0.25)]
+
+
 # Pinned regions with many half-planes whose optimal triple is not among
 # the five most binding half-planes of any converged start.  m = 17: the
 # triples of those half-planes pin nothing; the optimum is p = 0.93079...
@@ -235,6 +274,44 @@ class TestSolver:
                     best = res[0]
             assert sol.parabola.parameter == pytest.approx(best, rel=1e-12)
         assert min(len(r.halfplanes) for r in regions[6:]) >= 13
+        # the enumeration above covers triples the solver skips
+        assert any(len(clipped_edge_lines(r)[0]) < len(r.halfplanes) for r in regions)
+
+    def test_edge_lines_match_clip_oracle(self, rng):
+        # the solver's edge lines (lines through a region vertex) are the
+        # oracle's on pinned regions; an added line through one vertex
+        # may be kept, but no edge line may be dropped
+        checked = 0
+        for _ in range(30):
+            region, _ = random_pinned_region(rng, extra_max=12)
+            try:
+                edges = _unit_scale(region.normals, region.offsets)[3]
+            except UnboundedParameter:  # extras left a wedge: nothing to enumerate
+                continue
+            checked += 1
+            expected, spans = clipped_edge_lines(region)
+            assert edges == expected
+            for extended in with_vertex_lines(region, spans):
+                assert clipped_edge_lines(extended)[0] == expected
+                assert set(expected) <= set(_unit_scale(extended.normals, extended.offsets)[3])
+        assert checked >= 25
+
+    def test_non_edge_triples_pin_nothing(self, rng):
+        # a contained parabola cannot touch a line that meets the region
+        # in a point or not at all; through a vertex, only a member of
+        # rounding size (seen up to 2e-11 of the base p) passes the clip
+        pruned = 0
+        for _ in range(6):
+            region, p_base = random_pinned_region(rng, extra_max=10, extra_min=4)
+            edges, spans = clipped_edge_lines(region)
+            through, missing = with_vertex_lines(region, spans)
+            for r in (region, missing, through):
+                for triple in itertools.combinations(range(len(r.halfplanes)), 3):
+                    if not set(triple) <= set(edges):
+                        pruned += 1
+                        res = _polish_triple(r, triple)
+                        assert res is None or (r is through and res[0] <= 1e-9 * p_base)
+        assert pruned >= 100
 
     def test_pencil_beyond_halfplane_rejected(self):
         # x - 0.1 y <= -10 keeps part of the worked region, and its line
@@ -287,7 +364,7 @@ class TestSolver:
                     [HalfPlane(h.normal, h.offset + h.normal @ shift) for h in region.halfplanes]
                 )
             ns = region.normals
-            k, gscale, center = _unit_scale(ns, region.offsets)
+            k, gscale, center, _ = _unit_scale(ns, region.offsets)
             assert 0.5 <= gscale < 1.0
             ds = np.ldexp(region.offsets, -k)
             x, smallest = _chebyshev_point(ns, ds, _feasible_direction_arc(ns), center, gscale)

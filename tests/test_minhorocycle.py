@@ -131,11 +131,6 @@ class TestSolve:
         with pytest.raises(ValueError, match="grid"):
             solve_min_horocycle([[0.2, 0.1]], grid=grid)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_refine_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="refine_tol"):
-            solve_min_horocycle([[0.2, 0.1]], refine_tol=tol)
-
     @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_grid_offset_rejected(self, offset):
         with pytest.raises(ValueError, match="grid_offset"):
@@ -144,10 +139,12 @@ class TestSolve:
     @pytest.mark.parametrize("tol", [1e-16, 1e-300])
     def test_refine_tol_below_float_spacing_terminates(self, tol):
         # no bracket can get narrower than the spacing of floats near it
-        pts = [[0.3, 0.2], [-0.1, 0.4], [0.2, -0.3]]
-        fine, default = solve_min_horocycle(pts, refine_tol=tol), solve_min_horocycle(pts)
-        assert fine.horocycle.theta == pytest.approx(default.horocycle.theta, abs=1e-12)
-        assert fine.horocycle.a == pytest.approx(default.horocycle.a, rel=1e-13)
+        pts = np.array([[0.3, 0.2], [-0.1, 0.4], [0.2, -0.3]])
+        default = solve_min_horocycle(pts)
+        lo = np.array([default.horocycle.theta - 2.0 * np.pi / 720])
+        (x,), (a,) = _golden_minimize(lambda th: _profile(th, pts), lo, lo + 4.0 * np.pi / 720, tol)
+        assert x == pytest.approx(default.horocycle.theta, abs=1e-12)
+        assert a == pytest.approx(default.horocycle.a, rel=1e-13)
 
 
 def _in_horocycle(rng, n, theta, a, shrink):
