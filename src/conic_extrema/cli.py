@@ -34,27 +34,17 @@ from .verify import run_suite
 COMMANDS = ("exparabola", "max-parabola", "lemma-shrink", "min-horocycle", "verify")
 
 
-def _plain(obj):
-    """Recursively convert numpy containers to plain Python values."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_default(obj):
+    """``json.dumps`` hook: numpy arrays and scalars as plain Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_result(obj) -> str:
     """Deterministic strict JSON: sorted keys, shortest round-trip floats;
     ValueError on NaN or infinity."""
-    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, default=_numpy_default, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _viewbox(points, pad: float = 1.0):

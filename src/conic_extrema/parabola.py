@@ -2,19 +2,15 @@
 
 A ``Parabola`` is its apex form (apex, opening direction, parameter);
 its matrix is derived on demand.  Recognizing a matrix (``is_parabola``,
-``apex_form``, ``Parabola.from_conic``) uses a regularity test that
-depends on the length unit, so no solver does it.
+``apex_form``, ``Parabola.from_conic``) reduces it in closed form, after
+a regularity test that depends on neither the projective scale nor the
+length unit.  No solver does it: a flat parabola far from the origin has
+a matrix whose determinant is lost in rounding.
 
 A regular conic is a parabola iff it is tangent to the line at infinity,
 which in matrix coefficients reads p11 p22 - p12^2 = 0.  The size of a
 parabola is measured by its parameter: the distance between focus and
 directrix, the single invariant of parabolas under Euclidean congruence.
-In coefficients, with the matrix oriented so that p11 + p22 > 0,
-
-    parameter = |p01 p12 - p02 p11| / ((p11 + p22) sqrt(p11^2 + p12^2)).
-
-The squared variant avoids the absolute value and the square root and is
-used internally for algebraic identities.
 """
 
 from __future__ import annotations
@@ -31,44 +27,69 @@ from .projective import ConicMatrix, pullback, rotation_h, translation_h
 PARABOLA_TOL = 1e-9
 
 
-def is_parabola(c: ConicMatrix, tol: float = PARABOLA_TOL) -> bool:
-    """True iff ``c`` is regular and tangent to the line at infinity.
+def _reduce(c: ConicMatrix, tol: float = PARABOLA_TOL):
+    """(apex, u, p) of a parabola matrix, u the unit opening direction;
+    None unless ``c`` is regular and tangent to the line at infinity.
 
-    The test runs on the matrix recentered near its own geometry, so it
-    stays meaningful for conics far from the coordinate origin, whose
-    raw homogeneous entries dwarf the affine block.
+    With the matrix oriented so that t = tr A > 0 (A the affine block, b
+    the linear part), the conic is tangent to the line at infinity when
+    |det(A / t)| <= ``tol``.  Then A = t v v^T with v the normalized
+    larger row w of A, the axis is d = (-v_y, v_x), and in the coordinates
+    x = s v + r d the conic reads t (s - s0)^2 = -2 beta (r - r0) with
+    alpha = b.v, beta = b.d, s0 = -alpha / t and
+    r0 = -(m00 + alpha s0) / (2 beta): apex s0 v + r0 d, parameter
+    |beta| / t, opening along -sign(beta) d.  A translation leaves t and
+    beta unchanged and moves the apex with it, so nothing is recentered.
+
+    The apex is rational in the entries (s0 v and r0 d need only |w|^2),
+    so it is evaluated exactly, on the entries as integers over one
+    power-of-two denominator, and rounded once: m00 + alpha s0 is the
+    difference of two terms of order |apex|^2 / p, and float evaluation
+    would add its own rounding to the matrix's on flat, distant parabolas.
     """
     if not c.is_regular():
-        return False
-    m, _ = c.recentered()
-    scale = np.abs(m).max() ** 2
-    return abs(m[1, 1] * m[2, 2] - m[1, 2] ** 2) <= tol * scale
+        return None
+    (m00, b0, b1), (_, a11, a12), (_, _, a22) = c.m.tolist()
+    t = a11 + a22
+    if t < 0.0:
+        m00, b0, b1, a11, a12, a22, t = -m00, -b0, -b1, -a11, -a12, -a22, -t
+    # divide before multiplying: products of small entries would underflow
+    if not t > 0.0 or abs((a11 / t) * (a22 / t) - (a12 / t) ** 2) > tol:
+        return None
+    wx, wy = (a11, a12) if abs(a11) >= abs(a22) else (a12, a22)
+    ratios = [x.as_integer_ratio() for x in (m00, b0, b1, wx, wy, t)]
+    den = max(d for _, d in ratios)  # every d is a power of two
+    m00, b0, b1, ix, iy, it = (num * (den // d) for num, d in ratios)
+    # up to powers of den: bw = |w| alpha, bd = |w| beta, q = (m00 + alpha s0) |w|^2 t
+    bw, bd = b0 * ix + b1 * iy, b1 * ix - b0 * iy
+    if bd == 0:
+        return None
+    wwt = (ix * ix + iy * iy) * it
+    q = m00 * wwt - bw * bw
+    # apex = (s0 / |w|) w + (r0 / |w|) (-w_y, w_x), over one denominator
+    div = 2 * bd * wwt
+    apex = np.array([(q * iy - 2 * bd * bw * ix) / div, (-q * ix - 2 * bd * bw * iy) / div])
+    n = math.hypot(wx, wy)
+    sign = 1.0 if bd < 0 else -1.0
+    return apex, (-sign * wy / n, sign * wx / n), abs(bd) / (it * den) / n
 
 
-def _oriented(m: np.ndarray) -> np.ndarray:
-    """Rescale so the trace of the affine part is positive.
-
-    For a genuine parabola p11 + p22 = 0 would force p11 = p12 = 0 and a
-    singular matrix, so the sign is always decidable.
-    """
-    tr = m[1, 1] + m[2, 2]
-    if tr == 0.0:
-        raise NotAParabola("affine trace vanishes; not a regular parabola")
-    return m if tr > 0.0 else -m
+def is_parabola(c: ConicMatrix, tol: float = PARABOLA_TOL) -> bool:
+    """True iff ``c`` is regular and tangent to the line at infinity."""
+    return _reduce(c, tol) is not None
 
 
 def parameter_squared(c: ConicMatrix) -> float:
     """Squared parameter, rational in the matrix entries.
 
-    Evaluated on the recentered matrix; the value is invariant under the
-    translation but the floating-point cancellation is not.
+    In coefficients, with the matrix oriented so that p11 + p22 > 0,
+
+        parameter = |p01 p12 - p02 p11| / ((p11 + p22) sqrt(p11^2 + p12^2)),
+
+    which is |beta| / t of :func:`_reduce` with v the row (p11, p12):
+    the square is beta^2 / t^2.
     """
-    if not is_parabola(c):
-        raise NotAParabola("conic is not a regular parabola")
-    m = _oriented(c.recentered()[0])
-    num = (m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]) ** 2
-    den = (m[1, 1] + m[2, 2]) ** 2 * (m[1, 1] ** 2 + m[1, 2] ** 2)
-    return num / den
+    return parameter(c) ** 2
 
 
 def parameter(c: ConicMatrix) -> float:
@@ -77,7 +98,7 @@ def parameter(c: ConicMatrix) -> float:
     Invariant under rescaling of the matrix and under Euclidean isometries;
     scales linearly under uniform scaling of the plane.
     """
-    return float(np.sqrt(parameter_squared(c)))
+    return apex_form(c)[2]
 
 
 def compare_size(p1: "Parabola", p2: "Parabola") -> int:
@@ -142,35 +163,9 @@ class Parabola:
 
 
 def apex_form(c: ConicMatrix):
-    """Extract (apex, axis_angle, parameter) from a parabola matrix.
-
-    The axis direction is the ideal point of the conic, i.e. the kernel of
-    the affine 2x2 block; the opening sign is fixed by requiring the
-    rotated matrix to describe a parabola opening toward +y.
-    """
-    if not is_parabola(c):
+    """(apex, axis_angle, parameter) of a parabola matrix, by :func:`_reduce`."""
+    reduced = _reduce(c)
+    if reduced is None:
         raise NotAParabola("conic is not a regular parabola")
-    m, anchor = c.recentered()
-    m = _oriented(m)
-    scale = np.abs(m).max()
-    d = np.array([-m[1, 2], m[1, 1]])
-    if np.linalg.norm(d) < 1e-13 * scale:
-        d = np.array([-m[2, 2], m[1, 2]])
-    d = d / np.linalg.norm(d)
-    angle = float(np.arctan2(d[1], d[0]))
-    for _ in range(2):
-        phi = angle - np.pi / 2.0
-        rot = rotation_h(phi)  # canonical -> world on points
-        mc = rot.T @ m @ rot  # matrix in canonical-frame coordinates
-        if abs(mc[1, 1]) > 1e-12 * np.abs(mc).max():
-            mc = mc / mc[1, 1]
-            if mc[0, 2] < 0.0:
-                p = -mc[0, 2]
-                ax = -mc[0, 1]
-                ay = (mc[0, 1] ** 2 - mc[0, 0]) / (2.0 * mc[0, 2])
-                cphi, sphi = np.cos(phi), np.sin(phi)
-                rot2 = np.array([[cphi, -sphi], [sphi, cphi]])
-                apex = anchor + rot2 @ np.array([ax, ay])
-                return apex, angle % (2.0 * np.pi), float(p)
-        angle += np.pi
-    raise NotAParabola("could not reduce the conic to apex form")
+    apex, (ux, uy), p = reduced
+    return apex, math.atan2(uy, ux) % (2.0 * np.pi), p

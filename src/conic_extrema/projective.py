@@ -12,16 +12,19 @@ compared up to a common sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SingularConic, WitnessOnConic, ZeroBlend
 
-# |det| / ||m||_F^3 below this means "singular" (scale invariant).
+# |det| at most this fraction of its rounding bound means "singular".
 SINGULAR_DET_TOL = 1e-10
 # Maximum relative asymmetry accepted at construction time.
 SYMMETRY_TOL = 1e-12
+# Degree in length of each matrix entry: constant, linear, quadratic.
+_DEGREE = np.array([[0, 1, 1], [1, 2, 2], [1, 2, 2]])
 
 
 def _as_vec3(coords) -> np.ndarray:
@@ -90,19 +93,41 @@ class ConicMatrix:
         v = p.coords if isinstance(p, HomPoint) else np.asarray(p, float)
         return float(v @ self.m @ v)
 
-    def recentered(self):
-        """Cached (matrix, anchor) pair from :func:`recenter`; safe to
-        cache because instances are immutable."""
-        cache = getattr(self, "_recenter_cache", None)
-        if cache is None:
-            cache = recenter(self.m)
-            object.__setattr__(self, "_recenter_cache", cache)
-        return cache
-
     def is_regular(self) -> bool:
-        mc, _ = self.recentered()
-        norm = np.linalg.norm(mc)
-        return abs(np.linalg.det(mc)) / norm**3 >= SINGULAR_DET_TOL
+        """|det m| > ``SINGULAR_DET_TOL`` times det m's own rounding bound.
+
+        The bound is the sum of the absolute terms of the cofactor
+        expansion, sum_i |m0i| (|m1j m2k| + |m1k m2j|).  Rescaling m by l
+        multiplies both sides by l^3, and rescaling the plane by s
+        (m -> diag(1, s, s) m diag(1, s, s)) multiplies them by s^4, so
+        the test depends on neither the projective scale nor the length
+        unit.  Both sides are evaluated on m rescaled exactly by powers of
+        two, which changes neither: the plane by 2^k, the conic's own
+        length taken from the ratios of its linear and constant entries to
+        its quadratic ones, then the matrix by its largest entry.  That
+        keeps the products clear of underflow and overflow at any scale.
+        """
+        mag = np.abs(self.m)
+        # (binary exponent, degree in length) of the largest entry of each
+        # nonzero part: constant, linear, quadratic
+        parts = [
+            (math.frexp(x)[1], w)
+            for x, w in ((mag[0, 0], 0), (mag[0, 1:].max(), 1), (mag[1:, 1:].max(), 2))
+            if x
+        ]
+        if len(parts) < 2 or parts[-1][1] != 2:
+            return False  # det m is exactly zero
+        # 2^k ~ (entry / quadratic entry)^(1 / (2 - degree)), a length
+        k = max((e - parts[-1][0]) // (2 - w) for e, w in parts[:-1])
+        top = max(e + w * k for e, w in parts)
+        (a, b, c), (_, d, f), (_, _, i) = np.ldexp(self.m, _DEGREE * k - top).tolist()
+        det = a * (d * i - f * f) - b * (b * i - f * c) + c * (b * f - d * c)
+        bound = (
+            abs(a) * (abs(d * i) + f * f)
+            + abs(b) * (abs(b * i) + abs(f * c))
+            + abs(c) * (abs(b * f) + abs(d * c))
+        )
+        return abs(det) > SINGULAR_DET_TOL * bound
 
 
 def adjugate(m: np.ndarray) -> np.ndarray:
@@ -221,41 +246,3 @@ def pullback(c: ConicMatrix, h: np.ndarray) -> ConicMatrix:
     world coordinates.
     """
     return ConicMatrix(h.T @ c.m @ h)
-
-
-def recenter(m: np.ndarray):
-    """Translate a conic matrix to a well-conditioned anchor point.
-
-    Homogeneous entries grow quadratically with the distance of the
-    geometry from the origin, which wrecks scale-relative determinant
-    and tangency tests even though the conic itself is perfectly
-    regular.  Translating to the conic's own center (or, for parabolas,
-    to a point on the curve along the axis) restores entries of the
-    order of the local geometry.  Returns (recentered matrix, anchor);
-    every projective predicate is invariant under the translation.
-    """
-    a = m[1:, 1:]
-    b = m[1:, 0]
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return m, np.zeros(2)
-    deta = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(deta) > 1e-10 * scale * scale:
-        anchor = -np.linalg.solve(a, b)  # central conic: its center
-    else:
-        # near-parabolic: null direction of the affine block
-        u = np.array([-a[0, 1], a[0, 0]])
-        if np.linalg.norm(u) < 1e-13 * scale:
-            u = np.array([-a[1, 1], a[0, 1]])
-        u = u / np.linalg.norm(u)
-        v = np.array([u[1], -u[0]])
-        sigma = float(v @ a @ v)
-        anchor = -(float(v @ b) / sigma) * v if sigma != 0.0 else np.zeros(2)
-        m1 = translation_h(anchor).T @ m @ translation_h(anchor)
-        denom = 2.0 * float(m1[1:, 0] @ u)
-        if abs(denom) > 1e-13 * max(np.abs(m1).max(), 1.0):
-            anchor = anchor - (m1[0, 0] / denom) * u  # point on the curve
-    if not np.all(np.isfinite(anchor)):
-        return m, np.zeros(2)
-    t = translation_h(anchor)
-    return t.T @ m @ t, anchor

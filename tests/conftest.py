@@ -8,10 +8,12 @@ from conic_extrema import (
     ConvexRegion,
     HalfPlane,
     Triangle,
+    UnboundedParameter,
     exparabolas,
     halfplane_violation,
     triangle_region,
 )
+from conic_extrema.maxparabola import _unit_scale
 
 
 def random_triangle(rng, span: float = 3.0, min_ratio: float = 0.02) -> Triangle:
@@ -48,7 +50,9 @@ def random_pinned_region(rng, extra_max: int = 3, extra_min: int = 1):
 
     Extra half-planes either keep the base exparabola feasible (offset
     pushed outward) or cut shallowly into it; either way a maximal
-    pinned parabola survives.  Returns (region, base_parameter).
+    pinned parabola survives.  An extra is rejected when it would leave
+    fewer than two distinct region vertices (a wedge, whose parameter is
+    unbounded).  Returns (region, base_parameter).
     """
     t = random_triangle(rng, min_ratio=0.06)
     opposite = rng.choice(["A", "B", "C"])
@@ -79,6 +83,10 @@ def random_pinned_region(rng, extra_max: int = 3, extra_min: int = 1):
         angs = np.sort(np.arctan2(cand.normals[:, 1], cand.normals[:, 0]))
         gaps = np.diff(np.concatenate([angs, [angs[0] + 2 * np.pi]]))
         if gaps.max() <= np.pi + 1e-6:
+            continue
+        try:
+            _unit_scale(cand.normals, cand.offsets)
+        except UnboundedParameter:
             continue
         hps.append(hp)
         n_extra -= 1

@@ -406,8 +406,9 @@ class TestClosedFormMembers:
                 axis = fr.frame_to_world[1:, 1:] @ [np.cos(local.axis_angle), np.sin(local.axis_angle)]
                 assert np.abs(axis - [np.cos(para.axis_angle), np.sin(para.axis_angle)]).max() <= 1e-14
                 if k < len(seeded):
-                    # the recognized world matrix, as in the test below; apex
-                    # recognition is unit-dependent on flat shapes
+                    # the recognized world matrix, as in the test above; a
+                    # flat one carries its apex form only to about 1e-9
+                    # (test_flat_exparabola_matrices_keep_their_apex_form)
                     h = fr.world_to_frame
                     primal = pencil_parabola(fr, r.lam).conic.m
                     apex, angle, p = apex_form(ConicMatrix(h.T @ primal @ h))
@@ -434,7 +435,7 @@ class TestClosedFormMembers:
         monkeypatch.setattr(parabola_module, "apex_form", recognition)
         monkeypatch.setattr(parabola_module, "is_parabola", recognition)
         monkeypatch.setattr(Parabola, "from_conic", classmethod(recognition))
-        monkeypatch.setattr(ConicMatrix, "recentered", recognition)
+        monkeypatch.setattr(parabola_module, "_reduce", recognition)
         res = {r.side: r for r in exparabolas(WORKED)}
         assert res["AB"].parabola.parameter == pytest.approx(2.0, rel=1e-15)
         sol = solve_max_parabola(triangle_region(WORKED, "C"), starts=4)
@@ -515,6 +516,23 @@ def tangent_offset_error(conic, tri):
         root = q / (lin + np.copysign(np.sqrt(lin * lin - dual[0, 0] * q), lin))
         worst = max(worst, abs(root - d))
     return worst
+
+
+def test_flat_exparabola_matrices_keep_their_apex_form():
+    # the matrix of a flat exparabola is recognized unless its determinant
+    # is within SINGULAR_DET_TOL of its own rounding bound; then the double
+    # matrix cannot carry the conic
+    recognized = 0
+    for tri in flat_triangles(300, seed=17):
+        t = Triangle(*tri)
+        for r in exparabolas(t):
+            if not is_parabola(r.parabola.conic):
+                continue
+            recognized += 1
+            apex, _, p = apex_form(r.parabola.conic)
+            assert p == pytest.approx(r.parabola.parameter, rel=1e-11)
+            assert np.abs(apex - r.parabola.apex).max() <= 1e-9 * t.diameter
+    assert recognized >= 500
 
 
 def test_flat_triangles_solve():

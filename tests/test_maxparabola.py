@@ -281,20 +281,14 @@ class TestSolver:
         # the solver's edge lines (lines through a region vertex) are the
         # oracle's on pinned regions; an added line through one vertex
         # may be kept, but no edge line may be dropped
-        checked = 0
         for _ in range(30):
             region, _ = random_pinned_region(rng, extra_max=12)
-            try:
-                edges = _unit_scale(region.normals, region.offsets)[3]
-            except UnboundedParameter:  # extras left a wedge: nothing to enumerate
-                continue
-            checked += 1
+            edges = _unit_scale(region.normals, region.offsets)[3]
             expected, spans = clipped_edge_lines(region)
             assert edges == expected
             for extended in with_vertex_lines(region, spans):
                 assert clipped_edge_lines(extended)[0] == expected
                 assert set(expected) <= set(_unit_scale(extended.normals, extended.offsets)[3])
-        assert checked >= 25
 
     def test_non_edge_triples_pin_nothing(self, rng):
         # a contained parabola cannot touch a line that meets the region
@@ -538,6 +532,14 @@ def test_power_of_two_scaling_is_exactly_covariant(seed, k):
     assert b.axis_angle == a.axis_angle
     assert b.active_constraints == a.active_constraints
     assert b.convergence.agreeing_starts == a.convergence.agreeing_starts
+
+
+@pytest.mark.parametrize("seed", [15, 291, 1237, 1382, 1437, 2105, 2175, 2352, 2395, 2660])
+def test_random_pinned_region_is_solvable(seed):
+    # seeds whose extras once cut the region down to a wedge (one vertex)
+    region, _ = random_pinned_region(np.random.default_rng(seed))
+    sol = solve_max_parabola(region, starts=8, seed=seed)  # no UnboundedParameter
+    assert len(sol.active_constraints) >= 3
 
 
 def test_translation_keeps_the_certificate():

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_extrema import (
     ConicMatrix,
@@ -80,6 +82,11 @@ class TestParameter:
     def test_squared_variant_consistent(self):
         assert parameter_squared(X2_EQ_4Y) == pytest.approx(4.0, rel=1e-12)
 
+    def test_exact_zeros_in_row_zero(self):
+        # y^2 = 4x: focal length 1, parameter 2; m00 = m02 = 0
+        y2_eq_4x = ConicMatrix([[0.0, -2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert parameter(y2_eq_4x) == 2.0
+
 
 class TestCompareSize:
     def test_strict_order(self):
@@ -139,8 +146,8 @@ class TestParabolaFromApex:
 
 
 class TestFarFromOrigin:
-    """Homogeneous entries grow like coordinate^2; the internal
-    recentering must keep the predicates and reductions accurate."""
+    """Homogeneous entries grow like coordinate^2; the predicates read
+    invariants of the conic (its trace, beta), so they stay accurate."""
 
     def test_offset_parabola_recognized(self):
         para = Parabola([400.0, -350.0], 0.7, 2.5)
@@ -204,3 +211,32 @@ class TestApexForm:
             pt = apex + x * v + x * x / (2.0 * p) * u  # the unit-scale point
             h = np.array([1.0 / s, *pt])
             assert abs(h @ m @ h) <= 1e-12 * (np.abs(h) @ np.abs(m) @ np.abs(h))
+
+
+SCALES = st.floats(-150.0, 150.0)
+ANGLES = st.floats(0.0, 2.0 * np.pi)
+POINTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=SCALES, apex=POINTS, angle=ANGLES, p=st.floats(0.05, 5.0))
+def test_apex_form_round_trip_at_every_scale(e, apex, angle, p):
+    s = 10.0**e
+    para = Parabola(s * np.array(apex), angle, s * p)
+    a2, th2, p2 = apex_form(para.conic)
+    assert p2 == pytest.approx(para.parameter, rel=1e-9)
+    assert np.abs(a2 - para.apex).max() <= 1e-9 * s
+    assert abs((th2 - para.axis_angle + np.pi) % (2 * np.pi) - np.pi) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=SCALES, centre=POINTS, angle=ANGLES, axes=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)))
+def test_ellipses_are_regular_at_every_scale(e, centre, angle, axes):
+    s = 10.0**e
+    rot = rotation_h(angle)[1:, 1:]
+    a = rot @ np.diag([1.0 / (s * axes[0]) ** 2, 1.0 / (s * axes[1]) ** 2]) @ rot.T
+    c = s * np.array(centre)
+    m = np.block([[np.array([[c @ a @ c - 1.0]]), -(a @ c)[None, :]], [-(a @ c)[:, None], a]])
+    ellipse = ConicMatrix(m)
+    assert ellipse.is_regular()
+    assert not is_parabola(ellipse)
