@@ -32,13 +32,16 @@ for a in (0.5, INV_SQRT2, 0.8):
     print(f"a = {a:.6f} ({regime} the bound):")
     print(f"  lens tips      L = (0, {lower[1]:+.6f}),  U = (0, {upper[1]:+.6f})")
     print(f"  cover size       = {cover.a:.6f}  ({'smaller' if cover.a < a else 'NOT smaller'})")
-    # Monte-Carlo check of the covering property
+    # Monte-Carlo check of the covering property: the sampler keeps points
+    # by their closed-form sizes, and the cover's matrix form judges them
     pts = sample_common_interior(a, omega, 50_000, seed=0)
     m = cover.matrix().m
     hom = np.column_stack([np.ones(len(pts)), pts])
     outside = int((np.einsum("ni,ij,nj->n", hom, m, hom) >= 0).sum())
     print(f"  lens points outside the cover: {outside} of {len(pts)}")
     print()
+    if outside:
+        raise SystemExit(f"{outside} sampled lens points lie outside the cover by its matrix form")
 
 # the algebra behind the size inequality, at one (a, t = tan(omega/2))
 rep = check_size_reduction_identities(0.5, np.tan(0.35 / 2))

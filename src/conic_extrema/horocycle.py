@@ -30,6 +30,18 @@ engine of the minimal-enclosing-horocycle uniqueness argument.  At
 a = 2^{-1/2} all horocycles through the disk center have equal size, and
 above the bound the covering horocycle comes out strictly larger, so the
 bound is sharp.
+
+The matrix E(a) is the definition; no containment test evaluates it.
+Rotating p = (x, y) so the ideal point moves to (0, 1) gives (x', y'),
+and the form at p is negative exactly when a^2 exceeds
+
+    a(p)^2 = (1 - y')^2 / (2 - 2 y' - x'^2),
+
+the point's minimal size squared.  That closed form is computed in one
+place, ``_squared_sizes``.  Through :func:`min_sizes_for_points` it
+decides ``Horocycle.contains``, the lens sampler, the cover check and,
+through ``minhorocycle``, every profile value of the minimal enclosing
+horocycle.
 """
 
 from __future__ import annotations
@@ -81,17 +93,22 @@ class Horocycle:
         return horocycle_matrix(self)
 
     def contains(self, p) -> bool:
-        """Strict interior test for a point of the open unit disk.
+        """Strict interior test: the point's minimal size is below a.
 
-        Points on the horocycle itself count as outside; a small relative
-        guard keeps exact boundary points (whose form value is rounding
-        noise) from flipping inside.
+        False for a point on the absolute, outside the disk or with a
+        non-finite coordinate.  A point on the horocycle itself is
+        decided by the rounding of its size and may test inside.
         """
         x, y = np.asarray(p, float)
-        v = np.array([1.0, x, y])
-        m = self.matrix().m
-        guard = 1e-14 * float(np.linalg.norm(m)) * float(v @ v)
-        return float(v @ m @ v) < -guard
+        # the disk test is needed: at the ideal point itself the squared
+        # size rounds to 0 / (tiny negative) = -0, whose root is below a
+        if not np.hypot(x, y) < 1.0:
+            return False
+        # a point a few ulps inside the absolute at the ideal point can
+        # round the size's denominator to zero or below; the NaN or
+        # infinite size that gives compares False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return bool(min_size_for_point(self.theta, (x, y)) < self.a)
 
 
 def horocycle_matrix(h: Horocycle) -> ConicMatrix:
@@ -104,42 +121,46 @@ def horocycle_matrix(h: Horocycle) -> ConicMatrix:
     return ConicMatrix(r @ _base_matrix(h.a) @ r.T)
 
 
+def _squared_sizes(thetas: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared minimal sizes, (m,) angles x (n, 2) points -> (m, n).
+
+    (1 - y')^2 / (2 - 2 y' - x'^2) with (x', y') each point rotated so
+    the ideal point moves to (0, 1); the denominator exceeds (1 - y')^2
+    strictly inside the disk.  2 - 2 y' is formed as (1 - y') + (1 - y'),
+    the same double because doubling is exact, and every step after the
+    rotation works in place on the two (m, n) temporaries.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    col = thetas[:, None]
+    st, ct = np.sin(col), np.cos(col)
+    xr = x * st
+    xr -= y * ct
+    yr = x * ct
+    yr += y * st
+    ratio = 1.0 - yr
+    den = np.add(ratio, ratio, out=yr)
+    xr *= xr
+    den -= xr
+    ratio *= ratio
+    ratio /= den
+    return ratio
+
+
 def min_size_for_point(theta: float, p) -> float:
     """Infimum size a such that the horocycle (theta, a) covers the point.
 
-    Closed-form inversion of the containment form: with (x', y') the
-    point rotated so the ideal point moves to (0, 1),
-
-        a = sqrt((1 - y')^2 / (2 - 2 y' - x'^2)),
-
-    and the denominator exceeds (1 - y')^2 strictly inside the disk.
-    Containment is monotone in a: the horocycle (theta, a) contains p
-    exactly when a exceeds this value.
+    The square root of ``_squared_sizes``.  Containment is monotone in
+    a: the horocycle (theta, a) contains p exactly when a exceeds this
+    value.
     """
-    x, y = float(p[0]), float(p[1])
-    st, ct = np.sin(theta), np.cos(theta)
-    xr = x * st - y * ct
-    yr = x * ct + y * st
-    den = 2.0 - 2.0 * yr - xr * xr
-    return float(np.sqrt((1.0 - yr) ** 2 / den))
+    return float(min_sizes_for_points(theta, p)[0, 0])
 
 
 def min_sizes_for_points(thetas, pts) -> np.ndarray:
     """Vectorized :func:`min_size_for_point`: (m,) angles x (n, 2) points -> (m, n)."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
-    pts = np.atleast_2d(np.asarray(pts, float))
-    st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    x, y = pts[:, 0][None, :], pts[:, 1][None, :]
-    xr = x * st - y * ct
-    yr = x * ct + y * st
-    return np.sqrt((1.0 - yr) ** 2 / (2.0 - 2.0 * yr - xr * xr))
-
-
-def _pair_matrices(a: float, omega: float):
-    r0 = rotation_h(omega)
-    r1 = rotation_h(-omega)
-    e = _base_matrix(a)
-    return ConicMatrix(r0 @ e @ r0.T), ConicMatrix(r1 @ e @ r1.T)
+    sizes = _squared_sizes(thetas, np.atleast_2d(np.asarray(pts, float)))
+    return np.sqrt(sizes, out=sizes)
 
 
 def intersection_radicand(a: float, omega: float) -> float:
@@ -256,33 +277,21 @@ def check_size_reduction_identities(a: float, t: float) -> SizeIdentityReport:
     rhs = float(_rhs(a, t))
     tgrid = np.linspace(1e-3, 1.0, 41)
     monotone = bool(np.all(np.diff(_rhs(a, tgrid)) < 0.0))
+    diff = factored = rel = holds = None
     if t < 1.0:
         if q <= 0.0:
             raise PreconditionViolation("q <= 0: the pair has no common interior")
         lhs = a * (t * t + 1.0) * np.sqrt(q)
-        diff = lhs * lhs - rhs * rhs
-        factored = (
+        diff = float(lhs * lhs - rhs * rhs)
+        factored = float(
             4.0
             * (1.0 - a * a)
             * (2.0 * a * a * t * t + 1.0)
             * (4.0 * a * a * t * t + (t * t - 1.0) ** 2)
             * (2.0 * a * a - 1.0)
         )
-        rel = abs(diff - factored) / max(abs(factored), 1e-300)
-        return SizeIdentityReport(
-            a=a,
-            t=t,
-            q=q,
-            rhs=rhs,
-            rhs_positive=rhs > 0.0,
-            rhs_at_t1=at_one,
-            rhs_at_t1_identity_error=at_one_err,
-            rhs_monotone_decreasing=monotone,
-            lhs_squared_minus_rhs_squared=float(diff),
-            factored_value=float(factored),
-            factorization_rel_error=float(rel),
-            size_inequality_holds=bool(lhs < rhs),
-        )
+        rel = float(abs(diff - factored) / max(abs(factored), 1e-300))
+        holds = bool(lhs < rhs)
     return SizeIdentityReport(
         a=a,
         t=t,
@@ -292,10 +301,10 @@ def check_size_reduction_identities(a: float, t: float) -> SizeIdentityReport:
         rhs_at_t1=at_one,
         rhs_at_t1_identity_error=at_one_err,
         rhs_monotone_decreasing=monotone,
-        lhs_squared_minus_rhs_squared=None,
-        factored_value=None,
-        factorization_rel_error=None,
-        size_inequality_holds=None,
+        lhs_squared_minus_rhs_squared=diff,
+        factored_value=factored,
+        factorization_rel_error=rel,
+        size_inequality_holds=holds,
     )
 
 
@@ -371,10 +380,17 @@ def check_cover_containment(
     Draws points uniformly in the unit disk; for each point strictly
     inside both horocycles of the pair, asserts the certificate k > 0
     (which implies membership in the covering horocycle) and also checks
-    membership directly.  For a < 2^{-1/2} the violation counts must be
-    zero; above the bound the cover is strictly larger than a, which is
-    reported through ``size_reduced``.
+    membership directly: a point is outside the cover when its minimal
+    size at the cover's ideal angle pi/2 is at least the cover size.
+    For a < 2^{-1/2} the violation counts must be zero; above the bound
+    the cover is strictly larger than a, which is reported through
+    ``size_reduced``.  Raises ValueError for a non-finite ``a`` or ``t``
+    and for ``samples < 1``.
     """
+    if not (np.isfinite(a) and np.isfinite(t)):
+        raise ValueError("a and t must be finite")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     pts = np.empty((0, 2))
     while len(pts) < samples:
@@ -382,48 +398,28 @@ def check_cover_containment(
         batch = batch[(batch**2).sum(axis=1) < 1.0]
         pts = np.vstack([pts, batch])
     pts = pts[:samples]
-    x, y = pts[:, 0], pts[:, 1]
-    f0, f1 = _pair_forms(x, y, a, t)
-    mask = (f0 < 0.0) & (f1 < 0.0)
-    n_common = int(mask.sum())
+    f0, f1 = _pair_forms(pts[:, 0], pts[:, 1], a, t)
+    lens = pts[(f0 < 0.0) & (f1 < 0.0)]
     omega = 2.0 * np.arctan(t)
-    cover_size = None
-    size_reduced = None
-    if intersection_radicand(a, omega) > 0.0:
-        cover = common_cover_unchecked(a, omega)
-        cover_size = cover.a
-        size_reduced = bool(cover.a < a)
-    if n_common == 0:
-        return CoverContainmentReport(
-            a=a,
-            t=t,
-            samples=samples,
-            common_interior_points=0,
-            k_violations=0,
-            containment_violations=0,
-            min_k=None,
-            cover_size=cover_size,
-            size_reduced=size_reduced,
-        )
-    xc, yc = x[mask], y[mask]
-    k = _k_poly(xc, yc, a, t)
-    k_viol = int((k <= 0.0).sum())
-    cont_viol = 0
-    if cover_size is not None:
-        m = ConicMatrix(_base_matrix(cover_size)).m
-        hom = np.column_stack([np.ones(len(xc)), xc, yc])
-        forms = np.einsum("ni,ij,nj->n", hom, m, hom)
-        cont_viol = int((forms >= 0.0).sum())
+    cover = common_cover_unchecked(a, omega) if intersection_radicand(a, omega) > 0.0 else None
+    k_viol = cont_viol = 0
+    min_k = None
+    if len(lens):
+        k = _k_poly(lens[:, 0], lens[:, 1], a, t)
+        k_viol = int((k <= 0.0).sum())
+        min_k = float(k.min())
+        if cover is not None:
+            cont_viol = int((min_sizes_for_points(cover.theta, lens)[0] >= cover.a).sum())
     return CoverContainmentReport(
         a=a,
         t=t,
         samples=samples,
-        common_interior_points=n_common,
+        common_interior_points=len(lens),
         k_violations=k_viol,
         containment_violations=cont_viol,
-        min_k=float(k.min()),
-        cover_size=cover_size,
-        size_reduced=size_reduced,
+        min_k=min_k,
+        cover_size=None if cover is None else cover.a,
+        size_reduced=None if cover is None else bool(cover.a < a),
     )
 
 
@@ -432,12 +428,20 @@ def sample_common_interior(a: float, omega: float, n: int, seed: int = 0) -> np.
 
     The bounding box is the intersection of the two ellipse bounding
     boxes clipped to the unit square; sampling is reproducible via the
-    explicit seed.
+    explicit seed.  A candidate in the open disk is kept when its
+    minimal sizes at both ideal angles pi/2 +- omega are below ``a``.
+    Raises ValueError unless 0 < a < 1, omega is finite and n >= 0.
     """
-    h0, h1 = _pair_matrices(a, omega)
+    if not 0.0 < a < 1.0:
+        raise ValueError("horocycle size must lie strictly between 0 and 1")
+    if not np.isfinite(omega):
+        raise ValueError("omega must be finite")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    angles = np.array([0.5 * np.pi + omega, 0.5 * np.pi - omega])
     lo = np.full(2, -1.0)
     hi = np.full(2, 1.0)
-    for ang in (0.5 * np.pi + omega, 0.5 * np.pi - omega):
+    for ang in angles:
         center = (1.0 - a * a) * np.array([np.cos(ang), np.sin(ang)])
         radial = np.array([np.cos(ang), np.sin(ang)])
         tang = np.array([-np.sin(ang), np.cos(ang)])
@@ -452,12 +456,8 @@ def sample_common_interior(a: float, omega: float, n: int, seed: int = 0) -> np.
     while len(out) < n and attempts < 400:
         attempts += 1
         cand = rng.uniform(lo, hi, (max(4 * (n - len(out)), 256), 2))
-        hom = np.column_stack([np.ones(len(cand)), cand])
-        inside = (
-            (np.einsum("ni,ij,nj->n", hom, h0.m, hom) < 0.0)
-            & (np.einsum("ni,ij,nj->n", hom, h1.m, hom) < 0.0)
-            & ((cand**2).sum(axis=1) < 1.0)
-        )
+        cand = cand[(cand**2).sum(axis=1) < 1.0]
+        inside = (min_sizes_for_points(angles, cand) < a).all(axis=0)
         out = np.vstack([out, cand[inside]])
     if len(out) < n:
         raise NoCommonInterior("could not sample the common interior")

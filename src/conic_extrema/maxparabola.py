@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTriangle, NoInscribedParabola, NumericalRootFailure, UnboundedParameter
-from .exparabola import Triangle, canonical_frame, pencil_member, tangency_root
+from .exparabola import _SIDE_VERTICES, OPPOSITE, SIDES, Triangle, canonical_frame, pencil_member, tangency_root
 from .parabola import Parabola
 
 DIRECTION_TOL = 1e-9
@@ -171,18 +171,17 @@ def triangle_region(t: Triangle, opposite: str) -> ConvexRegion:
     The negative half-plane of the side opposite ``opposite`` plus the
     positive half-planes of the two remaining sides.
     """
-    side_of = {"C": ("A", "B"), "A": ("B", "C"), "B": ("C", "A")}
     hps = []
-    for opp, (v1, v2) in side_of.items():
-        p1, p2 = t.vertex(v1), t.vertex(v2)
-        pv = t.vertex(opp)
+    for side in SIDES:  # half-planes in the order AB, BC, CA
+        p1, p2 = (t.vertex(v) for v in _SIDE_VERTICES[side])
+        pv = t.vertex(OPPOSITE[side])
         edge = p2 - p1
         n = np.array([-edge[1], edge[0]])
         n = n / np.linalg.norm(n)
         d = float(n @ p1)
         if float(n @ pv) > d:  # orient positive: opposite vertex inside
             n, d = -n, -d
-        if opp == opposite:  # chosen side gets its negative half-plane
+        if OPPOSITE[side] == opposite:  # chosen side gets its negative half-plane
             n, d = -n, -d
         hps.append(HalfPlane(n, d))
     return ConvexRegion(hps)

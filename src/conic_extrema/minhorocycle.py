@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerificationFailure
-from .horocycle import INV_SQRT2, Horocycle, min_sizes_for_points
+from .horocycle import INV_SQRT2, Horocycle, _squared_sizes, min_sizes_for_points
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,9 +67,14 @@ def as_point_set(points) -> np.ndarray:
 
 
 def size_profile(points, theta) -> float | np.ndarray:
-    """Smallest enclosing size with the ideal point fixed at angle theta."""
+    """Smallest enclosing size with the ideal point fixed at angle theta.
+
+    Raises ValueError for a non-finite angle, as for invalid points.
+    """
     pts = as_point_set(points)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError("theta must be finite")
     prof = _profile(thetas, pts)
     return float(prof[0]) if np.isscalar(theta) or np.ndim(theta) == 0 else prof
 
@@ -100,32 +105,16 @@ class MinHorocycleSolution:
 def _profile(thetas: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """``min_sizes_for_points(thetas, pts).max(axis=1)``, bit for bit.
 
-    Takes the max of the squared-size ratio (1 - y')^2 / (2 - 2 y' - x'^2)
-    over the points and the square root after it: sqrt is monotone and
-    correctly rounded, so the result is the same.  2 - 2 y' is formed as
-    (1 - y') + (1 - y'), which rounds to the same double because scaling
-    by 2 is exact.  Works in blocks of whole angle rows of about
-    PROFILE_BLOCK elements with in-place operations, so the block
-    temporaries stay in cache.
+    Takes the max of ``_squared_sizes`` over the points and the square
+    root after it: sqrt is monotone and correctly rounded, so the result
+    is the same.  Works in blocks of whole angle rows of about
+    PROFILE_BLOCK elements, so the block temporaries stay in cache.
     """
-    x, y = pts[:, 0], pts[:, 1]
-    col = thetas[:, None]
-    st, ct = np.sin(col), np.cos(col)
-    rows = -(-PROFILE_BLOCK // len(x))
+    rows = -(-PROFILE_BLOCK // len(pts))
     out = np.empty(len(thetas))
     for i in range(0, len(thetas), rows):
-        s, c = st[i : i + rows], ct[i : i + rows]
-        xr = x * s
-        xr -= y * c
-        yr = x * c
-        yr += y * s
-        ratio = 1.0 - yr
-        den = np.add(ratio, ratio, out=yr)
-        xr *= xr
-        den -= xr
-        ratio *= ratio
-        ratio /= den
-        np.maximum.reduce(ratio, axis=1, out=out[i : i + rows])
+        block = _squared_sizes(thetas[i : i + rows], pts)
+        np.maximum.reduce(block, axis=1, out=out[i : i + rows])
     return np.sqrt(out, out=out)
 
 

@@ -273,10 +273,9 @@ def cover_containment_suite(
     certificate k > 0 and lie inside the cover.  The dict also reports
     how many cases had the cover come out larger than a (the sharpness
     signal when a_range goes above 2^{-1/2}).  Raises ValueError as
-    ``_check_cover_args`` does, or when ``samples < 1``.
+    ``_check_cover_args`` does, or, from the first case, when
+    ``samples < 1``.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     _check_cover_args(cases, a_range)
 
     def one(case_seed: int) -> dict:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conic_extrema import horocycle as horocycle_module
 from conic_extrema import (
     Horocycle,
     NoCommonInterior,
@@ -15,9 +16,20 @@ from conic_extrema import (
     intersection_points,
     min_size_for_point,
     sample_common_interior,
+    solve_min_horocycle,
+    verify_solution,
 )
-from conic_extrema.horocycle import INV_SQRT2, _pair_matrices
+from conic_extrema.horocycle import INV_SQRT2
 from conic_extrema.projective import proj_equal
+from conic_extrema.verify import run_suite
+
+
+def pair_matrices(a, w):
+    """Matrices of the pair of size a with ideal angles pi/2 +- w."""
+    return (
+        horocycle_matrix(Horocycle(np.pi / 2 + w, a)),
+        horocycle_matrix(Horocycle(np.pi / 2 - w, a)),
+    )
 
 
 def expanded_pair_matrices(a, w):
@@ -71,7 +83,7 @@ class TestMatrix:
         for _ in range(100):
             a = rng.uniform(0.05, 0.95)
             w = rng.uniform(0.0, 1.4)
-            h0, h1 = _pair_matrices(a, w)
+            h0, h1 = pair_matrices(a, w)
             p0, p1 = expanded_pair_matrices(a, w)
             assert proj_equal(h0.m, p0, tol=1e-12)
             assert proj_equal(h1.m, p1, tol=1e-12)
@@ -109,9 +121,50 @@ class TestContains:
         h2 = Horocycle(theta=np.pi / 2, a=0.6)
         pts = rng.uniform(-1, 1, (20000, 2))
         pts = pts[(pts**2).sum(axis=1) < 1]
-        inside1 = np.array([h1.contains(p) for p in pts])
+        hom = np.column_stack([np.ones(len(pts)), pts])
+        inside1 = np.einsum("ni,ij,nj->n", hom, h1.matrix().m, hom) < 0
         assert inside1.any()
         assert all(h2.contains(p) for p in pts[inside1])
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.0, 1.0],
+            [0.6, -0.8],
+            [1.0, 0.0],
+            [0.9, 0.9],
+            [3.0, -2.0],
+            [1e200, 0.0],
+            [np.nan, 0.0],
+            [0.0, np.inf],
+        ],
+    )
+    def test_absolute_outside_and_nan_points_are_outside(self, p):
+        for theta in (np.pi / 2, 0.0, 2.0):
+            assert Horocycle(theta=theta, a=0.99).contains(p) is False
+
+    def test_point_ulps_inside_at_the_ideal_point_raises_no_warning(self):
+        # the denominator of its squared size rounds to zero
+        p = np.array([-0.6929948235323112, 0.7209425598183399])
+        assert p @ p < 1.0
+        h = Horocycle(theta=float(np.arctan2(p[1], p[0])), a=0.5)
+        assert isinstance(h.contains(p), bool)
+
+    def test_boundary_points_are_decided_by_their_rounded_size(self, rng):
+        # the vertex on the axis and the lower lens tip L lie on the
+        # horocycle; their sizes round to within a few ulps of a, so they
+        # may test inside, while points 1e-9 off the boundary are decided
+        for a in rng.uniform(0.05, 0.95, 50):
+            w = a * rng.uniform(0.01, 0.9)
+            cases = [(np.pi / 2, np.array([0.0, 1.0 - 2.0 * a * a]))]
+            cases += [(np.pi / 2 + s * w, intersection_points(a, w)[0]) for s in (1, -1)]
+            for theta, p in cases:
+                h = Horocycle(theta=theta, a=a)
+                size = min_size_for_point(theta, p)
+                assert abs(size - a) <= 64 * np.finfo(float).eps * a
+                assert h.contains(p) == (size < a)
+                assert Horocycle(theta=theta, a=a * (1 + 1e-9)).contains(p)
+                assert not Horocycle(theta=theta, a=a * (1 - 1e-9)).contains(p)
 
 
 class TestMinSize:
@@ -144,7 +197,10 @@ class TestMinSize:
             astar = min_size_for_point(theta, pt)
             if abs(a - astar) < 1e-9 or not 0.0 < astar < 1.0:
                 continue
-            assert Horocycle(theta=theta, a=a).contains(pt) == (a > astar)
+            v = np.array([1.0, *pt])
+            h = Horocycle(theta=theta, a=a)
+            assert (v @ h.matrix().m @ v < 0.0) == (a > astar)
+            assert h.contains(pt) == (a > astar)
             checked += 1
 
 
@@ -164,7 +220,7 @@ class TestIntersectionPoints:
                 lower, upper = intersection_points(a, w)
             except NoCommonInterior:
                 continue
-            h0, h1 = _pair_matrices(a, w)
+            h0, h1 = pair_matrices(a, w)
             for pt in (lower, upper):
                 v = np.array([1.0, *pt])
                 assert abs(v @ h0.m @ v) <= 1e-10
@@ -216,6 +272,22 @@ class TestCommonCover:
             done += 1
 
 
+class TestLensSampler:
+    def test_points_inside_both_pair_matrices(self, rng):
+        done = 0
+        while done < 50:
+            a = rng.uniform(0.05, 0.95)
+            w = rng.uniform(0.0, 1.2)
+            try:
+                pts = sample_common_interior(a, w, 2000, seed=done)
+            except NoCommonInterior:
+                continue
+            hom = np.column_stack([np.ones(len(pts)), pts])
+            for h in pair_matrices(a, w):
+                assert (np.einsum("ni,ij,nj->n", hom, h.m, hom) < 0).all()
+            done += 1
+
+
 class TestSizeIdentities:
     def test_endpoint_value(self):
         rep = check_size_reduction_identities(0.5, 1.0)
@@ -257,3 +329,47 @@ class TestCoverContainment:
         rep = check_cover_containment(0.8, 0.3, samples=20000, seed=2)
         assert rep.size_reduced is False  # the sharpness of the bound
         assert rep.containment_violations == 0
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("a, t", [(np.nan, 0.2), (0.5, np.nan), (np.inf, 0.2), (0.5, -np.inf)])
+    def test_cover_containment_non_finite_rejected(self, a, t):
+        with pytest.raises(ValueError, match="finite"):
+            check_cover_containment(a, t, samples=100)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_cover_containment_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            check_cover_containment(0.5, 0.2, samples=samples)
+
+    @pytest.mark.parametrize("a", [1.5, 1.0, 0.0, -0.3, np.nan])
+    def test_lens_sampler_size_rejected(self, a):
+        with pytest.raises(ValueError, match="size"):
+            sample_common_interior(a, 0.2, 10)
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_lens_sampler_angle_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            sample_common_interior(0.5, omega, 10)
+
+    def test_lens_sampler_count_rejected(self):
+        with pytest.raises(ValueError, match="n must"):
+            sample_common_interior(0.5, 0.2, -1)
+        assert sample_common_interior(0.5, 0.2, 0).shape == (0, 2)
+
+
+def test_horocycle_paths_build_no_matrix(monkeypatch):
+    """Every containment decision goes through the closed-form size."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a horocycle matrix was built")
+
+    for name in ("horocycle_matrix", "_base_matrix", "ConicMatrix"):
+        monkeypatch.setattr(horocycle_module, name, forbidden)
+    assert Horocycle(theta=np.pi / 2, a=0.9).contains([0.0, 0.0])
+    assert not Horocycle(theta=np.pi / 2, a=0.3).contains([0.0, -0.5])
+    assert check_cover_containment(0.5, 0.2, samples=2000, seed=0).passed
+    assert len(sample_common_interior(0.5, 0.2, 500, seed=0)) == 500
+    pts = [[0.0, 0.5], [0.2, 0.1], [-0.3, 0.2]]
+    verify_solution(pts, solve_min_horocycle(pts))
+    assert run_suite("cover", 0, cases=3, samples=2000)["passed"]

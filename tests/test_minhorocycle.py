@@ -51,6 +51,11 @@ class TestSizeProfile:
         brute = min_sizes_for_points(thetas, pts).max(axis=1)
         assert np.allclose(prof, brute, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, [0.3, np.nan]])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            size_profile([[0.2, 0.1]], bad)
+
 
 class TestSolve:
     def test_single_point(self):
