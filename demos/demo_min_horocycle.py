@@ -23,7 +23,14 @@ print(f"  size a*            = {sol.horocycle.a:.12f}")
 print(f"  unique             = {sol.unique}")
 print(f"  support points     = {sol.support}")
 print("  verification:", verify_solution(pts, sol))
+# the definition as the oracle: no point lies outside the solution's matrix
+m = sol.horocycle.matrix().m
+hom = np.column_stack([np.ones(len(pts)), pts])
+worst = float(np.einsum("ni,ij,nj->n", hom, m, hom).max() / np.abs(m).max())
+print(f"  largest matrix form / max|E| = {worst:.2e}")
 print()
+if worst > 1e-12:
+    raise SystemExit(f"a cloud point lies outside the solution's matrix form by {worst:.3e}")
 
 # the degenerate case: the disk center pins every profile value at 2^(-1/2)
 center_sol = solve_min_horocycle([[0.0, 0.0]])
@@ -32,6 +39,8 @@ print("disk-center point set:")
 print(f"  a* = {center_sol.horocycle.a:.16f}  (2^-1/2 = {2**-0.5:.16f})")
 print(f"  unique = {center_sol.unique}, profile spread = {np.ptp(prof):.2e}")
 print()
+if center_sol.horocycle.a != 2**-0.5:
+    raise SystemExit(f"disk-center set: a* = {center_sol.horocycle.a!r}, expected 2^-1/2")
 
 # profile along a few angles for the cloud
 for theta in np.linspace(0, 2 * np.pi, 5, endpoint=False):

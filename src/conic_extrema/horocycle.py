@@ -32,16 +32,18 @@ above the bound the covering horocycle comes out strictly larger, so the
 bound is sharp.
 
 The matrix E(a) is the definition; no containment test evaluates it.
-Rotating p = (x, y) so the ideal point moves to (0, 1) gives (x', y'),
-and the form at p is negative exactly when a^2 exceeds
+For the ideal direction u = (cos theta, sin theta), the form at a point
+p inside N is negative exactly when a^2 exceeds the point's minimal
+size squared, the paper's a^2 / (1 - a^2) = (s / w)^2 solved for a^2:
 
-    a(p)^2 = (1 - y')^2 / (2 - 2 y' - x'^2),
+    a(p)^2 = s^2 / (s^2 + w^2),   s = 1 - p.u,   w^2 = 1 - |p|^2.
 
-the point's minimal size squared.  That closed form is computed in one
-place, ``_squared_sizes``.  Through :func:`min_sizes_for_points` it
+Only s depends on the angle, and s >= 1 - |p| = w^2 / (1 + |p|) >= w^2 / 2,
+so the kernel ``_squared_sizes`` keeps s at or above w^2 / 2: rounding
+near the ideal point cannot take it to zero, and the denominator is at
+least w^2 > 0.  Through :func:`min_sizes_for_points` that one kernel
 decides ``Horocycle.contains``, the lens sampler, the cover check and,
-through ``minhorocycle``, every profile value of the minimal enclosing
-horocycle.
+through ``minhorocycle``, every profile value.
 """
 
 from __future__ import annotations
@@ -96,19 +98,14 @@ class Horocycle:
         """Strict interior test: the point's minimal size is below a.
 
         False for a point on the absolute, outside the disk or with a
-        non-finite coordinate.  A point on the horocycle itself is
-        decided by the rounding of its size and may test inside.
+        non-finite coordinate, where the kernel's w^2 = 1 - (x^2 + y^2),
+        on Python floats that overflow quietly, is not positive.  A point
+        on the horocycle itself is decided by the rounding of its size.
         """
-        x, y = np.asarray(p, float)
-        # the disk test is needed: at the ideal point itself the squared
-        # size rounds to 0 / (tiny negative) = -0, whose root is below a
-        if not np.hypot(x, y) < 1.0:
+        x, y = (float(c) for c in p)
+        if not 1.0 - (x * x + y * y) > 0.0:
             return False
-        # a point a few ulps inside the absolute at the ideal point can
-        # round the size's denominator to zero or below; the NaN or
-        # infinite size that gives compares False
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return bool(min_size_for_point(self.theta, (x, y)) < self.a)
+        return min_size_for_point(self.theta, (x, y)) < self.a
 
 
 def horocycle_matrix(h: Horocycle) -> ConicMatrix:
@@ -121,29 +118,30 @@ def horocycle_matrix(h: Horocycle) -> ConicMatrix:
     return ConicMatrix(r @ _base_matrix(h.a) @ r.T)
 
 
-def _squared_sizes(thetas: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Squared minimal sizes, (m,) angles x (n, 2) points -> (m, n).
-
-    (1 - y')^2 / (2 - 2 y' - x'^2) with (x', y') each point rotated so
-    the ideal point moves to (0, 1); the denominator exceeds (1 - y')^2
-    strictly inside the disk.  2 - 2 y' is formed as (1 - y') + (1 - y'),
-    the same double because doubling is exact, and every step after the
-    rotation works in place on the two (m, n) temporaries.
-    """
+def _point_terms(pts: np.ndarray):
+    """The kernel's per-point terms (x, y, w^2, w^2 / 2) of (n, 2) points;
+    w^2 > 0 exactly when ``minhorocycle.as_point_set`` accepts the point."""
     x, y = pts[:, 0], pts[:, 1]
+    w2 = 1.0 - (x * x + y * y)
+    return x, y, w2, 0.5 * w2
+
+
+def _squared_sizes(thetas: np.ndarray, terms) -> np.ndarray:
+    """Squared minimal sizes, (m,) angles x ``_point_terms`` of n points -> (m, n).
+
+    s^2 / (s^2 + w^2), s = 1 - (x cos theta + y sin theta) kept at or
+    above its lower bound w^2 / 2: in (0, 1] for points inside the disk.
+    """
+    x, y, w2, floor = terms
     col = thetas[:, None]
-    st, ct = np.sin(col), np.cos(col)
-    xr = x * st
-    xr -= y * ct
-    yr = x * ct
-    yr += y * st
-    ratio = 1.0 - yr
-    den = np.add(ratio, ratio, out=yr)
-    xr *= xr
-    den -= xr
-    ratio *= ratio
-    ratio /= den
-    return ratio
+    s = x * np.cos(col)
+    tmp = y * np.sin(col)
+    s += tmp
+    np.subtract(1.0, s, out=s)
+    np.maximum(s, floor, out=s)
+    s *= s
+    s /= np.add(s, w2, out=tmp)
+    return s
 
 
 def min_size_for_point(theta: float, p) -> float:
@@ -159,7 +157,8 @@ def min_size_for_point(theta: float, p) -> float:
 def min_sizes_for_points(thetas, pts) -> np.ndarray:
     """Vectorized :func:`min_size_for_point`: (m,) angles x (n, 2) points -> (m, n)."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
-    sizes = _squared_sizes(thetas, np.atleast_2d(np.asarray(pts, float)))
+    pts = np.atleast_2d(np.asarray(pts, float))
+    sizes = _squared_sizes(thetas, _point_terms(pts))
     return np.sqrt(sizes, out=sizes)
 
 
@@ -311,32 +310,6 @@ def check_size_reduction_identities(a: float, t: float) -> SizeIdentityReport:
 # -- sampled containment implication ------------------------------------------
 
 
-def _pair_forms(x, y, a: float, t: float):
-    """Interior forms of the pair in the tan-half-angle parametrization.
-
-    Negative values mean strictly inside H0 (ideal angle pi/2 + omega)
-    and H1 (pi/2 - omega) respectively, omega = 2 arctan t.
-    """
-    t2 = t * t
-    f0 = (
-        (4.0 * a * a * t2 + t2 * t2 - 2.0 * t2 + 1.0) * y * y
-        - 2.0 * (t2 - 1.0) * (a * a - 1.0) * (t2 + 2.0 * t * x + 1.0) * y
-        + ((t2 - 1.0) ** 2 * x * x - (4.0 * t * t2 + 4.0 * t) * x - 2.0 * (t2 + 1.0) ** 2)
-        * a
-        * a
-        + (t2 + 2.0 * t * x + 1.0) ** 2
-    )
-    f1 = (
-        (4.0 * a * a * t2 + t2 * t2 - 2.0 * t2 + 1.0) * y * y
-        - 2.0 * (t2 - 1.0) * (a * a - 1.0) * (t2 - 2.0 * t * x + 1.0) * y
-        + ((t2 - 1.0) ** 2 * x * x + (4.0 * t * t2 + 4.0 * t) * x - 2.0 * (t2 + 1.0) ** 2)
-        * a
-        * a
-        + (t2 - 2.0 * t * x + 1.0) ** 2
-    )
-    return f0, f1
-
-
 def _k_poly(x, y, a: float, t: float):
     """Certificate polynomial: k > 0 forces membership in the cover.
 
@@ -378,8 +351,9 @@ def check_cover_containment(
     """Sampled replacement for the quantifier-elimination step.
 
     Draws points uniformly in the unit disk; for each point strictly
-    inside both horocycles of the pair, asserts the certificate k > 0
-    (which implies membership in the covering horocycle) and also checks
+    inside both horocycles of the pair (its minimal sizes at their ideal
+    angles pi/2 +- 2 arctan(t) below ``a``), asserts the certificate
+    k > 0 (which implies membership in the covering horocycle) and checks
     membership directly: a point is outside the cover when its minimal
     size at the cover's ideal angle pi/2 is at least the cover size.
     For a < 2^{-1/2} the violation counts must be zero; above the bound
@@ -398,9 +372,9 @@ def check_cover_containment(
         batch = batch[(batch**2).sum(axis=1) < 1.0]
         pts = np.vstack([pts, batch])
     pts = pts[:samples]
-    f0, f1 = _pair_forms(pts[:, 0], pts[:, 1], a, t)
-    lens = pts[(f0 < 0.0) & (f1 < 0.0)]
     omega = 2.0 * np.arctan(t)
+    pair = np.array([0.5 * np.pi + omega, 0.5 * np.pi - omega])
+    lens = pts[(min_sizes_for_points(pair, pts) < a).all(axis=0)]
     cover = common_cover_unchecked(a, omega) if intersection_radicand(a, omega) > 0.0 else None
     k_viol = cont_viol = 0
     min_k = None

@@ -34,9 +34,10 @@ written in apex form (``pencil_member``), with no matrix.  The largest
 of these over all triples is the solution.  Independently, a multi-start
 derivative-free pattern search over (apex_x, apex_y, axis_angle, p),
 with an exact penalty on the three smallest containment slacks pulling
-iterates onto the pinned set, is run from seeded starts; assigning each
-converged start to its nearest pinned triple gives the agreement
-certificate.
+iterates onto the pinned set, is run from seeded starts;
+``Convergence.agreeing_starts`` counts the starts whose nearest pinned
+member, where they stopped, is the maximum.  That count witnesses
+neither the maximum nor its uniqueness: starts often stop well below it.
 
 The only length is the region's own.  Its vertices (the feasible
 pairwise intersections of the boundary lines) span some length; the
@@ -45,7 +46,7 @@ which is exact, solves on this unit region and scales apex, parameter
 and spread back.  Results are therefore exactly covariant under scaling
 by powers of two, every tolerance is relative to the vertex span, and
 translating the region translates the solution and, with the seeds,
-the agreement certificate.
+the start counts.
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ def _polish_triple(region: ConvexRegion, triple):
     """Maximize the parameter along one tangent triple's pencil.
 
     Returns (p, apex, axis_angle, parabola, lam, frame) or None.  The
-    three lines must be pairwise non-parallel and the region must put
+    three lines must be pairwise non-parallel and not meet in one point
+    (corners within 1e-12 max(1, |corner|)_inf), and the region must put
     exactly one of them on the negative side of the triangle they span
     (parabolas tangent to three lines live in the one-negative-two-positive
     cells only).  In the triple's canonical frame (the triangle's side
@@ -278,6 +280,11 @@ def _polish_triple(region: ConvexRegion, triple):
         return None
     outside = (region.normals[lines] * corners).sum(axis=1) > region.offsets[lines]
     if outside.sum() != 1:
+        return None
+    # three lines through one point: corners apart by rounding only
+    (x0, y0), (x1, y1), (x2, y2) = corners.tolist()
+    gap = max(abs(x1 - x0), abs(x2 - x0), abs(y1 - y0), abs(y2 - y0))
+    if gap <= 1e-12 * max(1.0, abs(x0), abs(y0)):
         return None
     neg = int(np.argmax(outside))
     r1, r2 = (r for r in range(3) if r != neg)
@@ -468,9 +475,9 @@ def solve_max_parabola(region: ConvexRegion, starts: int = 64, seed: int = 0) ->
     Enumerates the triples of edge lines (``_unit_scale``), clips each
     by every half-plane and takes the largest exact pinned member (see
     ``_polish_triple``).  ``starts`` independent pattern searches from
-    seeded apexes and axis directions are assigned to their nearest
-    pinned member; the starts that reach the maximum and their spread
-    form the agreement certificate in ``convergence``.
+    seeded apexes and axis directions are each assigned to the pinned
+    member nearest to where they stopped; ``convergence`` counts those
+    assigned to the maximum, not how close they came to it.
     Everything runs on the region divided by 2^k, k the binary exponent
     of its vertex span (``_unit_scale``), so tolerances are relative to
     that span and scaling by 2^j scales apex, parameter and spread

@@ -1,17 +1,18 @@
 """Minimal enclosing horocycle of a finite point set.
 
 For a fixed ideal angle theta, the smallest horocycle with that ideal
-point enclosing the set has the closed-form size
+point enclosing the set has the closed-form size (see ``horocycle``)
 
-    a(theta) = max_i min_size_for_point(theta, p_i),
+    a(theta)^2 = max_i s_i^2 / (s_i^2 + w_i^2),   s_i = 1 - p_i.u,
 
-so the problem reduces to minimizing the continuous, piecewise-smooth
-profile a(theta) over the circle.  The solver scans a dense theta grid,
-refines every bracketed local minimum by golden-section search, and
-returns the global minimum.  Below the critical size 2^{-1/2} the
-minimizer is provably unique; a point set containing the disk center
-forces a constant profile at exactly 2^{-1/2}, where infinitely many
-horocycles are minimal and the solution is flagged non-unique.
+u = (cos theta, sin theta), w_i^2 = 1 - |p_i|^2, so the problem reduces
+to minimizing the continuous, piecewise-smooth profile a(theta) over the
+circle.  The solver scans a dense theta grid, refines every bracketed
+local minimum by golden-section search, and returns the global minimum.
+Below the critical size 2^{-1/2} the minimizer is provably unique; a
+point set containing the disk center forces a constant profile at
+exactly 2^{-1/2}, where infinitely many horocycles are minimal and the
+solution is flagged non-unique.
 
 Every horocycle interior is a Euclidean ellipse interior, hence convex,
 so a horocycle encloses the set exactly when it encloses the set's
@@ -22,13 +23,13 @@ and their cost follows the number of extreme points, not n.  The
 boundary ``support`` and :func:`verify_solution` use every input point.
 
 Two choices keep the interpreter and memory traffic out of the way
-without changing a single output bit.  The profile kernel takes the max
-of the squared size over the points and one square root after it, in
-cache-sized blocks of angle rows.  The golden-section refine advances
-every bracket in lockstep, one vectorized profile call per step, while
-each bracket takes exactly the steps of its own scalar search: a flat
-plateau with a hundred grid minima costs about as many profile calls as
-a single minimum.
+without changing a single output bit.  The profile forms the terms w_i^2
+once per solve, and takes the max of the squared size over the points
+and one square root after it, in cache-sized blocks of angle rows.  The
+golden-section refine advances every bracket in lockstep, one vectorized
+profile call per step, while each bracket takes exactly the steps of its
+own scalar search: a flat plateau with a hundred grid minima costs about
+as many profile calls as a single minimum.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerificationFailure
-from .horocycle import INV_SQRT2, Horocycle, _squared_sizes, min_sizes_for_points
+from .horocycle import INV_SQRT2, Horocycle, _point_terms, _squared_sizes, min_sizes_for_points
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -103,19 +104,29 @@ class MinHorocycleSolution:
 
 
 def _profile(thetas: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """``min_sizes_for_points(thetas, pts).max(axis=1)``, bit for bit.
+    """``min_sizes_for_points(thetas, pts).max(axis=1)``, bit for bit."""
+    return _profile_of(pts)(thetas)
 
-    Takes the max of ``_squared_sizes`` over the points and the square
-    root after it: sqrt is monotone and correctly rounded, so the result
-    is the same.  Works in blocks of whole angle rows of about
+
+def _profile_of(pts: np.ndarray):
+    """The profile of ``pts`` as a function of an angle array.
+
+    Forms the kernel's per-point terms once.  Each call takes the max of
+    ``_squared_sizes`` over the points and one sqrt after it (monotone
+    and correctly rounded), in blocks of whole angle rows of about
     PROFILE_BLOCK elements, so the block temporaries stay in cache.
     """
+    terms = _point_terms(pts)
     rows = -(-PROFILE_BLOCK // len(pts))
-    out = np.empty(len(thetas))
-    for i in range(0, len(thetas), rows):
-        block = _squared_sizes(thetas[i : i + rows], pts)
-        np.maximum.reduce(block, axis=1, out=out[i : i + rows])
-    return np.sqrt(out, out=out)
+
+    def profile(thetas: np.ndarray) -> np.ndarray:
+        out = np.empty(len(thetas))
+        for i in range(0, len(thetas), rows):
+            block = _squared_sizes(thetas[i : i + rows], terms)
+            np.maximum.reduce(block, axis=1, out=out[i : i + rows])
+        return np.sqrt(out, out=out)
+
+    return profile
 
 
 def _golden_minimize(fun, lo: np.ndarray, hi: np.ndarray, tol: float):
@@ -213,16 +224,15 @@ def solve_min_horocycle(points, grid: int = 720, grid_offset: float = 0.0) -> Mi
     )
     order = np.argsort(thetas)
     thetas = thetas[order]
-    values = _profile(thetas, hull)
+    profile = _profile_of(hull)
+    values = profile(thetas)
 
     left = np.roll(values, 1)
     right = np.roll(values, -1)
     idx = np.nonzero((values <= left) & (values <= right))[0]
     # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
     wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
-    xs, vals = _golden_minimize(
-        lambda th: _profile(th, hull), wrapped[idx], wrapped[idx + 2], REFINE_TOL
-    )
+    xs, vals = _golden_minimize(profile, wrapped[idx], wrapped[idx + 2], REFINE_TOL)
     minima = [(val, th % (2.0 * np.pi)) for th, val in zip(xs, vals)]
     minima.sort()
     a_star, th_star = minima[0]

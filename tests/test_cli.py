@@ -92,6 +92,13 @@ class TestCommands:
         assert doc["a"] == pytest.approx(2.0 ** (-0.5), abs=1e-12)
         assert '"a": 0.7071067811865476' in text
 
+    def test_min_horocycle_point_an_ulp_inside_the_absolute(self, tmp_path):
+        # its size once rounded to 0, which Horocycle rejects
+        point = {"points": [[0.33779470192584776, 0.9412198145761846]]}
+        code, out = run_cli(tmp_path, "min-horocycle", point, "ulp")
+        assert code == 0
+        assert 0.0 < json.loads(out.read_text())["a"] < 1e-7
+
     def test_verify_passes(self, tmp_path):
         code, out = run_cli(tmp_path, "verify", VERIFY, "vf")
         assert code == 0

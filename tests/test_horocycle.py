@@ -1,7 +1,12 @@
 """Horocycle matrices, containment, pair intersections and the cover."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conic_extrema import horocycle as horocycle_module
 from conic_extrema import (
@@ -19,7 +24,7 @@ from conic_extrema import (
     solve_min_horocycle,
     verify_solution,
 )
-from conic_extrema.horocycle import INV_SQRT2
+from conic_extrema.horocycle import INV_SQRT2, min_sizes_for_points
 from conic_extrema.projective import proj_equal
 from conic_extrema.verify import run_suite
 
@@ -202,6 +207,46 @@ class TestMinSize:
             assert (v @ h.matrix().m @ v < 0.0) == (a > astar)
             assert h.contains(pt) == (a > astar)
             checked += 1
+
+    def test_squared_size_matches_exact_oracle(self, rng):
+        # s^2 / (s^2 + w^2) in exact rationals on the float cos and sin the
+        # kernel uses; rounding in s = 1 - p.u costs about eps / s relative
+        eps = np.finfo(float).eps
+        checked = 0
+        while checked < 2000:
+            r = 0.99 * np.sqrt(rng.uniform())
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            theta = phi + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 0.5)
+            x, y = r * np.cos(phi), r * np.sin(phi)
+            c, sn = Fraction(float(np.cos(theta))), Fraction(float(np.sin(theta)))
+            s = 1 - (Fraction(x) * c + Fraction(y) * sn)
+            if s < Fraction(1, 100) or x * x + y * y > 0.99**2:
+                continue
+            w2 = 1 - (Fraction(x) ** 2 + Fraction(y) ** 2)
+            exact = s * s / (s * s + w2)
+            got = float(min_sizes_for_points(theta, [x, y])[0, 0]) ** 2
+            assert abs(Fraction(got) - exact) <= 8 * eps * (1 + 1 / s) * exact
+            checked += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        phi=st.floats(0.0, 2.0 * np.pi),
+        ulps=st.integers(1, 3),
+        offsets=st.lists(st.floats(-1e-6, 1e-6), min_size=1, max_size=8),
+    )
+    def test_points_ulps_inside_the_absolute_have_sizes_in_0_1(self, phi, ulps, offsets):
+        # near the ideal point the angle term s = 1 - p.u rounds to
+        # about w^2 = 1 - |p|^2; its floor w^2 / 2 keeps the size positive
+        r = 1.0 - ulps * 2.0**-53
+        p = [r * np.cos(phi), r * np.sin(phi)]
+        if not p[0] ** 2 + p[1] ** 2 < 1.0:
+            return
+        thetas = np.array([phi, *(phi + np.array(offsets)), phi + np.pi])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sizes = min_sizes_for_points(thetas, [p])[:, 0]
+            assert Horocycle(theta=phi, a=0.5).contains(p)
+        assert np.all((sizes > 0.0) & (sizes <= 1.0))
 
 
 class TestIntersectionPoints:

@@ -31,6 +31,7 @@ from conic_extrema import (
 from conic_extrema.exparabola import solve_cubic, tangency_cubic
 from conic_extrema.maxparabola import (
     _chebyshev_point,
+    _corners,
     _feasible_direction_arc,
     _pencil_world,
     _polish_triple,
@@ -306,6 +307,25 @@ class TestSolver:
                         res = _polish_triple(r, triple)
                         assert res is None or (r is through and res[0] <= 1e-9 * p_base)
         assert pruned >= 100
+
+    def test_concurrent_triples_pin_nothing(self):
+        # the added line through a region vertex meets the two edge lines
+        # there, and the corners of that triple differ by rounding only;
+        # a frame built from them once divided 0 by 0
+        rng = np.random.default_rng(29)
+        concurrent = 0
+        for _ in range(60):
+            region, _ = random_pinned_region(rng, extra_max=10, extra_min=4)
+            through = with_vertex_lines(region, clipped_edge_lines(region)[1])[0]
+            ns, ds = through.normals, through.offsets
+            for triple in itertools.combinations(_unit_scale(ns, ds)[3], 3):
+                i, j, k = triple
+                corners, ok = _corners(ns, ds, [j, i, i], [k, k, j])
+                res = _polish_triple(through, triple)
+                if ok.all() and np.ptp(corners, axis=0).max() <= 1e-13:
+                    concurrent += 1
+                    assert res is None
+        assert concurrent >= 4
 
     def test_pencil_beyond_halfplane_rejected(self):
         # x - 0.1 y <= -10 keeps part of the worked region, and its line

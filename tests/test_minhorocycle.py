@@ -1,5 +1,7 @@
 """Minimal enclosing horocycle: profile, solver, verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,20 @@ class TestSolve:
         assert sol.horocycle.theta == pytest.approx(np.pi / 2, abs=1e-6)
         assert sol.horocycle.a == pytest.approx(0.5, rel=1e-12)
         assert sol.unique
+        assert sol.support == (0,)
+
+    @settings(max_examples=150, deadline=None)
+    @given(phi=st.floats(0.0, 2.0 * np.pi), ulps=st.integers(1, 3))
+    def test_single_point_ulps_inside_the_absolute(self, phi, ulps):
+        # its minimal size is about w / 2, where w^2 = 1 - |p|^2 is a few ulps
+        r = 1.0 - ulps * 2.0**-53
+        p = [r * np.cos(phi), r * np.sin(phi)]
+        if not p[0] ** 2 + p[1] ** 2 < 1.0:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_min_horocycle([p])
+        assert 0.0 < sol.horocycle.a < 1.0
         assert sol.support == (0,)
 
     def test_center_degenerate(self):
