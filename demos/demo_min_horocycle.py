@@ -2,9 +2,10 @@
 #
 # For a fixed ideal angle theta the smallest enclosing size is a closed
 # form, so the solve is a 1-D minimization of the profile a(theta).
-# Below 2^(-1/2) the minimizer is unique; a set containing the disk
-# center sits exactly at the bound, where the profile is constant and
-# infinitely many horocycles are minimal.
+# When the disk center lies outside the cloud's hull that minimum is
+# unique and found exactly by a small basis solve; a set containing the
+# disk center sits at the bound 2^(-1/2), where the profile is constant
+# and infinitely many horocycles are minimal.
 
 import os
 
@@ -28,9 +29,15 @@ m = sol.horocycle.matrix().m
 hom = np.column_stack([np.ones(len(pts)), pts])
 worst = float(np.einsum("ni,ij,nj->n", hom, m, hom).max() / np.abs(m).max())
 print(f"  largest matrix form / max|E| = {worst:.2e}")
+# a dense profile as the oracle of the minimum: the cloud misses the disk
+# center, so the solve is exact and no sampled angle may do better
+dense = float(size_profile(pts, np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)).min())
+print(f"  a* / dense-profile minimum - 1 = {sol.horocycle.a / dense - 1.0:.2e}")
 print()
 if worst > 1e-12:
     raise SystemExit(f"a cloud point lies outside the solution's matrix form by {worst:.3e}")
+if not sol.horocycle.a <= (1.0 + 1e-12) * dense:
+    raise SystemExit(f"a* = {sol.horocycle.a!r} exceeds the dense-profile minimum {dense!r}")
 
 # the degenerate case: the disk center pins every profile value at 2^(-1/2)
 center_sol = solve_min_horocycle([[0.0, 0.0]])

@@ -149,16 +149,25 @@ def min_size_for_point(theta: float, p) -> float:
 
     The square root of ``_squared_sizes``.  Containment is monotone in
     a: the horocycle (theta, a) contains p exactly when a exceeds this
-    value.
+    value.  Raises ValueError for a point on or outside the absolute or
+    with a non-finite coordinate, which no horocycle covers.
     """
     return float(min_sizes_for_points(theta, p)[0, 0])
 
 
 def min_sizes_for_points(thetas, pts) -> np.ndarray:
-    """Vectorized :func:`min_size_for_point`: (m,) angles x (n, 2) points -> (m, n)."""
+    """Vectorized :func:`min_size_for_point`: (m,) angles x (n, 2) points -> (m, n).
+
+    The points are checked as ``minhorocycle.as_point_set`` checks them:
+    w^2 = 1 - (x^2 + y^2) must be positive, which also fails for NaN and
+    infinite coordinates.
+    """
     thetas = np.atleast_1d(np.asarray(thetas, float))
     pts = np.atleast_2d(np.asarray(pts, float))
-    sizes = _squared_sizes(thetas, _point_terms(pts))
+    terms = _point_terms(pts)
+    if not np.all(terms[2] > 0.0):
+        raise ValueError("points must be finite and lie strictly inside the unit disk")
+    sizes = _squared_sizes(thetas, terms)
     return np.sqrt(sizes, out=sizes)
 
 

@@ -7,20 +7,35 @@ point enclosing the set has the closed-form size (see ``horocycle``)
 
 u = (cos theta, sin theta), w_i^2 = 1 - |p_i|^2, so the problem reduces
 to minimizing the continuous, piecewise-smooth profile a(theta) over the
-circle.  The solver scans a dense theta grid, refines every bracketed
-local minimum by golden-section search, and returns the global minimum.
-Below the critical size 2^{-1/2} the minimizer is provably unique; a
-point set containing the disk center forces a constant profile at
-exactly 2^{-1/2}, where infinitely many horocycles are minimal and the
-solution is flagged non-unique.
+circle.  Rearranged, a^2 / (1 - a^2) = max_i t_i(u)^2 with the affine
+t_i(u) = c_i - q_i.u, c_i = 1 / w_i, q_i = p_i / w_i.
+
+Which sets take which path:
+
+- The disk center strictly outside the hull (no point at the center,
+  and the points' directions inside an open half-circle): then some v
+  has q_i.v > 0 for every i, so the convex F(u) = max_i t_i(u) has no
+  minimum inside the disk, its minimum over the disk lies on the circle
+  and is unique.  The solver finds it exactly, as an LP-type problem
+  whose optimum at most two constraints fix (``_exact_minimizer``),
+  whatever the size.
+- The center in the hull or on its boundary: every direction has a
+  point with p_i.u <= 0, so a* >= 2^{-1/2}.  These sets, and any set
+  whose basis solve has not converged after EXACT_PASSES passes, take
+  the grid path: the solver scans a dense theta grid, refines every
+  bracketed local minimum by golden-section search, and returns the
+  global minimum.  A set containing the center forces a constant
+  profile at exactly 2^{-1/2}, where infinitely many horocycles are
+  minimal and the solution is flagged non-unique.
 
 Every horocycle interior is a Euclidean ellipse interior, hence convex,
 so a horocycle encloses the set exactly when it encloses the set's
 convex-hull vertices, and the profile over any superset of those
-vertices is the profile over all points.  The grid scan and the refine
-therefore run on the points an Akl-Toussaint extreme-point filter keeps,
-and their cost follows the number of extreme points, not n.  The
-boundary ``support`` and :func:`verify_solution` use every input point.
+vertices is the profile over all points.  The path test, the basis
+solve, the grid scan and the refine therefore run on the points an
+Akl-Toussaint extreme-point filter keeps, and their cost follows the
+number of extreme points, not n.  The boundary ``support`` and
+:func:`verify_solution` use every input point.
 
 Two choices keep the interpreter and memory traffic out of the way
 without changing a single output bit.  The profile forms the terms w_i^2
@@ -34,6 +49,7 @@ as many profile calls as a single minimum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +57,7 @@ import numpy as np
 
 from .errors import VerificationFailure
 from .horocycle import INV_SQRT2, Horocycle, _point_terms, _squared_sizes, min_sizes_for_points
+from .maxparabola import _feasible_direction_arc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -53,6 +70,9 @@ PRUNE_MARGIN = 1e-12  # relative depth inside the polygon a dropped point needs
 
 PROFILE_BLOCK = 1 << 15  # angle x point elements per block of the profile kernel
 REFINE_TOL = 1e-12  # radians: golden-section refine stops below this bracket width
+
+EXACT_PASSES = 32  # most-violated passes of the exact solve before the grid takes over
+EXACT_TOL = 1e-14  # violation, relative to c_i + |q_i|_1, the exact solve leaves alone
 
 
 def as_point_set(points) -> np.ndarray:
@@ -84,7 +104,7 @@ def size_profile(points, theta) -> float | np.ndarray:
 class ProfileDiagnostics:
     thetas: np.ndarray
     values: np.ndarray
-    tied_minimizers: np.ndarray  # refined local minimizers within tolerance of the best
+    tied_minimizers: np.ndarray  # refined minimizers near the best value; [theta*] if exact
 
 
 @dataclass(frozen=True)
@@ -198,17 +218,99 @@ def _hull_superset(pts: np.ndarray) -> np.ndarray:
     return np.nonzero(depth.min(axis=0) <= margin)[0]
 
 
+def _center_outside_hull(pts: np.ndarray) -> bool:
+    """Whether the disk center lies strictly outside the hull of ``pts``.
+
+    It does when no point is the center and the points' directions fit in
+    an open half-circle: the largest circular gap between their angles
+    exceeds pi by more than rounding, the test
+    ``maxparabola._feasible_direction_arc`` runs on normals.
+    """
+    return bool(pts.any(axis=1).all()) and _feasible_direction_arc(pts) is not None
+
+
+def _circle_optimum(c: list, q: list, basis: tuple):
+    """Minimum of max_{i in basis} c_i - q_i.u over the unit circle.
+
+    On the circle each term is c_i - |q_i| cos(theta - phi_i), so the
+    envelope of at most three of them is least at a term's own optimum
+    q_i / |q_i| or where two terms cross: on the circle's meeting points
+    with the line (q_i - q_j).u = c_i - c_j.  Returns the best candidate
+    u and the one or two constraints that define it.
+    """
+    cands = []
+    for i in basis:
+        r = math.hypot(*q[i])
+        cands.append(((q[i][0] / r, q[i][1] / r), (i,)))
+    for i, j in itertools.combinations(basis, 2):
+        dx, dy = q[i][0] - q[j][0], q[i][1] - q[j][1]
+        e = c[i] - c[j]
+        d2 = dx * dx + dy * dy
+        if not d2 > e * e:
+            continue
+        h = math.sqrt(d2 - e * e)
+        for g in (h, -h):
+            cands.append((((e * dx - g * dy) / d2, (e * dy + g * dx) / d2), (i, j)))
+
+    def envelope(cand):
+        (ux, uy), _ = cand
+        return max(c[k] - q[k][0] * ux - q[k][1] * uy for k in basis)
+
+    return min(cands, key=envelope)
+
+
+def _exact_minimizer(pts: np.ndarray) -> float | None:
+    """Angle of the unique minimizer of F(u) = max_i c_i - q_i.u on the
+    circle, for points whose hull misses the center (see the module text).
+
+    The basis starts at the point nearest the center, whose own optimum
+    c_i - |q_i| is the largest.  Each pass finds the most violated
+    constraint in one array pass and re-solves it with the basis in
+    closed form.  The solve stops when no t_i exceeds F by more than
+    EXACT_TOL (c_i + |q_i|_1), or when the violator is already in the
+    basis: the basis is tight at u, so only rounding is left there, and
+    re-solving could cycle.  Returns None after EXACT_PASSES passes
+    without convergence.
+    """
+    w = np.sqrt(_point_terms(pts)[2])
+    c = 1.0 / w
+    q = pts * c[:, None]
+    tol = EXACT_TOL * (c + np.abs(q).sum(axis=1))
+    cl, ql = c.tolist(), q.tolist()
+    u, basis = _circle_optimum(cl, ql, (int(np.argmax(w)),))
+    for _ in range(EXACT_PASSES):
+        t = c - q @ u
+        excess = t - tol - t[list(basis)].max()
+        k = int(np.argmax(excess))
+        if excess[k] <= 0.0 or k in basis:
+            return math.atan2(u[1], u[0]) % (2.0 * np.pi)
+        u, basis = _circle_optimum(cl, ql, basis + (k,))
+    return None
+
+
 def solve_min_horocycle(points, grid: int = 720, grid_offset: float = 0.0) -> MinHorocycleSolution:
     """Globally minimal enclosing horocycle of the point set.
 
-    Scans ``grid`` ideal angles (optionally offset, for independent
-    reruns), golden-section refines every bracketed local minimum down to
-    REFINE_TOL radians (all brackets in lockstep, one vectorized profile
-    call per step), and takes the best.  ``grid_offset`` must be finite.
-    The solution is flagged unique iff the minimal size is strictly below
-    2^{-1/2} and all near-minimal refined minimizers coincide in angle.
+    Always evaluates the profile on ``grid`` ideal angles (optionally
+    offset by the finite ``grid_offset``); ``profile`` reports them.
 
-    The scan and the refine see only a superset of the convex-hull
+    When the disk center lies strictly outside the points' hull, the
+    minimizer theta* is solved exactly (``_exact_minimizer``); ``grid``
+    and ``grid_offset`` then only shape the diagnostic grid, and
+    ``tied_minimizers`` is ``[theta*]``.  Otherwise, or if that solve
+    does not converge, every bracketed local minimum of the grid is
+    golden-section refined down to REFINE_TOL radians (all brackets in
+    lockstep, one vectorized profile call per step), the best is taken,
+    and ``tied_minimizers`` holds the refined minimizers within
+    UNIQUE_VALUE_TOL of it.  Either way a* is the blocked profile's own
+    value at theta*, the value the enclosure check recomputes.
+
+    ``unique`` is the paper's criterion: a* < 2^{-1/2} -
+    UNIQUE_SIZE_MARGIN and all tied minimizers coincide in angle.  (On
+    the exact path the minimizer is unique at every size, but a size at
+    or above the bound is not flagged.)
+
+    The path test and the solve see only a superset of the convex-hull
     vertices: horocycle interiors are convex, so the profile over those
     points is the profile over all of them.  ``support`` holds the
     indices, into ``points``, of every input point on the boundary.
@@ -227,17 +329,20 @@ def solve_min_horocycle(points, grid: int = 720, grid_offset: float = 0.0) -> Mi
     profile = _profile_of(hull)
     values = profile(thetas)
 
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
-    idx = np.nonzero((values <= left) & (values <= right))[0]
-    # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
-    wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
-    xs, vals = _golden_minimize(profile, wrapped[idx], wrapped[idx + 2], REFINE_TOL)
-    minima = [(val, th % (2.0 * np.pi)) for th, val in zip(xs, vals)]
-    minima.sort()
-    a_star, th_star = minima[0]
-
-    ties = np.array([th for val, th in minima if val <= a_star + UNIQUE_VALUE_TOL])
+    th_star = _exact_minimizer(hull) if _center_outside_hull(hull) else None
+    if th_star is not None:
+        a_star, ties = float(profile(np.array([th_star]))[0]), np.array([th_star])
+    else:
+        left = np.roll(values, 1)
+        right = np.roll(values, -1)
+        idx = np.nonzero((values <= left) & (values <= right))[0]
+        # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
+        wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
+        xs, vals = _golden_minimize(profile, wrapped[idx], wrapped[idx + 2], REFINE_TOL)
+        minima = [(val, th % (2.0 * np.pi)) for th, val in zip(xs, vals)]
+        minima.sort()
+        a_star, th_star = minima[0]
+        ties = np.array([th for val, th in minima if val <= a_star + UNIQUE_VALUE_TOL])
     dth = np.abs((ties - th_star + np.pi) % (2.0 * np.pi) - np.pi)
     unique = bool(a_star < INV_SQRT2 - UNIQUE_SIZE_MARGIN and np.all(dth <= UNIQUE_ANGLE_TOL))
 

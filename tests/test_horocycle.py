@@ -248,6 +248,24 @@ class TestMinSize:
             assert Horocycle(theta=phi, a=0.5).contains(p)
         assert np.all((sizes > 0.0) & (sizes <= 1.0))
 
+    @pytest.mark.parametrize(
+        "theta, p",
+        [
+            (0.0, [2.0, 0.0]),  # outside: once NaN with a RuntimeWarning
+            (3.0, [2.0, 0.0]),  # outside: once a "size" of 1.229
+            (0.0, [1.0, 0.0]),  # on the absolute, at the ideal point
+            (1.0, [0.0, -1.0]),  # on the absolute
+            (0.5, [np.nan, 0.1]),
+            (0.5, [0.1, np.inf]),
+            (0.5, [-np.inf, 0.0]),
+        ],
+    )
+    def test_invalid_point_rejected(self, theta, p):
+        with pytest.raises(ValueError, match="inside the unit disk"):
+            min_size_for_point(theta, p)
+        with pytest.raises(ValueError, match="finite"):
+            min_sizes_for_points([theta, 0.0], [[0.1, 0.2], p, [0.0, 0.0]])
+
 
 class TestIntersectionPoints:
     def test_coincident_pair(self, rng):

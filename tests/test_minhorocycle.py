@@ -1,12 +1,13 @@
 """Minimal enclosing horocycle: profile, solver, verification."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, Delaunay
 
 from conic_extrema import (
     MinHorocycleSolution,
@@ -15,11 +16,14 @@ from conic_extrema import (
     solve_min_horocycle,
     verify_solution,
 )
+from conic_extrema import minhorocycle as minhorocycle_module
 from conic_extrema.horocycle import INV_SQRT2, Horocycle, min_sizes_for_points
 from conic_extrema.minhorocycle import (
     GOLDEN,
     PROFILE_BLOCK,
     PRUNE_DIRECTIONS,
+    UNIQUE_SIZE_MARGIN,
+    _center_outside_hull,
     _golden_minimize,
     _hull_superset,
     _profile,
@@ -205,6 +209,15 @@ def _point_family(name, rng, n):
         return _in_horocycle(rng, n, phi, rng.uniform(0.6, 0.7), 0.98)
     if name == "centre":
         return np.vstack([np.zeros((1, 2)), _in_horocycle(rng, n - 1, phi, INV_SQRT2, 0.9)])
+    if name == "arc-near-absolute":
+        t = phi + rng.uniform(0.0, rng.uniform(0.01, 3.0), n)
+        return rng.uniform(0.99, 0.999, (n, 1)) * np.stack([np.cos(t), np.sin(t)], axis=1)
+    if name == "above-bound":
+        # the centre is just outside the hull of an open half-annulus,
+        # yet no horocycle below 2^(-1/2) encloses it: a* > 0.75 here
+        t = phi + rng.uniform(0.02, np.pi - 0.02, max(n, 2))
+        t[:2] = phi + 0.02, phi + np.pi - 0.02
+        return rng.uniform(0.5, 0.95, (len(t), 1)) * np.stack([np.cos(t), np.sin(t)], axis=1)
     raise ValueError(name)
 
 
@@ -241,6 +254,106 @@ class TestHullPrune:
         copies = np.nonzero((perm == first) | (perm == len(pts) - 1))[0]
         sol = solve_min_horocycle(pts[perm])
         assert set(copies.tolist()) <= set(sol.support)
+
+
+DENSE = np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)
+
+
+class TestExactPath:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["near-boundary", "spread", "arc-near-absolute", "above-bound"]),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_and_grid_oracles(self, family, n, seed):
+        pts = _point_family(family, np.random.default_rng(seed), n)
+        hull = pts[_hull_superset(pts)]
+        assert _center_outside_hull(hull)
+        sol = solve_min_horocycle(pts)
+        a = sol.horocycle.a
+        # the profile over the hull superset is the profile over all points
+        assert a <= (1.0 + 1e-12) * _profile(DENSE, hull).min()
+        needs = min_sizes_for_points([sol.horocycle.theta], pts)[0]
+        assert needs.max() <= a + 1e-10
+        verify_solution(pts, sol)
+        with mock.patch.object(minhorocycle_module, "EXACT_PASSES", 0):
+            grid = solve_min_horocycle(pts)
+        assert a <= (1.0 + 1e-13) * grid.horocycle.a
+        assert sol.profile.tied_minimizers.tolist() == [sol.horocycle.theta]
+        assert sol.unique == (a < INV_SQRT2 - UNIQUE_SIZE_MARGIN)
+        if family == "above-bound":
+            assert a > 0.75 and not sol.unique
+
+
+def _count_golden_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return _golden_minimize(*args)
+
+    monkeypatch.setattr(minhorocycle_module, "_golden_minimize", counted)
+    return calls
+
+
+class TestPathSelection:
+    @pytest.mark.parametrize(
+        "pts, outside",
+        [
+            ([[0.1, 0.1], [-0.2, 0.1], [0.0, -0.3]], False),  # centre strictly inside
+            ([[-0.3, 0.0], [0.3, 0.0], [0.0, 0.3]], False),  # on a hull edge
+            ([[0.0, 0.0], [0.3, 0.1], [0.1, 0.3]], False),  # at a vertex
+            ([[0.1, 0.1], [0.3, 0.0], [0.2, 0.4]], True),  # strictly outside
+            ([[0.0, 0.0]], False),
+            ([[0.0, 0.4]], True),
+            ([[0.2, 0.0], [-0.2, 0.0]], False),  # a segment through the centre
+        ],
+    )
+    def test_gate_cases(self, pts, outside):
+        pts = np.array(pts)
+        assert _center_outside_hull(pts) == outside
+        if len(pts) >= 3:
+            assert (Delaunay(pts).find_simplex([0.0, 0.0]) < 0) == outside
+
+    def test_gate_matches_convex_hull(self, rng):
+        outcomes = []
+        while len(outcomes) < 300:
+            n = int(rng.integers(3, 200))
+            pts = rng.uniform(-0.4, 0.4, 2) + rng.uniform(-0.3, 0.3, (n, 2))
+            # the largest signed distance of the centre to a hull edge line
+            depth = ConvexHull(pts).equations[:, 2].max()
+            if abs(depth) < 1e-6:
+                continue
+            outcomes.append(_center_outside_hull(pts[_hull_superset(pts)]))
+            assert outcomes[-1] == (depth > 0.0)
+        assert 50 < sum(outcomes) < 250
+
+    def test_golden_refine_runs_on_degenerate_sets_only(self, monkeypatch):
+        calls = _count_golden_calls(monkeypatch)
+        rng = np.random.default_rng(8)
+        for family in ("near-boundary", "spread"):
+            for n in (1, 10, 1000, 20_000):
+                solve_min_horocycle(_point_family(family, rng, n))
+        assert calls == []
+        for n in (10, 1000):
+            solve_min_horocycle(_point_family("centre", rng, n))
+        assert len(calls) == 2
+        solve_min_horocycle([[0.0, 0.0]])
+        assert len(calls) == 3
+
+    def test_grid_path_runs_when_the_basis_solve_is_capped(self, monkeypatch):
+        pts = _point_family("spread", np.random.default_rng(9), 300)
+        exact = solve_min_horocycle(pts)
+        calls = _count_golden_calls(monkeypatch)
+        monkeypatch.setattr(minhorocycle_module, "EXACT_PASSES", 0)
+        capped = solve_min_horocycle(pts)
+        assert len(calls) == 1
+        assert capped.horocycle.a == pytest.approx(exact.horocycle.a, rel=1e-13)
+        dth = (capped.horocycle.theta - exact.horocycle.theta + np.pi) % (2.0 * np.pi) - np.pi
+        assert abs(dth) <= 1e-6
+        assert capped.unique and exact.unique
+        assert capped.support == exact.support
 
 
 class TestProfileKernel:
