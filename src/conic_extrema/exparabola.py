@@ -23,8 +23,10 @@ side lines within that region.
 
 The solve path (``tangency_root``, then ``pencil_member`` in apex form)
 builds and recognizes no matrix, so results scale linearly with the
-triangle over the whole float range.  Apex, axis and tangency point go
-back to the world as x = R^T (x_f - t) on scalars, not 2-vector arrays.
+triangle over the whole float range.  It runs on Python floats, from the
+vertex coordinates ``Triangle`` keeps through the frame, the cubic and its
+roots to the world apex, axis and tangency point (x = R^T (x_f - t));
+arrays are built only for the fields that callers read.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ class Triangle:
     area: float
 
     def __init__(self, A, B, C):
-        A, B, C = (np.asarray(v, float).reshape(2).copy() for v in (A, B, C))
-        (ax, ay), (bx, by), (cx, cy) = A.tolist(), B.tolist(), C.tolist()
+        xy = np.array((A, B, C), dtype=float).reshape(3, 2)
+        xy.flags.writeable = False
+        # the six coordinates as Python floats, read by canonical_frame
+        (ax, ay), (bx, by), (cx, cy) = coords = xy.tolist()
         if not all(map(math.isfinite, (ax, ay, bx, by, cx, cy))):
             raise ValueError("triangle vertices must be finite")
-        for v in (A, B, C):
-            v.flags.writeable = False
         ex1, ey1 = bx - ax, by - ay
         ex2, ey2 = cx - ax, cy - ay
         ex3, ey3 = cx - bx, cy - by
@@ -69,21 +71,25 @@ class Triangle:
         flatness = abs(ex1 / d * (ey2 / d) - ey1 / d * (ex2 / d))
         if flatness < 1e-9:
             raise DegenerateTriangle("triangle vertices are nearly collinear")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "A", xy[0])
+        object.__setattr__(self, "B", xy[1])
+        object.__setattr__(self, "C", xy[2])
         object.__setattr__(self, "diameter", diameter)
-        # a Python float: an area beyond the float range is a quiet inf
-        object.__setattr__(self, "area", 0.5 * float(flatness) * diameter * diameter)
+        # an area beyond the float range is a quiet inf
+        object.__setattr__(self, "area", 0.5 * flatness * diameter * diameter)
+        object.__setattr__(self, "_xy", coords)
 
     def vertex(self, name: str) -> np.ndarray:
-        return {"A": self.A, "B": self.B, "C": self.C}[name]
+        return (self.A, self.B, self.C)[_VERTEX_INDEX[name]]
 
 
 SIDES = ("AB", "BC", "CA")
 # vertex opposite each side
 OPPOSITE = {"AB": "C", "BC": "A", "CA": "B"}
 _SIDE_VERTICES = {"AB": ("A", "B"), "BC": ("B", "C"), "CA": ("C", "A")}
+_VERTEX_INDEX = {"A": 0, "B": 1, "C": 2}
+# (endpoint, endpoint, opposite vertex) of each side, as indices into Triangle._xy
+_SIDE_INDEX = {s: [_VERTEX_INDEX[v] for v in (*_SIDE_VERTICES[s], OPPOSITE[s])] for s in SIDES}
 
 
 @dataclass(frozen=True)
@@ -134,18 +140,18 @@ def canonical_frame(t: Triangle, side: str) -> CanonicalFrame:
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    pa, pb = (t.vertex(v) for v in _SIDE_VERTICES[side])
-    pc = t.vertex(OPPOSITE[side])
-    ux, uy = pb[0] - pa[0], pb[1] - pa[1]
+    i, j, k = _SIDE_INDEX[side]
+    (pax, pay), (pbx, pby), (pcx, pcy) = t._xy[i], t._xy[j], t._xy[k]
+    ux, uy = pbx - pax, pby - pay
     un = math.hypot(ux, uy)
     ux, uy = ux / un, uy / un
-    proj = (pc[0] - pa[0]) * ux + (pc[1] - pa[1]) * uy
-    fx, fy = pa[0] + proj * ux, pa[1] + proj * uy
-    wx, wy = pc[0] - fx, pc[1] - fy
+    proj = (pcx - pax) * ux + (pcy - pay) * uy
+    fx, fy = pax + proj * ux, pay + proj * uy
+    wx, wy = pcx - fx, pcy - fy
     c2 = math.hypot(wx, wy)
     wx, wy = wx / c2, wy / c2
-    a1 = (pa[0] - fx) * ux + (pa[1] - fy) * uy
-    b1 = (pb[0] - fx) * ux + (pb[1] - fy) * uy
+    a1 = (pax - fx) * ux + (pay - fy) * uy
+    b1 = (pbx - fx) * ux + (pby - fy) * uy
     # area / diameter^2 from the frame lengths, free of under- and overflow
     if 0.5 * (c2 / t.diameter) * ((b1 - a1) / t.diameter) < MIN_AREA_RATIO:
         raise DegenerateTriangle("triangle too flat for stable computation")
@@ -220,15 +226,17 @@ def tangency_cubic(frame: CanonicalFrame) -> np.ndarray:
     so exactly one root lies in (a1, b1).  Raises NumericalRootFailure
     when a coefficient overflows.
     """
-    a1, b1, c2 = frame.a1, frame.b1, frame.c2
+    return np.array(_tangency_coefficients(frame.a1, frame.b1, frame.c2))
+
+
+def _tangency_coefficients(a1: float, b1: float, c2: float) -> tuple:
+    """The coefficients of :func:`tangency_cubic` as a tuple of floats."""
     try:
-        return np.array(
-            [
-                1.0,
-                -(a1 + b1),
-                -(a1**2) + a1 * b1 - b1**2 - 2.0 * c2**2,
-                a1 * (a1**2 + c2**2) + b1 * (b1**2 + c2**2),
-            ]
+        return (
+            1.0,
+            -(a1 + b1),
+            -(a1**2) + a1 * b1 - b1**2 - 2.0 * c2**2,
+            a1 * (a1**2 + c2**2) + b1 * (b1**2 + c2**2),
         )
     except OverflowError as exc:  # a Python-float power
         raise NumericalRootFailure("tangency cubic coefficients overflow") from exc
@@ -241,7 +249,7 @@ def solve_cubic(coeffs) -> np.ndarray:
     one Newton polish step.  Raises NumericalRootFailure if the cubic does
     not have three real roots within tolerance.
     """
-    _, b, c, d = (float(x) for x in coeffs)
+    _, b, c, d = map(float, coeffs)
     p = c - b * b / 3.0
     q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
     scale = max(abs(p), abs(q) ** (2.0 / 3.0), 1e-300)
@@ -265,7 +273,7 @@ def solve_cubic(coeffs) -> np.ndarray:
         if abs(df) > 1e-300:
             x -= f / df
         roots.append(x)
-    return np.sort(np.array(roots))
+    return np.array(sorted(roots))
 
 
 def tangency_root(frame: CanonicalFrame) -> float:
@@ -277,8 +285,8 @@ def tangency_root(frame: CanonicalFrame) -> float:
     unless exactly one root lies in (a1, b1).
     """
     k = math.frexp(frame.scale)[1]
-    a1, b1, c2 = (math.ldexp(v, -k) for v in (frame.a1, frame.b1, frame.c2))
-    roots = solve_cubic(tangency_cubic(CanonicalFrame(a1, b1, c2, frame.world_to_frame)))
+    a1, b1, c2 = math.ldexp(frame.a1, -k), math.ldexp(frame.b1, -k), math.ldexp(frame.c2, -k)
+    roots = solve_cubic(_tangency_coefficients(a1, b1, c2))
     inside = [r for r in roots.tolist() if a1 < r < b1]
     if len(inside) != 1:
         raise NumericalRootFailure(f"expected one root in (a1, b1), found {len(inside)}")

@@ -159,13 +159,13 @@ def min_sizes_for_points(thetas, pts) -> np.ndarray:
     """Vectorized :func:`min_size_for_point`: (m,) angles x (n, 2) points -> (m, n).
 
     The points are checked as ``minhorocycle.as_point_set`` checks them:
-    w^2 = 1 - (x^2 + y^2) must be positive, which also fails for NaN and
-    infinite coordinates.
+    |x|, |y| < 1, which fails for NaN and infinite coordinates and keeps
+    the squares from overflowing, and then w^2 = 1 - (x^2 + y^2) > 0.
     """
     thetas = np.atleast_1d(np.asarray(thetas, float))
     pts = np.atleast_2d(np.asarray(pts, float))
-    terms = _point_terms(pts)
-    if not np.all(terms[2] > 0.0):
+    terms = _point_terms(pts) if np.all(np.abs(pts) < 1.0) else None
+    if terms is None or not np.all(terms[2] > 0.0):
         raise ValueError("points must be finite and lie strictly inside the unit disk")
     sizes = _squared_sizes(thetas, terms)
     return np.sqrt(sizes, out=sizes)

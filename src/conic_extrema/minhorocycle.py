@@ -82,7 +82,8 @@ def as_point_set(points) -> np.ndarray:
         raise ValueError("point set must be a nonempty list of (x, y) pairs")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
-    if np.any((pts**2).sum(axis=1) >= 1.0):
+    # |x|, |y| < 1 before squaring: a huge finite coordinate would overflow
+    if np.any(np.abs(pts) >= 1.0) or np.any((pts**2).sum(axis=1) >= 1.0):
         raise ValueError("all points must lie strictly inside the unit disk")
     return pts
 

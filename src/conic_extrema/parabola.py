@@ -127,7 +127,7 @@ class Parabola:
     parameter: float
 
     def __init__(self, apex, axis_angle: float, parameter: float):
-        apex = np.asarray(apex, dtype=float).reshape(2).copy()
+        apex = np.array(apex, dtype=float).reshape(2)
         axis_angle, parameter = float(axis_angle), float(parameter)
         if not all(map(math.isfinite, (*apex.tolist(), axis_angle, parameter))):
             raise ValueError("parabola apex, axis angle and parameter must be finite")

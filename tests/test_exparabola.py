@@ -543,3 +543,103 @@ def test_flat_triangles_solve():
             p_closed = np.sqrt(squared_parameter(r.frame, r.lam))
             assert r.parabola.parameter == pytest.approx(p_closed, rel=1e-12)
             assert tangent_offset_error(r.parabola.conic, tri) <= 1e-7 * t.diameter
+
+
+# per triangle: its vertices, then per exparabola the opposite vertex and, as
+# float.hex, lam, parameter, apex x and y, axis angle, tangency x and y;
+# recorded from the numpy-scalar solve path that the float path replaced
+PINNED = {
+    "worked": (
+        [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        ("C", "0x0.0p+0", "0x1.0000000000000p+1",
+         "0x0.0p+0", "0x0.0p+0", "0x1.2d97c7f3321d2p+2",
+         "0x0.0p+0", "0x0.0p+0"),
+        ("A", "-0x1.bf8120f357ad4p-1", "0x1.16b28f55d72d4p-1",
+         "0x1.fcd4669f1b2f0p-2", "0x1.1c71c71c71c6fp-1", "0x1.aea08d838f152p-2",
+         "0x1.3c6ef372fe94ep-1", "0x1.8722191a02d60p-2"),
+        ("B", "0x1.bf8120f357ad7p-1", "0x1.16b28f55d72d3p-1",
+         "-0x1.fcd4669f1b2f0p-2", "0x1.1c71c71c71c72p-1", "0x1.5c4ba393d0eeep+1",
+         "-0x1.3c6ef372fe94ep-1", "0x1.8722191a02d60p-2"),
+    ),
+    "worked_2^-900": (
+        [[-1.1830521861667747e-271, 0.0], [1.1830521861667747e-271, 0.0], [0.0, 1.1830521861667747e-271]],
+        ("C", "0x0.0p+0", "0x1.0000000000000p-899",
+         "0x0.0p+0", "0x0.0p+0", "0x1.2d97c7f3321d2p+2",
+         "0x0.0p+0", "0x0.0p+0"),
+        ("A", "-0x1.bf8120f357ad4p-901", "0x1.16b28f55d72d4p-901",
+         "0x1.fcd4669f1b2f0p-902", "0x1.1c71c71c71c6fp-901", "0x1.aea08d838f152p-2",
+         "0x1.3c6ef372fe94ep-901", "0x1.8722191a02d60p-902"),
+        ("B", "0x1.bf8120f357ad7p-901", "0x1.16b28f55d72d3p-901",
+         "-0x1.fcd4669f1b2f0p-902", "0x1.1c71c71c71c72p-901", "0x1.5c4ba393d0eeep+1",
+         "-0x1.3c6ef372fe94ep-901", "0x1.8722191a02d60p-902"),
+    ),
+    "worked_2^900": (
+        [[-8.452712498170644e+270, 0.0], [8.452712498170644e+270, 0.0], [0.0, 8.452712498170644e+270]],
+        ("C", "0x0.0p+0", "0x1.0000000000000p+901",
+         "0x0.0p+0", "0x0.0p+0", "0x1.2d97c7f3321d2p+2",
+         "0x0.0p+0", "0x0.0p+0"),
+        ("A", "-0x1.bf8120f357ad4p+899", "0x1.16b28f55d72d4p+899",
+         "0x1.fcd4669f1b2f0p+898", "0x1.1c71c71c71c6fp+899", "0x1.aea08d838f152p-2",
+         "0x1.3c6ef372fe94ep+899", "0x1.8722191a02d60p+898"),
+        ("B", "0x1.bf8120f357ad7p+899", "0x1.16b28f55d72d3p+899",
+         "-0x1.fcd4669f1b2f0p+898", "0x1.1c71c71c71c72p+899", "0x1.5c4ba393d0eeep+1",
+         "-0x1.3c6ef372fe94ep+899", "0x1.8722191a02d60p+898"),
+    ),
+    "flat_1e-6": (
+        [[3.25, -1.5], [4.014842187284488, -0.855782312762309], [3.5329903208597573, -1.2616379260375268]],
+        ("C", "0x1.0a3d70a3d07fep-2", "0x1.c745fd04ab99bp+17",
+         "0x1.ccb4fc62eb008p+1", "-0x1.34b00c5b2c410p+0", "0x1.5a6497de6ae7fp+2",
+         "0x1.ddad479cb2f64p+1", "-0x1.1819bf0c4071ap+0"),
+        ("A", "-0x1.c05f74a17c7e8p-1", "0x1.711b1f3a2ba1ap-37",
+         "0x1.e9490a7c9231ep+1", "-0x1.048b72b10b80dp+0", "0x1.6666d3641be0ap-1",
+         "0x1.f5bbcc8a0faf8p+1", "-0x1.df266d9bac640p-1"),
+        ("B", "0x1.c05f74a16851cp-1", "0x1.249fd2ba5db99p-38",
+         "0x1.b0212db8707e4p+1", "-0x1.64d3fb0490d59p+0", "0x1.ebb940182ccb7p+1",
+         "0x1.ac2a86fddcc44p+1", "-0x1.6b814839504bap+0"),
+    ),
+    "ratio_0.1": (
+        [[-4.5, 0.75], [-5.166276021279824, 1.4957052121767203], [-5.188824619672002, 1.2207660176071786]],
+        ("C", "-0x1.27fcd9f5b9816p-1", "0x1.ab8a1ae07188fp+0",
+         "-0x1.37196a19cd2d6p+2", "0x1.3531b174ea783p+0", "0x1.0b9eb0f893008p-1",
+         "-0x1.29e378b33d8ecp+2", "0x1.d88a0f320a822p-1"),
+        ("A", "-0x1.23762f0d89d68p-1", "0x1.ba3c5aee78542p-6",
+         "-0x1.4bbf3aeae16dbp+2", "0x1.5b5c8b31c172fp+0", "0x1.36938da9842c3p+1",
+         "-0x1.4b44492db8319p+2", "0x1.6069f2848edfcp+0"),
+        ("B", "0x1.ae1283e6550e3p-1", "0x1.d3e4f72ee4f34p-3",
+         "-0x1.38eb74c209d7ap+2", "0x1.cd6a4977a7e56p-1", "0x1.3cfa0ae2dd7e6p+2",
+         "-0x1.26ea1627b9ef8p+2", "0x1.a5cde544e634ap-1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_exparabolas_pinned_bit_for_bit(name):
+    # equality, not closeness: any change in rounding on the solve path shows
+    verts, *rows = PINNED[name]
+    results = exparabolas(Triangle(*verts))
+    assert len(results) == len(rows)
+    for r, (opp, *hexes) in zip(results, rows):
+        p = r.parabola
+        got = (r.lam, p.parameter, *p.apex.tolist(), p.axis_angle, *r.tangency.tolist())
+        assert r.opposite_vertex == opp
+        assert [v.hex() for v in got] == hexes
+
+
+def test_solve_path_returns_python_floats():
+    # numpy scalars on the solve path cost interpreter time; keep them out
+    t = Triangle(np.array([0.3, -1.2]), [2.5, 0.4], (-0.7, 1.9))
+    for side in ("AB", "BC", "CA"):
+        fr = canonical_frame(t, side)
+        assert type(fr.a1) is float and type(fr.b1) is float and type(fr.c2) is float
+        assert type(tangency_root(fr)) is float
+    for r in exparabolas(t):
+        assert type(r.lam) is float
+        assert type(r.parabola.parameter) is float and type(r.parabola.axis_angle) is float
+    for arr in (t.A, t.B, t.C, exparabolas(t)[0].parabola.apex):
+        assert isinstance(arr, np.ndarray) and arr.shape == (2,) and not arr.flags.writeable
+    coeffs = (1.0, 0.0, -5.0, 0.0)
+    for form in (coeffs, list(coeffs), np.array(coeffs)):
+        roots = solve_cubic(form)
+        assert isinstance(roots, np.ndarray) and roots.shape == (3,)
+        assert roots.tolist() == sorted(roots.tolist())
+        assert roots[1] == 0.0 and roots[2] == pytest.approx(np.sqrt(5.0), rel=1e-15)

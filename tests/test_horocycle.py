@@ -258,6 +258,10 @@ class TestMinSize:
             (0.5, [np.nan, 0.1]),
             (0.5, [0.1, np.inf]),
             (0.5, [-np.inf, 0.0]),
+            # finite but huge: once an overflow RuntimeWarning from squaring
+            (0.0, [1e200, 0.0]),
+            (2.0, [0.0, -1e300]),
+            (0.7, [1e155, 1e155]),
         ],
     )
     def test_invalid_point_rejected(self, theta, p):

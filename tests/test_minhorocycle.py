@@ -151,6 +151,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite"):
             solve_min_horocycle([[bad, 0.1], [0.2, 0.1]])
 
+    @pytest.mark.parametrize("p", [[1e200, 0.0], [0.0, -1e300], [1e155, 1e155]])
+    def test_huge_finite_point_rejected_without_warning(self, p):
+        # squaring 1e200 overflows, which pytest turns into an error: the
+        # point must be rejected before it is squared
+        with pytest.raises(ValueError, match="inside the unit disk"):
+            solve_min_horocycle([p])
+        with pytest.raises(ValueError, match="inside the unit disk"):
+            size_profile([[0.2, 0.1], p], 0.5)
+
     @pytest.mark.parametrize("grid", [0, -3])
     def test_empty_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="grid"):
