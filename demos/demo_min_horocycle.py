@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from conic_extrema import size_profile, solve_min_horocycle, verify_solution
+from conic_extrema.minhorocycle import _hull_superset
 from conic_extrema.svgfig import SvgFigure
 
 rng = np.random.default_rng(7)
@@ -38,6 +39,28 @@ if worst > 1e-12:
     raise SystemExit(f"a cloud point lies outside the solution's matrix form by {worst:.3e}")
 if not sol.horocycle.a <= (1.0 + 1e-12) * dense:
     raise SystemExit(f"a* = {sol.horocycle.a!r} exceeds the dense-profile minimum {dense!r}")
+
+# a large cloud: the solve and the local-optimality check of the
+# verification see only the points the convex-hull filter keeps
+big = rng.uniform(-0.2, 0.2, (20_000, 2)) + np.array([-0.3, 0.35])
+big_sol = solve_min_horocycle(big)
+hull = _hull_superset(big)
+print(f"{len(big)} points, {len(hull)} kept by the convex-hull filter:")
+print(f"  theta* = {big_sol.horocycle.theta:.9f} rad, a* = {big_sol.horocycle.a:.12f}")
+print(f"  unique = {big_sol.unique}")
+print("  verification:", verify_solution(big, big_sol))
+# verify_solution's perturbed angles: the profile over the kept points
+# must be the profile over all of them, bit for bit
+draws = np.random.default_rng(0)
+mags = 10.0 ** draws.uniform(-6.0, -2.0, 64)
+near = big_sol.horocycle.theta + mags * draws.choice([-1.0, 1.0], 64)
+same = np.array_equal(size_profile(big[hull], near), size_profile(big, near))
+print(f"  perturbed profile over the kept points = over all points: {same}")
+print()
+if not len(hull) < len(big):
+    raise SystemExit("the convex-hull filter kept every point of the large cloud")
+if not same:
+    raise SystemExit("the perturbed profile over the kept points differs from all points")
 
 # the degenerate case: the disk center pins every profile value at 2^(-1/2)
 center_sol = solve_min_horocycle([[0.0, 0.0]])

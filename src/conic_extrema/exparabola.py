@@ -251,7 +251,10 @@ def solve_cubic(coeffs) -> np.ndarray:
     """
     _, b, c, d = map(float, coeffs)
     p = c - b * b / 3.0
-    q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
+    try:
+        q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
+    except OverflowError as exc:  # a Python-float power
+        raise NumericalRootFailure("cubic coefficients underflow or overflow") from exc
     scale = max(abs(p), abs(q) ** (2.0 / 3.0), 1e-300)
     if p >= -1e-13 * scale:
         raise NumericalRootFailure("cubic does not have three separated real roots")

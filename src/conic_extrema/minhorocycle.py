@@ -34,8 +34,12 @@ convex-hull vertices, and the profile over any superset of those
 vertices is the profile over all points.  The path test, the basis
 solve, the grid scan and the refine therefore run on the points an
 Akl-Toussaint extreme-point filter keeps, and their cost follows the
-number of extreme points, not n.  The boundary ``support`` and
-:func:`verify_solution` use every input point.
+number of extreme points, not n.  The boundary ``support`` and the
+enclosure check of :func:`verify_solution` use every input point; its
+local-optimality check uses the filter's points.  Each profile value is
+computed per point, so the kept points' values are the full
+computation's bit for bit, and a max over fewer points can only be
+lower: that check can only be stricter than over all points.
 
 Two choices keep the interpreter and memory traffic out of the way
 without changing a single output bit.  The profile forms the terms w_i^2
@@ -199,24 +203,43 @@ def _hull_superset(pts: np.ndarray) -> np.ndarray:
     counter-clockwise order whose vertices are hull points.  Only points
     strictly inside every edge, by far more than rounding, are dropped;
     such a point lies inside the hull and is never one of its vertices.
+
+    Two stages keep every temporary small: the octagon of extreme points
+    in every eighth direction first drops the deep interior, then the
+    full polygon is built and tested on the survivors alone.  A dropped
+    point is no extreme point, and the octagon lies inside the polygon,
+    so the result is the index set the polygon test gives on all points.
     """
     n = len(pts)
     if n <= PRUNE_DIRECTIONS:
         return np.arange(n)
     phi = np.linspace(0.0, 2.0 * np.pi, PRUNE_DIRECTIONS, endpoint=False)
-    ext = (np.stack([np.cos(phi), np.sin(phi)], axis=1) @ pts.T).argmax(axis=1)
-    ext = ext[ext != np.roll(ext, 1)]
-    if len(ext) < 3:
-        return np.arange(n)
-    poly = pts[ext]
+    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    margin = PRUNE_MARGIN * float(np.abs(pts).max())
+    keep = np.nonzero(_not_deep_inside(pts, dirs[:: PRUNE_DIRECTIONS // 8], margin))[0]
+    return keep[_not_deep_inside(pts[keep], dirs, margin)]
+
+
+def _not_deep_inside(pts: np.ndarray, dirs: np.ndarray, margin: float) -> np.ndarray:
+    """Mask of the points at most ``margin`` inside the polygon of the
+    extreme points of ``pts`` in the unit directions ``dirs``, taken in
+    counter-clockwise order; all points when the polygon is degenerate.
+
+    Two copies of one point can each win a direction, since the matrix
+    product rounds a column by where it sits in the array; the polygon
+    merges them by coordinates, so which copy wins changes nothing.
+    """
+    poly = pts[(dirs @ pts.T).argmax(axis=1)]
+    poly = poly[(poly != np.roll(poly, 1, axis=0)).any(axis=1)]
+    if len(poly) < 3:
+        return np.ones(len(pts), dtype=bool)
     edge = np.roll(poly, -1, axis=0) - poly
     normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)  # outward
-    # two copies of one point can each win a direction by a rounding
-    # difference; their zero edge gets a zero normal and drops nothing
+    # an edge whose squared length underflows keeps a finite normal
     normals /= np.linalg.norm(normals, axis=1, keepdims=True).clip(min=np.finfo(float).tiny)
-    depth = (poly * normals).sum(axis=1)[:, None] - normals @ pts.T
-    margin = PRUNE_MARGIN * float(np.abs(pts).max())
-    return np.nonzero(depth.min(axis=0) <= margin)[0]
+    depth = normals @ pts.T
+    np.subtract((poly * normals).sum(axis=1)[:, None], depth, out=depth)
+    return depth.min(axis=0) <= margin
 
 
 def _center_outside_hull(pts: np.ndarray) -> bool:
@@ -366,6 +389,11 @@ def verify_solution(
     optimality of the profile under sampled angle perturbations, and,
     when the solution claims uniqueness, the absence of a second
     minimizer anywhere on the diagnostic grid.
+
+    The perturbed profile runs on the convex-hull superset the solver
+    uses.  Its values are those of the same points among all of them,
+    bit for bit, so its max at each angle is at most the all-points max:
+    every angle that fails over all points fails here too.
     """
     pts = as_point_set(points)
     a_star = sol.horocycle.a
@@ -381,7 +409,7 @@ def verify_solution(
     mags = 10.0 ** rng.uniform(-6.0, -2.0, perturbations)
     signs = rng.choice([-1.0, 1.0], perturbations)
     deltas = mags * signs
-    vals = _profile(th_star + deltas, pts)
+    vals = _profile(th_star + deltas, pts[_hull_superset(pts)])
     if np.any(vals < a_star - 1e-12):
         raise VerificationFailure("local optimality: a nearby angle does better")
 

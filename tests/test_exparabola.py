@@ -218,6 +218,12 @@ class TestTangencyCubic:
         with pytest.raises(NumericalRootFailure):
             solve_cubic(tangency_cubic(fr))
 
+    @pytest.mark.parametrize("b", [1e200, -3e103])
+    def test_overflowing_cube_raises_root_failure(self, b):
+        # b**3 overflows a Python float, which raises OverflowError
+        with pytest.raises(NumericalRootFailure, match="overflow"):
+            solve_cubic((1.0, b, 1.0, 1.0))
+
     def test_derivative_vanishes_at_roots(self, rng):
         for _ in range(200):
             fr = frame_of(*random_frame_params(rng))

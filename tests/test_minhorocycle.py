@@ -1,5 +1,6 @@
 """Minimal enclosing horocycle: profile, solver, verification."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -22,6 +23,7 @@ from conic_extrema.minhorocycle import (
     GOLDEN,
     PROFILE_BLOCK,
     PRUNE_DIRECTIONS,
+    PRUNE_MARGIN,
     UNIQUE_SIZE_MARGIN,
     _center_outside_hull,
     _golden_minimize,
@@ -230,6 +232,50 @@ def _point_family(name, rng, n):
     raise ValueError(name)
 
 
+FAMILIES = [
+    "random",
+    "on-circle",
+    "near-collinear",
+    "duplicate-heavy",
+    "tiny-near-boundary",
+    "near-boundary",
+    "spread",
+    "centre",
+    "arc-near-absolute",
+    "above-bound",
+]
+
+
+def _one_stage_hull_superset(pts):
+    """The single-pass filter: the full polygon's depth test on every point.
+
+    Copies of one point are merged by coordinates, as ``_hull_superset``
+    merges them, so the result does not depend on which copy wins a
+    direction.
+    """
+    n = len(pts)
+    if n <= PRUNE_DIRECTIONS:
+        return np.arange(n)
+    phi = np.linspace(0.0, 2.0 * np.pi, PRUNE_DIRECTIONS, endpoint=False)
+    poly = pts[(np.stack([np.cos(phi), np.sin(phi)], axis=1) @ pts.T).argmax(axis=1)]
+    poly = poly[(poly != np.roll(poly, 1, axis=0)).any(axis=1)]
+    if len(poly) < 3:
+        return np.arange(n)
+    edge = np.roll(poly, -1, axis=0) - poly
+    normals = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True).clip(min=np.finfo(float).tiny)
+    depth = (poly * normals).sum(axis=1)[:, None] - normals @ pts.T
+    margin = PRUNE_MARGIN * float(np.abs(pts).max())
+    return np.nonzero(depth.min(axis=0) <= margin)[0]
+
+
+def _perturbed_angles(theta):
+    """The angles ``verify_solution`` checks local optimality at, seed 0."""
+    rng = np.random.default_rng(0)
+    mags = 10.0 ** rng.uniform(-6.0, -2.0, 64)
+    return theta + mags * rng.choice([-1.0, 1.0], 64)
+
+
 class TestHullPrune:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -244,16 +290,54 @@ class TestHullPrune:
         kept = {tuple(p) for p in pts[_hull_superset(pts)]}
         assert {tuple(p) for p in pts[ConvexHull(pts).vertices]} <= kept
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_stages_match_one_stage(self, family, n, seed):
+        pts = _point_family(family, np.random.default_rng(seed), n)
+        assert np.array_equal(_hull_superset(pts), _one_stage_hull_superset(pts))
+
+    def test_kept_points_do_not_depend_on_their_order(self, rng):
+        # the matrix product rounds the last few columns differently, so
+        # which copy of a vertex wins a direction depends on the order;
+        # a zero edge between two winning copies once kept every point
+        pts = _point_family("duplicate-heavy", rng, 1005)
+        kept = {tuple(p) for p in pts[_hull_superset(pts)]}
+        assert len(kept) < 50
+        for _ in range(20):
+            shuffled = pts[rng.permutation(len(pts))]
+            idx = _hull_superset(shuffled)
+            assert len(idx) < len(pts) // 2
+            assert {tuple(p) for p in shuffled[idx]} == kept
+
     @pytest.mark.parametrize("family", ["near-boundary", "spread", "centre"])
     def test_profile_matches_all_points(self, family):
         pts = _point_family(family, np.random.default_rng(2024), 20_000)
-        assert len(_hull_superset(pts)) < 500
+        hull = pts[_hull_superset(pts)]
+        assert len(hull) < 500
         sol = solve_min_horocycle(pts)
         # in slices of angles: the profile over all points at once needs
         # several 720 x 20 000 temporaries
         full = np.concatenate([size_profile(pts, t) for t in np.split(sol.profile.thetas, 8)])
         assert np.array_equal(sol.profile.values, full)
+        # the perturbation check of verify_solution sees the same values
+        near = _perturbed_angles(sol.horocycle.theta)
+        assert np.array_equal(_profile(near, hull), _profile(near, pts))
         verify_solution(pts, sol)
+
+    def test_solve_and_verify_allocate_no_angle_by_point_array(self):
+        # one 64 x 20 000 float array alone takes 9.8 MiB
+        pts = _point_family("spread", np.random.default_rng(2024), 20_000)
+        tracemalloc.start()
+        try:
+            verify_solution(pts, solve_min_horocycle(pts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_support_indexes_input_duplicates(self, rng):
         pts = _point_family("spread", rng, 500)
@@ -460,6 +544,21 @@ class TestVerifySolution:
         )
         with pytest.raises(VerificationFailure, match="enclosure"):
             verify_solution(pts, bad)
+
+    def test_off_minimum_angle_fails_local_optimality_on_pruned_set(self):
+        pts = _point_family("spread", np.random.default_rng(5), 5000)
+        assert len(_hull_superset(pts)) < len(pts)
+        sol = solve_min_horocycle(pts)
+        theta = sol.horocycle.theta + 1e-3
+        # the size every point needs there, so the enclosure check passes
+        off = MinHorocycleSolution(
+            horocycle=Horocycle(theta=theta, a=size_profile(pts, theta)),
+            support=sol.support,
+            unique=sol.unique,
+            profile=sol.profile,
+        )
+        with pytest.raises(VerificationFailure, match="local optimality"):
+            verify_solution(pts, off)
 
     def test_center_flagged_unique_fails(self):
         pts = [[0.0, 0.0]]
