@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     except ConicExtremaError as exc:
         _diag(type(exc).__name__, str(exc))
         return 1
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:  # int(inf) overflows
         _diag(type(exc).__name__, str(exc))
         return 3
 

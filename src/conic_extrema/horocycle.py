@@ -43,7 +43,10 @@ so the kernel ``_squared_sizes`` keeps s at or above w^2 / 2: rounding
 near the ideal point cannot take it to zero, and the denominator is at
 least w^2 > 0.  Through :func:`min_sizes_for_points` that one kernel
 decides ``Horocycle.contains``, the lens sampler, the cover check and,
-through ``minhorocycle``, every profile value.
+through ``minhorocycle``, every profile value.  A valid point is an
+(x, y) pair with w^2 > 0: finite and strictly inside N.  ``_disk_points``
+alone checks that rule, for the callers above and
+``minhorocycle.as_point_set``; the samplers keep w^2 > 0 candidates.
 """
 
 from __future__ import annotations
@@ -97,15 +100,13 @@ class Horocycle:
     def contains(self, p) -> bool:
         """Strict interior test: the point's minimal size is below a.
 
-        False for a point on the absolute, outside the disk or with a
-        non-finite coordinate, where the kernel's w^2 = 1 - (x^2 + y^2),
-        on Python floats that overflow quietly, is not positive.  A point
-        on the horocycle itself is decided by the rounding of its size.
-        """
+        False for an invalid point (see the module text); a point on the
+        horocycle itself is decided by the rounding of its size."""
         x, y = (float(c) for c in p)
-        if not 1.0 - (x * x + y * y) > 0.0:
+        try:
+            return min_size_for_point(self.theta, (x, y)) < self.a
+        except ValueError:
             return False
-        return min_size_for_point(self.theta, (x, y)) < self.a
 
 
 def horocycle_matrix(h: Horocycle) -> ConicMatrix:
@@ -119,11 +120,22 @@ def horocycle_matrix(h: Horocycle) -> ConicMatrix:
 
 
 def _point_terms(pts: np.ndarray):
-    """The kernel's per-point terms (x, y, w^2, w^2 / 2) of (n, 2) points;
-    w^2 > 0 exactly when ``minhorocycle.as_point_set`` accepts the point."""
+    """The kernel's per-point terms (x, y, w^2, w^2 / 2) of (n, 2) points."""
     x, y = pts[:, 0], pts[:, 1]
     w2 = 1.0 - (x * x + y * y)
     return x, y, w2, 0.5 * w2
+
+
+def _disk_points(points):
+    """``points`` as an (n, 2) array, n >= 0, and its ``_point_terms``;
+    ValueError for another shape or an invalid point.  |x|, |y| < 1 comes
+    first, so NaN, infinite and huge coordinates fail before squaring."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ok = pts.ndim == 2 and pts.shape[1] == 2 and np.all(np.abs(pts) < 1.0)
+    terms = _point_terms(pts) if ok else None
+    if terms is None or not np.all(terms[2] > 0.0):
+        raise ValueError("points must be finite (x, y) pairs strictly inside the unit disk")
+    return pts, terms
 
 
 def _squared_sizes(thetas: np.ndarray, terms) -> np.ndarray:
@@ -149,25 +161,16 @@ def min_size_for_point(theta: float, p) -> float:
 
     The square root of ``_squared_sizes``.  Containment is monotone in
     a: the horocycle (theta, a) contains p exactly when a exceeds this
-    value.  Raises ValueError for a point on or outside the absolute or
-    with a non-finite coordinate, which no horocycle covers.
+    value.  Raises ValueError unless p is a valid point (see the module
+    text): no horocycle covers any other.
     """
     return float(min_sizes_for_points(theta, p)[0, 0])
 
 
 def min_sizes_for_points(thetas, pts) -> np.ndarray:
-    """Vectorized :func:`min_size_for_point`: (m,) angles x (n, 2) points -> (m, n).
-
-    The points are checked as ``minhorocycle.as_point_set`` checks them:
-    |x|, |y| < 1, which fails for NaN and infinite coordinates and keeps
-    the squares from overflowing, and then w^2 = 1 - (x^2 + y^2) > 0.
-    """
+    """Vectorized :func:`min_size_for_point`: (m,) angles x (n, 2) points -> (m, n)."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
-    pts = np.atleast_2d(np.asarray(pts, float))
-    terms = _point_terms(pts) if np.all(np.abs(pts) < 1.0) else None
-    if terms is None or not np.all(terms[2] > 0.0):
-        raise ValueError("points must be finite and lie strictly inside the unit disk")
-    sizes = _squared_sizes(thetas, terms)
+    sizes = _squared_sizes(thetas, _disk_points(pts)[1])
     return np.sqrt(sizes, out=sizes)
 
 
@@ -378,7 +381,7 @@ def check_cover_containment(
     pts = np.empty((0, 2))
     while len(pts) < samples:
         batch = rng.uniform(-1.0, 1.0, (2 * (samples - len(pts)) + 16, 2))
-        batch = batch[(batch**2).sum(axis=1) < 1.0]
+        batch = batch[_point_terms(batch)[2] > 0.0]
         pts = np.vstack([pts, batch])
     pts = pts[:samples]
     omega = 2.0 * np.arctan(t)
@@ -439,7 +442,7 @@ def sample_common_interior(a: float, omega: float, n: int, seed: int = 0) -> np.
     while len(out) < n and attempts < 400:
         attempts += 1
         cand = rng.uniform(lo, hi, (max(4 * (n - len(out)), 256), 2))
-        cand = cand[(cand**2).sum(axis=1) < 1.0]
+        cand = cand[_point_terms(cand)[2] > 0.0]
         inside = (min_sizes_for_points(angles, cand) < a).all(axis=0)
         out = np.vstack([out, cand[inside]])
     if len(out) < n:

@@ -8,7 +8,8 @@ point enclosing the set has the closed-form size (see ``horocycle``)
 u = (cos theta, sin theta), w_i^2 = 1 - |p_i|^2, so the problem reduces
 to minimizing the continuous, piecewise-smooth profile a(theta) over the
 circle.  Rearranged, a^2 / (1 - a^2) = max_i t_i(u)^2 with the affine
-t_i(u) = c_i - q_i.u, c_i = 1 / w_i, q_i = p_i / w_i.
+t_i(u) = c_i - q_i.u, c_i = 1 / w_i, q_i = p_i / w_i.  Every point must
+be valid (w_i^2 > 0, see ``horocycle``); ``as_point_set`` checks them.
 
 Which sets take which path:
 
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerificationFailure
-from .horocycle import INV_SQRT2, Horocycle, _point_terms, _squared_sizes, min_sizes_for_points
+from .horocycle import INV_SQRT2, Horocycle, _disk_points, _point_terms, _squared_sizes, min_sizes_for_points
 from .maxparabola import _feasible_direction_arc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,15 +81,10 @@ EXACT_TOL = 1e-14  # violation, relative to c_i + |q_i|_1, the exact solve leave
 
 
 def as_point_set(points) -> np.ndarray:
-    """Validate and return an (n, 2) array of points strictly inside the disk."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+    """The nonempty (n, 2) array of valid points (see ``horocycle``)."""
+    pts = _disk_points(points)[0]
+    if not len(pts):
         raise ValueError("point set must be a nonempty list of (x, y) pairs")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point coordinates must be finite")
-    # |x|, |y| < 1 before squaring: a huge finite coordinate would overflow
-    if np.any(np.abs(pts) >= 1.0) or np.any((pts**2).sum(axis=1) >= 1.0):
-        raise ValueError("all points must lie strictly inside the unit disk")
     return pts
 
 

@@ -279,6 +279,17 @@ class TestInputContract:
         assert code == 3
         assert_one_json_error_line(capsys.readouterr().err)
 
+    def test_impossible_allocation_is_schema_error(self, tmp_path, capsys):
+        # 10^17 samples need about 2.8 EiB, beyond any address space, so
+        # numpy refuses the first batch at once with a MemoryError
+        payload = {"suite": "cover", "cases": 1, "samples": 10**17}
+        code, out = run_cli(tmp_path, "verify", payload, "huge")
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert_one_json_error_line(err)
+        assert strict_json(err)["error"] == "MemoryError"
+
 
 # -- contract fuzz: any small payload exits 0..3 with clean stderr -------------
 

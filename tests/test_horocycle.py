@@ -1,5 +1,6 @@
 """Horocycle matrices, containment, pair intersections and the cover."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from conic_extrema import (
     solve_min_horocycle,
     verify_solution,
 )
-from conic_extrema.horocycle import INV_SQRT2, min_sizes_for_points
+from conic_extrema.horocycle import INV_SQRT2, _disk_points, _point_terms, min_sizes_for_points
+from conic_extrema.minhorocycle import as_point_set
 from conic_extrema.projective import proj_equal
 from conic_extrema.verify import run_suite
 
@@ -440,3 +442,165 @@ def test_horocycle_paths_build_no_matrix(monkeypatch):
     pts = [[0.0, 0.5], [0.2, 0.1], [-0.3, 0.2]]
     verify_solution(pts, solve_min_horocycle(pts))
     assert run_suite("cover", 0, cases=3, samples=2000)["passed"]
+
+
+# -- the point rule ------------------------------------------------------------
+#
+# Copies of the checks that each caller made on its own before the rule moved
+# into ``horocycle._disk_points``: the new code must accept and reject exactly
+# what they did, apart from the shapes the kernel used to misread.
+
+INVALID = "finite.*inside the unit disk"
+
+
+def _old_as_point_set(points):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError("point set must be a nonempty list of (x, y) pairs")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite")
+    if np.any(np.abs(pts) >= 1.0) or np.any((pts**2).sum(axis=1) >= 1.0):
+        raise ValueError("all points must lie strictly inside the unit disk")
+    return pts
+
+
+def _old_min_sizes_accept(pts):
+    """The check of ``min_sizes_for_points``, for (n, 2) points."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    if not np.all(np.abs(pts) < 1.0):
+        return False
+    x, y = pts[:, 0], pts[:, 1]
+    return bool(np.all(1.0 - (x * x + y * y) > 0.0))
+
+
+def _old_contains_accept(p):
+    """The check of ``Horocycle.contains``, on Python floats."""
+    x, y = (float(c) for c in p)
+    return 1.0 - (x * x + y * y) > 0.0
+
+
+def _old_sampler_keep(batch):
+    """The disk filter of ``check_cover_containment`` and ``sample_common_interior``."""
+    return (batch**2).sum(axis=1) < 1.0
+
+
+def _accepts(fun, *args):
+    try:
+        fun(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _near_circle(draw):
+    """A point of the unit circle with each coordinate kept or moved one ulp
+    toward zero or away from it: on, just inside or just outside the circle."""
+    phi = draw(st.floats(0.0, 2.0 * np.pi))
+    out = []
+    for c in (math.cos(phi), math.sin(phi)):
+        target = draw(st.sampled_from([None, 0.0, math.copysign(2.0, c)]))
+        out.append(c if target is None else float(np.nextafter(c, target)))
+    return out
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf, 1e155, -1e200, 1e300]
+COORD = st.one_of(
+    st.floats(-1.5, 1.5),
+    st.sampled_from(SPECIAL),
+    st.floats(1e155, 1e300).map(lambda v: -v),
+    st.floats(1e155, 1e300),
+)
+POINT = st.one_of(st.lists(COORD, min_size=2, max_size=2), _near_circle())
+
+
+class TestPointRule:
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(POINT, max_size=5), theta=st.floats(0.0, 2.0 * np.pi))
+    def test_accepts_what_each_old_check_accepted(self, rows, theta):
+        pts = np.array(rows, dtype=float).reshape(-1, 2)
+        valid = _accepts(_old_as_point_set, pts) or len(pts) == 0
+        assert valid == _old_min_sizes_accept(pts)
+        assert _accepts(_disk_points, pts) == valid
+        assert _accepts(min_sizes_for_points, [theta], pts) == valid
+        assert _accepts(as_point_set, pts) == (valid and len(pts) > 0)
+        if valid and len(pts):
+            assert np.array_equal(as_point_set(pts), _old_as_point_set(pts))
+        with np.errstate(all="ignore"):  # the old filter squares huge values
+            assert np.array_equal(_point_terms(pts)[2] > 0.0, _old_sampler_keep(pts))
+        for p in pts:
+            ok = _old_contains_accept(p)
+            assert _accepts(_disk_points, p) == ok
+            for a in (0.3, 0.999):
+                inside = ok and min_size_for_point(theta, p) < a
+                assert Horocycle(theta=theta, a=a).contains(p) == inside
+
+    @pytest.mark.parametrize(
+        "pts",
+        [[[np.nan, 0.1]], [[0.1, -np.inf]], [[1e300, 0.0]], [[0.6, 0.8]], [[0.0, 0.0], [1.0, 0.0]]],
+    )
+    def test_one_message_names_both_conditions(self, pts):
+        with pytest.raises(ValueError, match=INVALID):
+            as_point_set(pts)
+        with pytest.raises(ValueError, match=INVALID):
+            min_sizes_for_points(0.0, pts)
+
+    @pytest.mark.parametrize(
+        "pts", [[], [0.1], [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]], [[0.1], [0.2]], 0.5],
+        ids=["empty", "one-coordinate", "three-coordinates", "3d", "column", "scalar"],
+    )
+    def test_wrong_shapes_were_and_are_rejected(self, pts):
+        assert not _accepts(_old_as_point_set, pts)
+        assert not _accepts(as_point_set, pts)
+        assert not _accepts(_disk_points, pts)
+
+    def test_empty_point_array_is_valid_but_not_a_point_set(self):
+        pts, terms = _disk_points(np.empty((0, 2)))
+        assert pts.shape == (0, 2) and terms[2].shape == (0,)
+        assert min_sizes_for_points([0.0, 1.0], pts).shape == (2, 0)
+        with pytest.raises(ValueError, match="nonempty"):
+            as_point_set(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("fun", [min_size_for_point, min_sizes_for_points])
+@pytest.mark.parametrize(
+    "p", [[0.1, 0.2, 0.3], [[0.1, 0.2, 0.9]], [], [0.1]],
+    ids=["three-coordinates", "three-coordinate-row", "empty", "one-coordinate"],
+)
+def test_min_sizes_reject_wrong_shapes(fun, p):
+    # the kernel once read the first two coordinates of a longer point and
+    # raised IndexError for a shorter one
+    with pytest.raises(ValueError, match=INVALID):
+        fun(0.0, p)
+
+
+class TestSamplersPinned:
+    """Outputs of the two disk-filtered samplers, recorded before the filter
+    moved to the kernel's w^2 term."""
+
+    @pytest.mark.parametrize(
+        "seed, points, min_k",
+        [(0, 517, "0x1.20db3cf378356p-21"), (7, 536, "0x1.11a8e8e6af810p-21")],
+    )
+    def test_cover_containment(self, seed, points, min_k):
+        rep = check_cover_containment(0.6, 0.2, samples=5000, seed=seed)
+        assert (rep.common_interior_points, rep.k_violations, rep.containment_violations) == (points, 0, 0)
+        assert rep.min_k.hex() == min_k
+        assert rep.cover_size.hex() == "0x1.2c7a07fd5f110p-1"
+        assert rep.size_reduced is True
+
+    @pytest.mark.parametrize(
+        "seed, ends, total, squares",
+        [
+            (0, ["0x1.680fb5fe75ce4p-4", "0x1.9c6116859854fp-2", "0x1.db34b03d09650p-4",
+                 "0x1.9cf92bcd557c0p-1"], "0x1.9bc94d037d6b6p+7", "0x1.32d837634c2c0p+7"),
+            (7, ["0x1.48ddb39292b2cp-4", "0x1.d2cdcabcdb172p-1", "0x1.b23bc425e3580p-9",
+                 "0x1.ca7f413d6ee28p-1"], "0x1.9569fba54c640p+7", "0x1.305ec6897801dp+7"),
+        ],
+    )
+    def test_lens_sampler(self, seed, ends, total, squares):
+        p = sample_common_interior(0.6, 0.4, 300, seed=seed)
+        assert p.shape == (300, 2)
+        assert [v.hex() for v in (*p[0].tolist(), *p[-1].tolist())] == ends
+        assert math.fsum(p.ravel().tolist()).hex() == total
+        assert math.fsum((p * p).ravel().tolist()).hex() == squares
