@@ -55,7 +55,6 @@ from .maxparabola import (
     HalfPlane,
     MaxParabolaSolution,
     halfplane_violation,
-    parabola_in_halfplane,
     solve_max_parabola,
     triangle_region,
 )
@@ -67,24 +66,16 @@ from .minhorocycle import (
 )
 from .parabola import (
     Parabola,
-    compare_size,
     is_parabola,
     parameter,
-    parameter_squared,
 )
 from .projective import (
     ConicMatrix,
-    HomLine,
     HomPoint,
-    LINE_AT_INFINITY,
     adjugate,
     dualize,
-    is_interior,
     normalize_interior,
     pencil_blend,
-    polar,
-    pole,
-    proj_equal,
 )
 
 __version__ = "0.1.0"

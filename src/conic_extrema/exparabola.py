@@ -79,17 +79,12 @@ class Triangle:
         object.__setattr__(self, "area", 0.5 * flatness * diameter * diameter)
         object.__setattr__(self, "_xy", coords)
 
-    def vertex(self, name: str) -> np.ndarray:
-        return (self.A, self.B, self.C)[_VERTEX_INDEX[name]]
-
 
 SIDES = ("AB", "BC", "CA")
 # vertex opposite each side
 OPPOSITE = {"AB": "C", "BC": "A", "CA": "B"}
-_SIDE_VERTICES = {"AB": ("A", "B"), "BC": ("B", "C"), "CA": ("C", "A")}
-_VERTEX_INDEX = {"A": 0, "B": 1, "C": 2}
-# (endpoint, endpoint, opposite vertex) of each side, as indices into Triangle._xy
-_SIDE_INDEX = {s: [_VERTEX_INDEX[v] for v in (*_SIDE_VERTICES[s], OPPOSITE[s])] for s in SIDES}
+# (endpoint, endpoint, opposite vertex) of each side, as indices into (A, B, C) and Triangle._xy
+_SIDE_INDEX = {"AB": (0, 1, 2), "BC": (1, 2, 0), "CA": (2, 0, 1)}
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,10 @@ class Horocycle:
 
         False for an invalid point (see the module text); a point on the
         horocycle itself is decided by the rounding of its size."""
-        x, y = (float(c) for c in p)
         try:
+            x, y = (float(c) for c in p)
             return min_size_for_point(self.theta, (x, y)) < self.a
-        except ValueError:
+        except (TypeError, ValueError):
             return False
 
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTriangle, NoInscribedParabola, NumericalRootFailure, UnboundedParameter
-from .exparabola import _SIDE_VERTICES, OPPOSITE, SIDES, Triangle, canonical_frame, pencil_member, tangency_root
+from .exparabola import _SIDE_INDEX, OPPOSITE, SIDES, Triangle, canonical_frame, pencil_member, tangency_root
 from .parabola import Parabola
 
 DIRECTION_TOL = 1e-9
@@ -88,9 +88,6 @@ class HalfPlane:
         d = np.asarray(direction, dtype=float).reshape(2)
         return HalfPlane(d / np.linalg.norm(d), offset)
 
-    def contains_point(self, x, tol: float = 0.0) -> bool:
-        return float(self.normal @ np.asarray(x, float)) <= self.offset + tol
-
 
 @dataclass(frozen=True)
 class ConvexRegion:
@@ -112,10 +109,6 @@ class ConvexRegion:
         for name, arr in (("normals", normals), ("offsets", offsets), ("_lines", lines)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def contains_point(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, float)
-        return bool(np.all(self.normals @ x <= self.offsets + tol))
 
 
 @dataclass(frozen=True)
@@ -152,20 +145,6 @@ def halfplane_violation(apex, axis_dir, p: float, normal, offset):
     return float(out) if out.ndim == 0 else out
 
 
-def parabola_in_halfplane(para: Parabola, h: HalfPlane, tol: float | None = None) -> bool:
-    """Containment test with tangency counting as contained.
-
-    Equivalent to: the opening direction does not escape the half-plane,
-    the apex satisfies the inequality, and the boundary line does not cut
-    the parabola's open interior.
-    """
-    apex, angle, p = para.apex, para.axis_angle, para.parameter
-    axis_dir = np.array([np.cos(angle), np.sin(angle)])
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.linalg.norm(apex)), p, abs(h.offset))
-    return halfplane_violation(apex, axis_dir, p, h.normal, h.offset) <= tol
-
-
 def triangle_region(t: Triangle, opposite: str) -> ConvexRegion:
     """Half-plane region hosting the exparabola opposite the given vertex.
 
@@ -173,9 +152,9 @@ def triangle_region(t: Triangle, opposite: str) -> ConvexRegion:
     positive half-planes of the two remaining sides.
     """
     hps = []
+    xy = (t.A, t.B, t.C)
     for side in SIDES:  # half-planes in the order AB, BC, CA
-        p1, p2 = (t.vertex(v) for v in _SIDE_VERTICES[side])
-        pv = t.vertex(OPPOSITE[side])
+        p1, p2, pv = (xy[i] for i in _SIDE_INDEX[side])
         edge = p2 - p1
         n = np.array([-edge[1], edge[0]])
         n = n / np.linalg.norm(n)

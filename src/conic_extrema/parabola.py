@@ -79,19 +79,6 @@ def is_parabola(c: ConicMatrix, tol: float = PARABOLA_TOL) -> bool:
     return _reduce(c, tol) is not None
 
 
-def parameter_squared(c: ConicMatrix) -> float:
-    """Squared parameter, rational in the matrix entries.
-
-    In coefficients, with the matrix oriented so that p11 + p22 > 0,
-
-        parameter = |p01 p12 - p02 p11| / ((p11 + p22) sqrt(p11^2 + p12^2)),
-
-    which is |beta| / t of :func:`_reduce` with v the row (p11, p12):
-    the square is beta^2 / t^2.
-    """
-    return parameter(c) ** 2
-
-
 def parameter(c: ConicMatrix) -> float:
     """Focus-directrix distance of the parabola ``c``.
 
@@ -99,18 +86,6 @@ def parameter(c: ConicMatrix) -> float:
     scales linearly under uniform scaling of the plane.
     """
     return apex_form(c)[2]
-
-
-def compare_size(p1: "Parabola", p2: "Parabola") -> int:
-    """Order two parabolas by parameter: -1, 0, or +1.
-
-    Parameters within 1e-9 * max(p1, p2) of each other compare equal; a
-    smaller parabola fits inside the larger one under a Euclidean motion.
-    """
-    a, b = p1.parameter, p2.parameter
-    if abs(a - b) <= 1e-9 * max(a, b):
-        return 0
-    return -1 if a < b else 1
 
 
 @dataclass(frozen=True)

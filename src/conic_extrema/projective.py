@@ -4,10 +4,6 @@ Conics in the real projective plane are represented by 3x3 real symmetric
 matrices defined up to a nonzero scale factor.  Homogeneous point
 coordinates are ordered [x0, x1, x2] with the affine chart x = x1/x0,
 y = x2/x0, so that x0 = 0 is the line at infinity.
-
-All comparisons between projective objects are scale invariant: matrices
-and coordinate vectors are normalized to unit Frobenius/Euclidean norm and
-compared up to a common sign.
 """
 
 from __future__ import annotations
@@ -27,17 +23,6 @@ SYMMETRY_TOL = 1e-12
 _DEGREE = np.array([[0, 1, 1], [1, 2, 2], [1, 2, 2]])
 
 
-def _as_vec3(coords) -> np.ndarray:
-    v = np.asarray(coords, dtype=float).reshape(3)
-    if not np.isfinite(v).all():
-        raise ValueError("homogeneous coordinates must be finite")
-    if not np.any(v != 0.0):
-        raise ValueError("homogeneous coordinates must not all be zero")
-    v = v.copy()
-    v.flags.writeable = False
-    return v
-
-
 @dataclass(frozen=True)
 class HomPoint:
     """Point of P^2(R), coordinates defined up to nonzero scale."""
@@ -45,23 +30,13 @@ class HomPoint:
     coords: np.ndarray
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", _as_vec3(coords))
-
-
-@dataclass(frozen=True)
-class HomLine:
-    """Line of P^2(R), coordinates defined up to nonzero scale.
-
-    A point p lies on the line u iff u . p = 0.
-    """
-
-    coords: np.ndarray
-
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", _as_vec3(coords))
-
-
-LINE_AT_INFINITY = HomLine([1.0, 0.0, 0.0])
+        v = np.array(coords, dtype=float).reshape(3)
+        if not np.isfinite(v).all():
+            raise ValueError("homogeneous coordinates must be finite")
+        if not np.any(v != 0.0):
+            raise ValueError("homogeneous coordinates must not all be zero")
+        v.flags.writeable = False
+        object.__setattr__(self, "coords", v)
 
 
 @dataclass(frozen=True)
@@ -149,30 +124,10 @@ def adjugate(m: np.ndarray) -> np.ndarray:
     )
 
 
-def _require_regular(c: ConicMatrix) -> None:
-    if not c.is_regular():
-        raise SingularConic("conic matrix is singular within tolerance")
-
-
-def polar(c: ConicMatrix, p: HomPoint) -> HomLine:
-    """Polar line of the point ``p`` with respect to a regular conic."""
-    _require_regular(c)
-    return HomLine(c.m @ p.coords)
-
-
-def pole(c: ConicMatrix, u: HomLine) -> HomPoint:
-    """Pole of the line ``u``: the inverse image of polarity.
-
-    Computed via the adjugate, which is proportional to the inverse, so no
-    explicit matrix inversion is performed.
-    """
-    _require_regular(c)
-    return HomPoint(adjugate(c.m) @ u.coords)
-
-
 def dualize(c: ConicMatrix) -> ConicMatrix:
     """Dual conic (the conic of tangent lines), proportional to c^-1."""
-    _require_regular(c)
+    if not c.is_regular():
+        raise SingularConic("conic matrix is singular within tolerance")
     return ConicMatrix(adjugate(c.m))
 
 
@@ -180,18 +135,13 @@ def normalize_interior(c: ConicMatrix, witness: HomPoint) -> ConicMatrix:
     """Orient the matrix sign so the quadratic form is negative at ``witness``.
 
     After normalization the conic interior is exactly the negative set of
-    the form, so :func:`is_interior` applies.
+    the form.
     """
     v = c.form(witness)
     scale = np.linalg.norm(c.m) * float(witness.coords @ witness.coords)
     if abs(v) <= 1e-10 * scale:
         raise WitnessOnConic("witness point lies on the conic")
     return c if v < 0.0 else ConicMatrix(-c.m)
-
-
-def is_interior(c: ConicMatrix, p: HomPoint) -> bool:
-    """Strict interior test; ``c`` must be interior-normalized."""
-    return c.form(p) < 0.0
 
 
 def pencil_blend(c0: ConicMatrix, c1: ConicMatrix, t: float) -> ConicMatrix:
@@ -207,20 +157,6 @@ def pencil_blend(c0: ConicMatrix, c1: ConicMatrix, t: float) -> ConicMatrix:
     if np.linalg.norm(m) <= 1e-14 * ref:
         raise ZeroBlend("pencil combination is the zero matrix")
     return ConicMatrix(m)
-
-
-def proj_equal(a, b, tol: float = 1e-9) -> bool:
-    """Scale-invariant equality of matrices or coordinate vectors.
-
-    Both arguments are normalized to unit norm and compared up to sign.
-    """
-    a = a.m if isinstance(a, ConicMatrix) else getattr(a, "coords", a)
-    b = b.m if isinstance(b, ConicMatrix) else getattr(b, "coords", b)
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= tol
 
 
 # -- Euclidean motions in homogeneous coordinates --------------------------

@@ -151,13 +151,13 @@ def dual_pencil_line_preservation(
         jits = np.concatenate([[0.0], rng.uniform(-0.5, 0.5, lines_per_pair)])
         gaps = np.concatenate([[1.0], rng.uniform(0.01, 10.0, lines_per_pair)])
         lines = _missing_lines(geo, jits, gaps)
-        # all constructed lines genuinely miss both parabolas
-        assert all(_line_misses_parabola(*g, lines[:, 1:], -lines[:, 0]).all() for g in geo)
+        # a constructed line that fails to miss both parabolas is a violation
+        misses = [_line_misses_parabola(*g, lines[:, 1:], -lines[:, 0]) for g in geo]
+        bad = int(np.count_nonzero(~np.logical_and(*misses)))
         witness, lines = HomPoint(lines[0]), lines[1:]
         d0 = normalize_interior(duals[0], witness)
         d1 = normalize_interior(duals[1], witness)
         checked = 0
-        bad = 0
         # the sampled missing lines must be on the witness side of both duals
         v0 = np.einsum("ni,ij,nj->n", lines, d0.m, lines)
         v1 = np.einsum("ni,ij,nj->n", lines, d1.m, lines)

@@ -16,6 +16,16 @@ from conic_extrema import (
 from conic_extrema.maxparabola import _unit_scale
 
 
+def equal_up_to_scale(a, b, tol: float = 1e-9) -> bool:
+    """Matrices (or ConicMatrix) equal up to a nonzero scale: both
+    normalized to unit norm and compared up to sign."""
+    a = np.asarray(getattr(a, "m", a), float)
+    b = np.asarray(getattr(b, "m", b), float)
+    a = a / np.linalg.norm(a)
+    b = b / np.linalg.norm(b)
+    return min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= tol
+
+
 def random_triangle(rng, span: float = 3.0, min_ratio: float = 0.02) -> Triangle:
     """Random non-degenerate triangle with area/diameter^2 >= min_ratio."""
     while True:

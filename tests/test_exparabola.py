@@ -32,8 +32,8 @@ from conic_extrema import (
 from conic_extrema.exparabola import MIN_AREA_RATIO, CanonicalFrame
 from conic_extrema.maxparabola import halfplane_violation, triangle_region
 from conic_extrema.parabola import apex_form, is_parabola
-from conic_extrema.projective import adjugate, dualize, proj_equal
-from conftest import random_frame_params, random_triangle
+from conic_extrema.projective import adjugate, dualize
+from conftest import equal_up_to_scale, random_frame_params, random_triangle
 
 WORKED = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
 
@@ -134,7 +134,7 @@ class TestPencilParabola:
         para = pencil_parabola(fr, 0.0)
         # x^2 = -4y
         expected = np.array([[0.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
-        assert proj_equal(para.conic.m, expected)
+        assert equal_up_to_scale(para.conic.m, expected)
         assert para.parameter == pytest.approx(2.0, rel=1e-12)
         # tangent-line oracle: dual form vanishes on x+y=1, x-y=-1, y=0
         ad = adjugate(para.conic.m)
@@ -427,7 +427,7 @@ class TestClosedFormMembers:
             fr = frame_of(*random_frame_params(rng))
             lam = rng.uniform(fr.a1, fr.b1)
             member = pencil_member(fr, lam)
-            assert proj_equal(member.conic, pencil_parabola(fr, lam).conic, tol=1e-9)
+            assert equal_up_to_scale(member.conic, pencil_parabola(fr, lam).conic, tol=1e-9)
 
     @pytest.mark.parametrize("lam", [-1.0, 1.0, -2.0, 3.0])
     def test_pencil_member_singular_outside_open_interval(self, lam):

@@ -27,8 +27,8 @@ from conic_extrema import (
 )
 from conic_extrema.horocycle import INV_SQRT2, _disk_points, _point_terms, min_sizes_for_points
 from conic_extrema.minhorocycle import as_point_set
-from conic_extrema.projective import proj_equal
 from conic_extrema.verify import run_suite
+from conftest import equal_up_to_scale
 
 
 def pair_matrices(a, w):
@@ -92,8 +92,8 @@ class TestMatrix:
             w = rng.uniform(0.0, 1.4)
             h0, h1 = pair_matrices(a, w)
             p0, p1 = expanded_pair_matrices(a, w)
-            assert proj_equal(h0.m, p0, tol=1e-12)
-            assert proj_equal(h1.m, p1, tol=1e-12)
+            assert equal_up_to_scale(h0.m, p0, tol=1e-12)
+            assert equal_up_to_scale(h1.m, p1, tol=1e-12)
 
     def test_regular_and_single_boundary_contact(self, rng):
         for _ in range(1000):
@@ -144,6 +144,9 @@ class TestContains:
             [1e200, 0.0],
             [np.nan, 0.0],
             [0.0, np.inf],
+            [0.1, 0.2, 0.3],  # not an (x, y) pair
+            [0.1],
+            [[0.1, 0.2]],
         ],
     )
     def test_absolute_outside_and_nan_points_are_outside(self, p):

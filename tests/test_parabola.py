@@ -12,14 +12,12 @@ from conic_extrema import (
     NonpositiveParameter,
     NotAParabola,
     Parabola,
-    compare_size,
     is_parabola,
     parameter,
-    parameter_squared,
-    proj_equal,
 )
 from conic_extrema.parabola import apex_form
 from conic_extrema.projective import pullback, rotation_h, translation_h
+from conftest import equal_up_to_scale
 
 UNIT_CIRCLE = ConicMatrix(np.diag([-1.0, 1.0, 1.0]))
 # x^2 = 4 y  <->  x1^2 - 4 x0 x2 = 0; focus (0,1), directrix y = -1, parameter 2
@@ -79,37 +77,16 @@ class TestParameter:
             scaled = pullback(base.conic, np.diag([1.0, 1.0 / sigma, 1.0 / sigma]))
             assert parameter(scaled) == pytest.approx(sigma * p, rel=1e-9)
 
-    def test_squared_variant_consistent(self):
-        assert parameter_squared(X2_EQ_4Y) == pytest.approx(4.0, rel=1e-12)
-
     def test_exact_zeros_in_row_zero(self):
         # y^2 = 4x: focal length 1, parameter 2; m00 = m02 = 0
         y2_eq_4x = ConicMatrix([[0.0, -2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert parameter(y2_eq_4x) == 2.0
 
 
-class TestCompareSize:
-    def test_strict_order(self):
-        p1 = Parabola([0, 0], 0.0, 1.0)
-        p2 = Parabola([5, 1], 2.0, 2.0)
-        assert compare_size(p1, p2) == -1
-        assert compare_size(p2, p1) == 1
-
-    def test_congruent_in_different_poses(self):
-        p1 = Parabola([0, 0], 0.3, 1.5)
-        p2 = Parabola([-2, 4], 4.0, 1.5)
-        assert compare_size(p1, p2) == 0
-
-    def test_equality_within_tolerance(self):
-        p1 = Parabola([0, 0], 0.0, 2.0)
-        p2 = Parabola([0, 0], 0.0, 2.0 * (1.0 + 1e-12))
-        assert compare_size(p1, p2) == 0
-
-
 class TestParabolaFromApex:
     def test_canonical_up_opening(self):
         para = Parabola([0.0, 0.0], np.pi / 2.0, 2.0)
-        assert proj_equal(para.conic, X2_EQ_4Y)
+        assert equal_up_to_scale(para.conic, X2_EQ_4Y)
 
     def test_right_opening_translated(self):
         # (y-1)^2 = 2 (x-1)  <->  y^2 - 2y - 2x + 3 = 0 homogenized
@@ -117,7 +94,7 @@ class TestParabolaFromApex:
             [[3.0, -1.0, -1.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]
         )
         para = Parabola([1.0, 1.0], 0.0, 1.0)
-        assert proj_equal(para.conic, expected)
+        assert equal_up_to_scale(para.conic, expected)
 
     def test_nonpositive_parameter_rejected(self):
         with pytest.raises(NonpositiveParameter):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conic_extrema import Parabola
+from conic_extrema import verify as verify_module
 from conic_extrema.maxparabola import halfplane_violation
 from conic_extrema.projective import HomPoint, dualize, normalize_interior, pencil_blend
 from conic_extrema.verify import (
@@ -98,3 +99,19 @@ def test_line_misses_parabola_rows():
     out = _line_misses_parabola([0.0, 0.0], np.pi / 2.0, 1.0, normals, offsets)
     assert out.tolist() == [True, False, False]
     assert _line_misses_parabola([0.0, 0.0], np.pi / 2.0, 1.0, normals[1], 1.0) is False
+
+
+def test_constructed_line_hitting_a_parabola_is_a_violation(monkeypatch):
+    # report one constructed line per pair as hitting both parabolas: the
+    # suite counts it once and fails, whatever the interpreter's -O level
+    real = _line_misses_parabola
+
+    def one_hit(*args):
+        out = real(*args).copy()
+        out[1] = False
+        return out
+
+    monkeypatch.setattr(verify_module, "_line_misses_parabola", one_hit)
+    report = dual_pencil_line_preservation(pairs=3, lines_per_pair=20, seed=0)
+    assert report["violations"] == 3
+    assert report["passed"] is False
