@@ -12,7 +12,6 @@ import os
 import numpy as np
 
 from conic_extrema import size_profile, solve_min_horocycle, verify_solution
-from conic_extrema.minhorocycle import _hull_superset
 from conic_extrema.svgfig import SvgFigure
 
 rng = np.random.default_rng(7)
@@ -41,10 +40,11 @@ if not sol.horocycle.a <= (1.0 + 1e-12) * dense:
     raise SystemExit(f"a* = {sol.horocycle.a!r} exceeds the dense-profile minimum {dense!r}")
 
 # a large cloud: the solve and the local-optimality check of the
-# verification see only the points the convex-hull filter keeps
+# verification see only the points the convex-hull filter keeps, which
+# the solution names
 big = rng.uniform(-0.2, 0.2, (20_000, 2)) + np.array([-0.3, 0.35])
 big_sol = solve_min_horocycle(big)
-hull = _hull_superset(big)
+hull = big_sol.hull
 print(f"{len(big)} points, {len(hull)} kept by the convex-hull filter:")
 print(f"  theta* = {big_sol.horocycle.theta:.9f} rad, a* = {big_sol.horocycle.a:.12f}")
 print(f"  unique = {big_sol.unique}")

@@ -35,21 +35,13 @@ convex-hull vertices, and the profile over any superset of those
 vertices is the profile over all points.  The path test, the basis
 solve, the grid scan and the refine therefore run on the points an
 Akl-Toussaint extreme-point filter keeps, and their cost follows the
-number of extreme points, not n.  The boundary ``support`` and the
-enclosure check of :func:`verify_solution` use every input point; its
-local-optimality check uses the filter's points.  Each profile value is
-computed per point, so the kept points' values are the full
-computation's bit for bit, and a max over fewer points can only be
-lower: that check can only be stricter than over all points.
-
-Two choices keep the interpreter and memory traffic out of the way
-without changing a single output bit.  The profile forms the terms w_i^2
-once per solve, and takes the max of the squared size over the points
-and one square root after it, in cache-sized blocks of angle rows.  The
-golden-section refine advances every bracket in lockstep, one vectorized
-profile call per step, while each bracket takes exactly the steps of its
-own scalar search: a flat plateau with a hundred grid minima costs about
-as many profile calls as a single minimum.
+number of extreme points, not n.  The solution names the kept points
+(``hull``), and the local-optimality check of :func:`verify_solution`
+runs on them; the boundary ``support`` and its enclosure check use
+every input point.  Each profile value is computed per point, so the
+kept points' values are the full computation's bit for bit, and a max
+over any subset can only be lower: a wrong ``hull`` can only make that
+check stricter than over all points.
 """
 
 from __future__ import annotations
@@ -112,6 +104,7 @@ class ProfileDiagnostics:
 class MinHorocycleSolution:
     horocycle: Horocycle
     support: tuple  # indices of points on the boundary (within 1e-8)
+    hull: np.ndarray  # sorted indices of the points the solve ran on (read-only)
     unique: bool
     profile: ProfileDiagnostics
 
@@ -308,22 +301,22 @@ def _exact_minimizer(pts: np.ndarray) -> float | None:
     return None
 
 
-def solve_min_horocycle(points, grid: int = 720, grid_offset: float = 0.0) -> MinHorocycleSolution:
+def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     """Globally minimal enclosing horocycle of the point set.
 
-    Always evaluates the profile on ``grid`` ideal angles (optionally
-    offset by the finite ``grid_offset``); ``profile`` reports them.
+    Always evaluates the profile on ``grid`` evenly spaced ideal angles
+    from 0; ``profile`` reports them.
 
     When the disk center lies strictly outside the points' hull, the
     minimizer theta* is solved exactly (``_exact_minimizer``); ``grid``
-    and ``grid_offset`` then only shape the diagnostic grid, and
-    ``tied_minimizers`` is ``[theta*]``.  Otherwise, or if that solve
-    does not converge, every bracketed local minimum of the grid is
-    golden-section refined down to REFINE_TOL radians (all brackets in
-    lockstep, one vectorized profile call per step), the best is taken,
-    and ``tied_minimizers`` holds the refined minimizers within
-    UNIQUE_VALUE_TOL of it.  Either way a* is the blocked profile's own
-    value at theta*, the value the enclosure check recomputes.
+    then only shapes the diagnostic grid, and ``tied_minimizers`` is
+    ``[theta*]``.  Otherwise, or if that solve does not converge, every
+    bracketed local minimum of the grid is golden-section refined down
+    to REFINE_TOL radians (all brackets in lockstep, one vectorized
+    profile call per step), the best is taken, and ``tied_minimizers``
+    holds the refined minimizers within UNIQUE_VALUE_TOL of it.  Either
+    way a* is the blocked profile's own value at theta*, the value the
+    enclosure check recomputes.
 
     ``unique`` is the paper's criterion: a* < 2^{-1/2} -
     UNIQUE_SIZE_MARGIN and all tied minimizers coincide in angle.  (On
@@ -332,20 +325,17 @@ def solve_min_horocycle(points, grid: int = 720, grid_offset: float = 0.0) -> Mi
 
     The path test and the solve see only a superset of the convex-hull
     vertices: horocycle interiors are convex, so the profile over those
-    points is the profile over all of them.  ``support`` holds the
-    indices, into ``points``, of every input point on the boundary.
+    points is the profile over all of them.  ``hull`` holds their
+    indices into ``points``, ``support`` those of every input point on
+    the boundary.
     """
     if grid < 1:
         raise ValueError("grid must be at least 1")
-    if not math.isfinite(grid_offset):
-        raise ValueError("grid_offset must be finite")
     pts = as_point_set(points)
-    hull = pts[_hull_superset(pts)]
-    thetas = (grid_offset + np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)) % (
-        2.0 * np.pi
-    )
-    order = np.argsort(thetas)
-    thetas = thetas[order]
+    kept = _hull_superset(pts)
+    kept.flags.writeable = False
+    hull = pts[kept]
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     profile = _profile_of(hull)
     values = profile(thetas)
 
@@ -353,14 +343,11 @@ def solve_min_horocycle(points, grid: int = 720, grid_offset: float = 0.0) -> Mi
     if th_star is not None:
         a_star, ties = float(profile(np.array([th_star]))[0]), np.array([th_star])
     else:
-        left = np.roll(values, 1)
-        right = np.roll(values, -1)
-        idx = np.nonzero((values <= left) & (values <= right))[0]
+        idx = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
         # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
         wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
         xs, vals = _golden_minimize(profile, wrapped[idx], wrapped[idx + 2], REFINE_TOL)
-        minima = [(val, th % (2.0 * np.pi)) for th, val in zip(xs, vals)]
-        minima.sort()
+        minima = sorted((val, th % (2.0 * np.pi)) for th, val in zip(xs, vals))
         a_star, th_star = minima[0]
         ties = np.array([th for val, th in minima if val <= a_star + UNIQUE_VALUE_TOL])
     dth = np.abs((ties - th_star + np.pi) % (2.0 * np.pi) - np.pi)
@@ -371,6 +358,7 @@ def solve_min_horocycle(points, grid: int = 720, grid_offset: float = 0.0) -> Mi
     return MinHorocycleSolution(
         horocycle=Horocycle(theta=th_star, a=a_star),
         support=support,
+        hull=kept,
         unique=unique,
         profile=ProfileDiagnostics(thetas=thetas, values=values, tied_minimizers=ties),
     )
@@ -386,11 +374,14 @@ def verify_solution(
     when the solution claims uniqueness, the absence of a second
     minimizer anywhere on the diagnostic grid.
 
-    The perturbed profile runs on the convex-hull superset the solver
-    uses.  Its values are those of the same points among all of them,
-    bit for bit, so its max at each angle is at most the all-points max:
-    every angle that fails over all points fails here too.
+    The perturbed profile runs on the points ``sol.hull`` names, the
+    hull superset the solver ran on.  Their values are those of the same
+    points among all of them, bit for bit, so their max at each angle is
+    at most the all-points max: a wrong ``hull`` can only make the check
+    stricter.  A ``hull`` that is not an index array fails it.
     """
+    if perturbations < 1:
+        raise ValueError("perturbations must be at least 1")
     pts = as_point_set(points)
     a_star = sol.horocycle.a
     th_star = sol.horocycle.theta
@@ -401,11 +392,15 @@ def verify_solution(
             f"enclosure: a point needs size {a_star + worst:.17g} > a* = {a_star:.17g}"
         )
 
+    hull = np.asarray(sol.hull)
+    valid = hull.ndim == 1 and hull.dtype.kind in "iu" and len(hull) > 0
+    if not (valid and 0 <= hull.min() and hull.max() < len(pts)):
+        raise VerificationFailure("hull: not a nonempty array of indices into the points")
     rng = np.random.default_rng(seed)
     mags = 10.0 ** rng.uniform(-6.0, -2.0, perturbations)
     signs = rng.choice([-1.0, 1.0], perturbations)
     deltas = mags * signs
-    vals = _profile(th_star + deltas, pts[_hull_superset(pts)])
+    vals = _profile(th_star + deltas, pts[hull])
     if np.any(vals < a_star - 1e-12):
         raise VerificationFailure("local optimality: a nearby angle does better")
 

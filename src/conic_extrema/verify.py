@@ -36,6 +36,27 @@ def run_parallel(fun, args_list):
     return [fun(a) for a in args_list]
 
 
+def _require_counts(**counts: int) -> None:
+    """ValueError unless every named sample count is at least 1: a suite
+    that checks nothing must not report that it passed."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
+
+
+def _pencil_report(suite: str, one, seeds: list) -> dict:
+    """Run a pencil suite's ``one`` on every case seed and sum its
+    (checked, violations) counts."""
+    checked, violations = map(sum, zip(*run_parallel(one, seeds)))
+    return {
+        "suite": suite,
+        "pairs": len(seeds),
+        "checked": checked,
+        "violations": violations,
+        "passed": violations == 0,
+    }
+
+
 # -- primal pencil: common interior points stay interior ----------------------
 
 
@@ -61,7 +82,9 @@ def _random_ellipse_through_origin(rng) -> ConicMatrix:
 def pencil_interior_preservation(
     pairs: int = 40, points_per_pair: int = 250, seed: int = 0
 ) -> dict:
-    """Common interior points of two conics stay interior along the blend."""
+    """Common interior points of two conics stay interior along the blend;
+    ValueError when ``pairs`` or ``points_per_pair`` is below 1."""
+    _require_counts(pairs=pairs, points_per_pair=points_per_pair)
 
     def one(case_seed: int) -> tuple[int, int]:
         rng = np.random.default_rng(case_seed)
@@ -84,17 +107,7 @@ def pencil_interior_preservation(
             bad += int((np.einsum("ni,ij,nj->n", hom, blend.m, hom) >= 0.0).sum())
         return len(pts) * len(BLEND_GRID), bad
 
-    seeds = [seed * 100_003 + i for i in range(pairs)]
-    results = run_parallel(one, seeds)
-    checked = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
-    return {
-        "suite": "pencil-interior",
-        "pairs": pairs,
-        "checked": checked,
-        "violations": violations,
-        "passed": violations == 0,
-    }
+    return _pencil_report("pencil-interior", one, [seed * 100_003 + i for i in range(pairs)])
 
 
 # -- dual pencil: lines missing both parabolas miss every blend member --------
@@ -131,7 +144,9 @@ def dual_pencil_line_preservation(
     closed-form containment test) to miss both primal parabolas; the
     blend property is asserted at the line level via the dual quadratic
     form, and each dual blend member is checked to be a dual parabola.
+    ValueError when ``pairs`` or ``lines_per_pair`` is below 1.
     """
+    _require_counts(pairs=pairs, lines_per_pair=lines_per_pair)
 
     def one(case_seed: int) -> tuple[int, int]:
         rng = np.random.default_rng(case_seed)
@@ -176,17 +191,7 @@ def dual_pencil_line_preservation(
             checked += 1
         return checked, bad
 
-    seeds = [seed * 100_019 + i for i in range(pairs)]
-    results = run_parallel(one, seeds)
-    checked = sum(r[0] for r in results)
-    violations = sum(r[1] for r in results)
-    return {
-        "suite": "dual-pencil-lines",
-        "pairs": pairs,
-        "checked": checked,
-        "violations": violations,
-        "passed": violations == 0,
-    }
+    return _pencil_report("dual-pencil-lines", one, [seed * 100_019 + i for i in range(pairs)])
 
 
 # -- horocycle cover: size reduction and containment ---------------------------
@@ -196,8 +201,7 @@ def _check_cover_args(cases: int, a_range) -> None:
     """ValueError unless there is a case and an overlapping pair can be
     drawn: the radicand is largest at the largest size and the smallest
     angle 0.02, and the draws would never end without one."""
-    if cases < 1:
-        raise ValueError("cases must be at least 1")
+    _require_counts(cases=cases)
     if not intersection_radicand(max(a_range), 0.02) > 1e-6:
         raise ValueError(f"a_range {tuple(a_range)} admits no overlapping horocycle pair")
 

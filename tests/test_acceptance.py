@@ -310,7 +310,8 @@ def test_criterion_10_minimal_horocycle_correctness():
         worst_margin = max(worst_margin, float((needs - a_star).max()))
         assert len(sol.support) >= 1
         assert needs.max() >= a_star - 1e-8  # support point touches
-        sol2 = solve_min_horocycle(pts, grid_offset=float(rng.uniform(0.001, 0.008)))
+        # a finer grid (721 to 728 angles) must find the same theta*
+        sol2 = solve_min_horocycle(pts, grid=720 + round(1000 * rng.uniform(0.001, 0.008)))
         dth = abs(
             (sol.horocycle.theta - sol2.horocycle.theta + np.pi) % (2 * np.pi) - np.pi
         )

@@ -1,5 +1,6 @@
 """Minimal enclosing horocycle: profile, solver, verification."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from unittest import mock
@@ -116,14 +117,14 @@ class TestSolve:
             assert len(sol.support) >= 1
             assert needs.max() >= sol.horocycle.a - 1e-8
 
-    def test_grid_offset_agreement(self, rng):
+    def test_grid_size_agreement(self, rng):
         for _ in range(10):
             pts = rng.uniform(-0.3, 0.3, (8, 2)) + rng.uniform(-0.3, 0.3, 2)
             pts = pts[(pts**2).sum(axis=1) < 0.8]
             if len(pts) < 2:
                 continue
-            s1 = solve_min_horocycle(pts, grid_offset=0.0)
-            s2 = solve_min_horocycle(pts, grid_offset=float(rng.uniform(0, 0.01)))
+            s1 = solve_min_horocycle(pts, grid=720)
+            s2 = solve_min_horocycle(pts, grid=1009)
             if not s1.unique:
                 continue
             dth = abs(
@@ -166,11 +167,6 @@ class TestSolve:
     def test_empty_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="grid"):
             solve_min_horocycle([[0.2, 0.1]], grid=grid)
-
-    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_grid_offset_rejected(self, offset):
-        with pytest.raises(ValueError, match="grid_offset"):
-            solve_min_horocycle([[0.2, 0.1]], grid_offset=offset)
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-300])
     def test_refine_tol_below_float_spacing_terminates(self, tol):
@@ -539,6 +535,7 @@ class TestVerifySolution:
         bad = MinHorocycleSolution(
             horocycle=Horocycle(theta=sol.horocycle.theta, a=sol.horocycle.a - 1e-3),
             support=sol.support,
+            hull=sol.hull,
             unique=sol.unique,
             profile=sol.profile,
         )
@@ -554,6 +551,7 @@ class TestVerifySolution:
         off = MinHorocycleSolution(
             horocycle=Horocycle(theta=theta, a=size_profile(pts, theta)),
             support=sol.support,
+            hull=sol.hull,
             unique=sol.unique,
             profile=sol.profile,
         )
@@ -567,8 +565,52 @@ class TestVerifySolution:
         lying = MinHorocycleSolution(
             horocycle=sol.horocycle,
             support=sol.support,
+            hull=sol.hull,
             unique=True,
             profile=sol.profile,
         )
         with pytest.raises(VerificationFailure, match="uniqueness"):
             verify_solution(pts, lying)
+
+    def test_hull_is_the_solved_superset_read_only(self):
+        pts = _point_family("spread", np.random.default_rng(5), 5000)
+        sol = solve_min_horocycle(pts)
+        assert np.array_equal(sol.hull, _hull_superset(pts))
+        assert not sol.hull.flags.writeable
+
+    def test_no_second_hull_pass(self, monkeypatch):
+        pts = _point_family("spread", np.random.default_rng(5), 5000)
+        sol = solve_min_horocycle(pts)
+
+        def refilter(pts):
+            raise AssertionError("verify_solution filtered the points again")
+
+        monkeypatch.setattr(minhorocycle_module, "_hull_superset", refilter)
+        report = verify_solution(pts, sol)
+        assert report["enclosure_margin"] >= -1e-10
+
+    @pytest.mark.parametrize(
+        "hull",
+        [np.array([], dtype=int), np.array([0, 3]), np.array([-1]), np.array([0.0, 1.0])],
+        ids=["empty", "out-of-range", "negative", "float"],
+    )
+    def test_invalid_hull_fails(self, hull):
+        pts = [[-0.3, 0.2], [0.3, 0.2], [0.0, -0.1]]
+        sol = solve_min_horocycle(pts)
+        with pytest.raises(VerificationFailure, match="hull"):
+            verify_solution(pts, dataclasses.replace(sol, hull=hull))
+
+    def test_hull_without_the_binding_points_fails(self):
+        pts = np.array([[-0.3, 0.2], [0.3, 0.2], [0.0, -0.1], [0.0, 0.1]])
+        sol = solve_min_horocycle(pts)
+        rest = np.setdiff1d(sol.hull, sol.support)
+        assert len(rest)
+        with pytest.raises(VerificationFailure, match="local optimality"):
+            verify_solution(pts, dataclasses.replace(sol, hull=rest))
+
+    @pytest.mark.parametrize("perturbations", [0, -1])
+    def test_perturbations_below_one_rejected(self, perturbations):
+        pts = [[-0.3, 0.2], [0.3, 0.2], [0.0, -0.1]]
+        sol = solve_min_horocycle(pts)
+        with pytest.raises(ValueError, match="perturbations"):
+            verify_solution(pts, sol, perturbations=perturbations)

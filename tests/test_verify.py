@@ -1,4 +1,5 @@
-"""The dual-pencil suite's array-built lines against a per-line loop."""
+"""The pencil suites: the dual suite's array-built lines against a
+per-line loop, and the sample counts each suite rejects."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conic_extrema.verify import (
     _line_misses_parabola,
     _missing_lines,
     dual_pencil_line_preservation,
+    pencil_interior_preservation,
 )
 
 
@@ -115,3 +117,19 @@ def test_constructed_line_hitting_a_parabola_is_a_violation(monkeypatch):
     report = dual_pencil_line_preservation(pairs=3, lines_per_pair=20, seed=0)
     assert report["violations"] == 3
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize(
+    "suite, size",
+    [
+        (pencil_interior_preservation, "pairs"),
+        (pencil_interior_preservation, "points_per_pair"),
+        (dual_pencil_line_preservation, "pairs"),
+        (dual_pencil_line_preservation, "lines_per_pair"),
+    ],
+)
+def test_empty_pencil_suite_rejected(suite, size, count):
+    # a suite that checks nothing must not report that it passed
+    with pytest.raises(ValueError, match=size):
+        suite(**{size: count})
