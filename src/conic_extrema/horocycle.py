@@ -42,11 +42,12 @@ Only s depends on the angle, and s >= 1 - |p| = w^2 / (1 + |p|) >= w^2 / 2,
 so the kernel ``_squared_sizes`` keeps s at or above w^2 / 2: rounding
 near the ideal point cannot take it to zero, and the denominator is at
 least w^2 > 0.  Through :func:`min_sizes_for_points` that one kernel
-decides ``Horocycle.contains``, the lens sampler, the cover check and,
-through ``minhorocycle``, every profile value.  A valid point is an
-(x, y) pair with w^2 > 0: finite and strictly inside N.  ``_disk_points``
-alone checks that rule, for the callers above and
-``minhorocycle.as_point_set``; the samplers keep w^2 > 0 candidates.
+decides ``Horocycle.contains``, the lens sampler and, through
+``minhorocycle``, every profile value; the cover check runs it on the
+terms of the samples it drew.  A valid point is an (x, y) pair with
+w^2 > 0: finite and strictly inside N.  ``_disk_points`` alone checks
+that rule, for the callers above and ``minhorocycle.as_point_set``; the
+samplers keep w^2 > 0 candidates.
 """
 
 from __future__ import annotations
@@ -357,6 +358,21 @@ class CoverContainmentReport:
         return self.k_violations == 0 and self.containment_violations == 0
 
 
+def _lens_box(a: float, angles: np.ndarray):
+    """Bounds (lo, hi) of the lens of the horocycles of size ``a`` at the two
+    ideal ``angles``: the intersection of their ellipse bounding boxes,
+    clipped to the unit square.  Empty when some lo >= hi."""
+    lo = np.full(2, -1.0)
+    hi = np.full(2, 1.0)
+    for ang in angles:
+        radial = np.array([np.cos(ang), np.sin(ang)])
+        center = (1.0 - a * a) * radial
+        ext = np.sqrt((a * radial[::-1]) ** 2 + (a * a * radial) ** 2)
+        lo = np.maximum(lo, center - ext)
+        hi = np.minimum(hi, center + ext)
+    return lo, hi
+
+
 def check_cover_containment(
     a: float, t: float, samples: int = 100_000, seed: int = 0
 ) -> CoverContainmentReport:
@@ -368,25 +384,33 @@ def check_cover_containment(
     k > 0 (which implies membership in the covering horocycle) and checks
     membership directly: a point is outside the cover when its minimal
     size at the cover's ideal angle pi/2 is at least the cover size.
+    Only the samples inside the lens box, padded by 1e-9, reach the
+    kernel; every other sample is outside the lens.
     For a < 2^{-1/2} the violation counts must be zero; above the bound
     the cover is strictly larger than a, which is reported through
-    ``size_reduced``.  Raises ValueError for a non-finite ``a`` or ``t``
-    and for ``samples < 1``.
+    ``size_reduced``.  Raises ValueError for a non-finite ``a`` or ``t``,
+    unless 0 < a < 1, and for ``samples < 1``.
     """
     if not (np.isfinite(a) and np.isfinite(t)):
         raise ValueError("a and t must be finite")
+    if not 0.0 < a < 1.0:
+        raise ValueError("horocycle size must lie strictly between 0 and 1")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     pts = np.empty((0, 2))
     while len(pts) < samples:
         batch = rng.uniform(-1.0, 1.0, (2 * (samples - len(pts)) + 16, 2))
-        batch = batch[_point_terms(batch)[2] > 0.0]
-        pts = np.vstack([pts, batch])
+        pts = np.vstack([pts, batch.compress(_point_terms(batch)[2] > 0.0, axis=0)])
     pts = pts[:samples]
     omega = 2.0 * np.arctan(t)
     pair = np.array([0.5 * np.pi + omega, 0.5 * np.pi - omega])
-    lens = pts[(min_sizes_for_points(pair, pts) < a).all(axis=0)]
+    lo, hi = _lens_box(a, pair)
+    (x0, y0), (x1, y1) = (lo - 1e-9).tolist(), (hi + 1e-9).tolist()
+    x, y = pts[:, 0], pts[:, 1]
+    boxed = pts.compress((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1), axis=0)
+    sizes = np.sqrt(_squared_sizes(pair, _point_terms(boxed)))
+    lens = boxed.compress((sizes < a).all(axis=0), axis=0)
     cover = common_cover_unchecked(a, omega) if intersection_radicand(a, omega) > 0.0 else None
     k_viol = cont_viol = 0
     min_k = None
@@ -395,7 +419,8 @@ def check_cover_containment(
         k_viol = int((k <= 0.0).sum())
         min_k = float(k.min())
         if cover is not None:
-            cont_viol = int((min_sizes_for_points(cover.theta, lens)[0] >= cover.a).sum())
+            cover_sizes = np.sqrt(_squared_sizes(np.array([cover.theta]), _point_terms(lens)))
+            cont_viol = int(np.count_nonzero(cover_sizes >= cover.a))
     return CoverContainmentReport(
         a=a,
         t=t,
@@ -425,15 +450,7 @@ def sample_common_interior(a: float, omega: float, n: int, seed: int = 0) -> np.
     if n < 0:
         raise ValueError("n must be nonnegative")
     angles = np.array([0.5 * np.pi + omega, 0.5 * np.pi - omega])
-    lo = np.full(2, -1.0)
-    hi = np.full(2, 1.0)
-    for ang in angles:
-        center = (1.0 - a * a) * np.array([np.cos(ang), np.sin(ang)])
-        radial = np.array([np.cos(ang), np.sin(ang)])
-        tang = np.array([-np.sin(ang), np.cos(ang)])
-        ext = np.sqrt((a * tang) ** 2 + (a * a * radial) ** 2)
-        lo = np.maximum(lo, center - ext)
-        hi = np.minimum(hi, center + ext)
+    lo, hi = _lens_box(a, angles)
     if np.any(hi <= lo):
         raise NoCommonInterior("lens bounding box is empty")
     rng = np.random.default_rng(seed)

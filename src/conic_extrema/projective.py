@@ -45,21 +45,23 @@ class ConicMatrix:
 
     The matrix is symmetrized on construction after checking that the
     asymmetry is within ``SYMMETRY_TOL`` relative to the largest entry.
-    Entries must be finite.
+    Entries must be finite.  The checks and the symmetrization run on
+    the nine entries as Python floats, each entry 0.5 (m_ij + m_ji).
     """
 
     m: np.ndarray = field(repr=False)
 
     def __init__(self, m):
-        m = np.asarray(m, dtype=float).reshape(3, 3)
-        if not np.isfinite(m).all():
+        (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float).reshape(3, 3).tolist()
+        if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i))):
             raise ValueError("conic matrix entries must be finite")
-        size = np.abs(m).max()  # not a norm: no overflow near the float limit
+        size = max(map(abs, (a, b, c, d, e, f, g, h, i)))  # not a norm: no overflow
         if size == 0.0:
             raise ValueError("the zero matrix does not represent a conic")
-        if np.abs(m - m.T).max() > SYMMETRY_TOL * size:
+        if max(abs(b - d), abs(c - g), abs(f - h)) > SYMMETRY_TOL * size:
             raise ValueError("conic matrix must be symmetric")
-        m = 0.5 * (m + m.T)
+        b, c, f = 0.5 * (b + d), 0.5 * (c + g), 0.5 * (f + h)
+        m = np.array([[0.5 * (a + a), b, c], [b, 0.5 * (e + e), f], [c, f, 0.5 * (i + i)]])
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
 

@@ -5,9 +5,14 @@ sampled set, and returns a plain dict report with a ``passed`` flag and
 violation counts.  Case seeds derive from the master seed, so reports
 are deterministic.  The dual-pencil suite builds each case's witness
 and sampled lines in one array pass of ``halfplane_violation`` on rows.
+Each pencil case stacks its two conics and their ``BLEND_GRID`` members,
+one ``pencil_blend`` call per member, and takes every quadratic form
+of the case in one product (``_forms``).
 """
 
 from __future__ import annotations
+
+from numbers import Real
 
 import numpy as np
 
@@ -42,6 +47,18 @@ def _require_counts(**counts: int) -> None:
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
+
+
+def _forms(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Quadratic forms r^T M r of (n, 3) rows: one matrix -> (n,), a stack
+    of k -> (k, n)."""
+    return np.einsum("...i,...i->...", rows @ mats, rows)
+
+
+def _blend_stack(c0: ConicMatrix, c1: ConicMatrix) -> np.ndarray:
+    """c0, c1 and their ``BLEND_GRID`` members as one (2 + len(BLEND_GRID), 3, 3)
+    stack."""
+    return np.stack([c0.m, c1.m] + [pencil_blend(c0, c1, float(t)).m for t in BLEND_GRID])
 
 
 def _pencil_report(suite: str, one, seeds: list) -> dict:
@@ -91,21 +108,16 @@ def pencil_interior_preservation(
         witness = HomPoint([1.0, 0.0, 0.0])
         c0 = normalize_interior(_random_ellipse_through_origin(rng), witness)
         c1 = normalize_interior(_random_ellipse_through_origin(rng), witness)
-        pts = np.empty((0, 2))
-        while len(pts) < points_per_pair:
+        stack = _blend_stack(c0, c1)
+        # homogeneous rows (1, x, y) of points inside both conics
+        rows = np.empty((0, 3))
+        while len(rows) < points_per_pair:
             cand = rng.uniform(-3.0, 3.0, (4 * points_per_pair, 2))
             hom = np.column_stack([np.ones(len(cand)), cand])
-            inside = (np.einsum("ni,ij,nj->n", hom, c0.m, hom) < 0.0) & (
-                np.einsum("ni,ij,nj->n", hom, c1.m, hom) < 0.0
-            )
-            pts = np.vstack([pts, cand[inside]])
-        pts = pts[:points_per_pair]
-        hom = np.column_stack([np.ones(len(pts)), pts])
-        bad = 0
-        for t in BLEND_GRID:
-            blend = pencil_blend(c0, c1, float(t))
-            bad += int((np.einsum("ni,ij,nj->n", hom, blend.m, hom) >= 0.0).sum())
-        return len(pts) * len(BLEND_GRID), bad
+            inside = (_forms(hom, stack[:2]) < 0.0).all(axis=0)
+            rows = np.vstack([rows, hom.compress(inside, axis=0)])
+        vals = _forms(rows[:points_per_pair], stack[2:])
+        return vals.size, int(np.count_nonzero(vals >= 0.0))
 
     return _pencil_report("pencil-interior", one, [seed * 100_003 + i for i in range(pairs)])
 
@@ -172,24 +184,16 @@ def dual_pencil_line_preservation(
         witness, lines = HomPoint(lines[0]), lines[1:]
         d0 = normalize_interior(duals[0], witness)
         d1 = normalize_interior(duals[1], witness)
-        checked = 0
-        # the sampled missing lines must be on the witness side of both duals
-        v0 = np.einsum("ni,ij,nj->n", lines, d0.m, lines)
-        v1 = np.einsum("ni,ij,nj->n", lines, d1.m, lines)
-        bad += int((v0 >= 0.0).sum() + (v1 >= 0.0).sum())
-        checked += 2 * len(lines)
-        e0 = np.array([1.0, 0.0, 0.0])
-        for t in BLEND_GRID:
-            blend = pencil_blend(d0, d1, float(t))
-            vals = np.einsum("ni,ij,nj->n", lines, blend.m, lines)
-            bad += int((vals >= 0.0).sum())
-            checked += len(lines)
-            # dual blend member remains a dual parabola
-            scale = np.abs(blend.m).max()
-            if abs(e0 @ blend.m @ e0) > 1e-9 * scale:
-                bad += 1
-            checked += 1
-        return checked, bad
+        stack = _blend_stack(d0, d1)
+        # the sampled missing lines must be on the witness side of both
+        # duals and of every blend member
+        vals = _forms(lines, stack)
+        bad += int(np.count_nonzero(vals >= 0.0))
+        # each dual blend member remains a dual parabola: e0^T M e0 = M[0, 0]
+        members = stack[2:]
+        scale = np.abs(members).max(axis=(1, 2))
+        bad += int(np.count_nonzero(np.abs(members[:, 0, 0]) > 1e-9 * scale))
+        return vals.size + len(members), bad
 
     return _pencil_report("dual-pencil-lines", one, [seed * 100_019 + i for i in range(pairs)])
 
@@ -198,12 +202,16 @@ def dual_pencil_line_preservation(
 
 
 def _check_cover_args(cases: int, a_range) -> None:
-    """ValueError unless there is a case and an overlapping pair can be
-    drawn: the radicand is largest at the largest size and the smallest
-    angle 0.02, and the draws would never end without one."""
+    """ValueError unless there is a case, ``a_range`` is two finite bounds
+    in [0, 1), and an overlapping pair can be drawn: the radicand is
+    largest at the largest size and the smallest angle 0.02, and the
+    draws would never end without one."""
     _require_counts(cases=cases)
-    if not intersection_radicand(max(a_range), 0.02) > 1e-6:
-        raise ValueError(f"a_range {tuple(a_range)} admits no overlapping horocycle pair")
+    bounds = tuple(a_range)
+    if not (len(bounds) == 2 and all(isinstance(v, Real) and 0.0 <= v < 1.0 for v in bounds)):
+        raise ValueError(f"a_range {bounds} must be two finite bounds in [0, 1)")
+    if not intersection_radicand(max(bounds), 0.02) > 1e-6:
+        raise ValueError(f"a_range {bounds} admits no overlapping horocycle pair")
 
 
 def _random_pair_with_overlap(rng, a_lo: float, a_hi: float):

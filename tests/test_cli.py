@@ -273,11 +273,25 @@ class TestInputContract:
         assert proc.returncode == 3
         assert_one_json_error_line(proc.stderr)
 
-    @pytest.mark.parametrize("extra", [{"cases": 0}, {"samples": 0}, {"cases": float("inf")}])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"cases": 0},
+            {"samples": 0},
+            {"cases": float("inf")},
+            {"a_range": [0.3, float("nan")]},
+            {"a_range": [-0.7, -0.5]},
+            {"a_range": [0.5, 1.5]},
+        ],
+    )
     def test_empty_cover_suite_is_schema_error(self, tmp_path, capsys, extra):
         code, _ = run_cli(tmp_path, "verify", {"suite": "cover", **extra}, "empty")
         assert code == 3
-        assert_one_json_error_line(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert_one_json_error_line(err)
+        if "a_range" in extra:
+            assert strict_json(err)["error"] == "ValueError"
+            assert strict_json(err)["message"].startswith("a_range")
 
     def test_impossible_allocation_is_schema_error(self, tmp_path, capsys):
         # 10^17 samples need about 2.8 EiB, beyond any address space, so

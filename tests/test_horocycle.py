@@ -25,7 +25,13 @@ from conic_extrema import (
     solve_min_horocycle,
     verify_solution,
 )
-from conic_extrema.horocycle import INV_SQRT2, _disk_points, _point_terms, min_sizes_for_points
+from conic_extrema.horocycle import (
+    INV_SQRT2,
+    _disk_points,
+    _point_terms,
+    intersection_radicand,
+    min_sizes_for_points,
+)
 from conic_extrema.minhorocycle import as_point_set
 from conic_extrema.verify import run_suite
 from conftest import equal_up_to_scale
@@ -402,12 +408,69 @@ class TestCoverContainment:
         assert rep.size_reduced is False  # the sharpness of the bound
         assert rep.containment_violations == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(0.02, 0.98),
+        t=st.floats(0.0, 1.0, exclude_min=True),
+        samples=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_check_on_every_sample(self, a, t, samples, seed):
+        # the lens-box prefilter leaves the report as the kernel over every
+        # sampled point makes it
+        assert check_cover_containment(a, t, samples, seed) == cover_containment_on_every_sample(
+            a, t, samples, seed
+        )
+
+
+def cover_containment_on_every_sample(a, t, samples, seed):
+    """``check_cover_containment`` with each sampled point's minimal sizes
+    taken through ``min_sizes_for_points``, no prefilter."""
+    rng = np.random.default_rng(seed)
+    pts = np.empty((0, 2))
+    while len(pts) < samples:
+        batch = rng.uniform(-1.0, 1.0, (2 * (samples - len(pts)) + 16, 2))
+        pts = np.vstack([pts, batch[(batch * batch).sum(axis=1) < 1.0]])
+    pts = pts[:samples]
+    omega = 2.0 * np.arctan(t)
+    pair = np.array([0.5 * np.pi + omega, 0.5 * np.pi - omega])
+    lens = pts[(min_sizes_for_points(pair, pts) < a).all(axis=0)]
+    has_cover = intersection_radicand(a, omega) > 0.0
+    cover = common_cover_unchecked(a, omega) if has_cover else None
+    k = horocycle_module._k_poly(lens[:, 0], lens[:, 1], a, t)
+    outside = min_sizes_for_points(cover.theta, lens)[0] >= cover.a if has_cover else []
+    return horocycle_module.CoverContainmentReport(
+        a=a,
+        t=t,
+        samples=samples,
+        common_interior_points=len(lens),
+        k_violations=int((k <= 0.0).sum()),
+        containment_violations=int(np.count_nonzero(outside)),
+        min_k=float(k.min()) if len(lens) else None,
+        cover_size=cover.a if has_cover else None,
+        size_reduced=bool(cover.a < a) if has_cover else None,
+    )
+
 
 class TestInvalidInput:
     @pytest.mark.parametrize("a, t", [(np.nan, 0.2), (0.5, np.nan), (np.inf, 0.2), (0.5, -np.inf)])
     def test_cover_containment_non_finite_rejected(self, a, t):
         with pytest.raises(ValueError, match="finite"):
             check_cover_containment(a, t, samples=100)
+
+    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.0, 1.5])
+    def test_cover_containment_size_rejected(self, a):
+        # a = -0.5 used to pass with a cover of size 0.215, and a = 0 passed
+        # without checking a single point
+        with pytest.raises(ValueError, match="size"):
+            check_cover_containment(a, 0.2, samples=100)
+
+    @pytest.mark.parametrize(
+        "a_range", [(0.3, np.nan), (-0.7, -0.5), (0.5, 1.5), (0.3, np.inf), (0.3,), (0.1, 0.2, 0.3)]
+    )
+    def test_cover_suite_a_range_rejected(self, a_range):
+        with pytest.raises(ValueError, match="a_range"):
+            run_suite("cover", 0, cases=2, samples=100, a_range=a_range)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_cover_containment_needs_a_sample(self, samples):

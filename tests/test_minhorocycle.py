@@ -133,6 +133,24 @@ class TestSolve:
             assert dth <= 1e-6
             assert s1.horocycle.a == pytest.approx(s2.horocycle.a, rel=1e-12)
 
+    def test_grid_size_agreement_when_the_hull_holds_the_centre(self):
+        # only these sets take the grid path, so only here can a coarser
+        # grid change a*; a set holding the centre itself has a* = 2^(-1/2)
+        rng = np.random.default_rng(20)
+        families = ["centre", "on-circle", "random"]
+        checked = dict.fromkeys(families, 0)
+        while min(checked.values()) < 12:
+            family = min(checked, key=checked.get)
+            pts = _point_family(family, rng, int(rng.integers(3, 60)))
+            if _center_outside_hull(pts):
+                continue
+            coarse, fine = (solve_min_horocycle(pts, grid=g) for g in (720, 1440))
+            assert fine.horocycle.a == pytest.approx(coarse.horocycle.a, rel=1e-12, abs=0.0)
+            if family == "centre":
+                assert (coarse.horocycle.a, coarse.unique) == (INV_SQRT2, False)
+                assert (fine.horocycle.a, fine.unique) == (INV_SQRT2, False)
+            checked[family] += 1
+
     def test_rotation_equivariance(self, rng):
         for _ in range(10):
             pts = rng.uniform(-0.25, 0.25, (10, 2)) + [0.2, 0.1]

@@ -1,5 +1,6 @@
-"""The pencil suites: the dual suite's array-built lines against a
-per-line loop, and the sample counts each suite rejects."""
+"""The pencil suites: the dual suite's array-built lines and the primal
+suite's stacked forms against per-blend loops, a negated blend member,
+and the sample counts each suite rejects."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,18 @@ import pytest
 from conic_extrema import Parabola
 from conic_extrema import verify as verify_module
 from conic_extrema.maxparabola import halfplane_violation
-from conic_extrema.projective import HomPoint, dualize, normalize_interior, pencil_blend
+from conic_extrema.projective import (
+    ConicMatrix,
+    HomPoint,
+    dualize,
+    normalize_interior,
+    pencil_blend,
+)
 from conic_extrema.verify import (
     BLEND_GRID,
     _line_misses_parabola,
     _missing_lines,
+    _random_ellipse_through_origin,
     dual_pencil_line_preservation,
     pencil_interior_preservation,
 )
@@ -91,6 +99,61 @@ def test_reports_equal_loop_suite(seed):
     assert dual_pencil_line_preservation(pairs=5, lines_per_pair=100, seed=seed) == loop_suite(
         5, 100, seed
     )
+
+
+def loop_interior_suite(pairs, points_per_pair, seed):
+    """The primal suite with one ``einsum`` per conic and per blend member."""
+    checked = bad = 0
+    for case_seed in (seed * 100_003 + i for i in range(pairs)):
+        rng = np.random.default_rng(case_seed)
+        witness = HomPoint([1.0, 0.0, 0.0])
+        c0 = normalize_interior(_random_ellipse_through_origin(rng), witness)
+        c1 = normalize_interior(_random_ellipse_through_origin(rng), witness)
+        pts = np.empty((0, 2))
+        while len(pts) < points_per_pair:
+            cand = rng.uniform(-3.0, 3.0, (4 * points_per_pair, 2))
+            hom = np.column_stack([np.ones(len(cand)), cand])
+            inside = (np.einsum("ni,ij,nj->n", hom, c0.m, hom) < 0.0) & (
+                np.einsum("ni,ij,nj->n", hom, c1.m, hom) < 0.0
+            )
+            pts = np.vstack([pts, cand[inside]])
+        hom = np.column_stack([np.ones(points_per_pair), pts[:points_per_pair]])
+        for t in BLEND_GRID:
+            blend = pencil_blend(c0, c1, float(t))
+            bad += int((np.einsum("ni,ij,nj->n", hom, blend.m, hom) >= 0.0).sum())
+            checked += len(hom)
+    return {
+        "suite": "pencil-interior",
+        "pairs": pairs,
+        "checked": checked,
+        "violations": bad,
+        "passed": bad == 0,
+    }
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_interior_reports_equal_loop_suite(seed):
+    assert pencil_interior_preservation(pairs=8, points_per_pair=250, seed=seed) == (
+        loop_interior_suite(8, 250, seed)
+    )
+
+
+@pytest.mark.parametrize("member", [0, 4, len(BLEND_GRID) - 1])
+def test_negated_blend_member_fails_every_sample(monkeypatch, member):
+    # the member at one t has the wrong sign: each case's points (lines)
+    # all fail under it and under no other member, however the suite
+    # stacks its members
+    real = pencil_blend
+
+    def negate_one(c0, c1, t):
+        blend = real(c0, c1, t)
+        return ConicMatrix(-blend.m) if t == float(BLEND_GRID[member]) else blend
+
+    monkeypatch.setattr(verify_module, "pencil_blend", negate_one)
+    primal = pencil_interior_preservation(pairs=3, points_per_pair=50, seed=0)
+    dual = dual_pencil_line_preservation(pairs=4, lines_per_pair=30, seed=0)
+    assert (primal["violations"], primal["passed"]) == (3 * 50, False)
+    assert (dual["violations"], dual["passed"]) == (4 * 30, False)
 
 
 def test_line_misses_parabola_rows():
