@@ -64,11 +64,7 @@ from .minhorocycle import (
     solve_min_horocycle,
     verify_solution,
 )
-from .parabola import (
-    Parabola,
-    is_parabola,
-    parameter,
-)
+from .parabola import Parabola
 from .projective import (
     ConicMatrix,
     HomPoint,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTriangle, NumericalRootFailure, SingularPencilMember
-from .parabola import Parabola
+from .parabola import Parabola, apex_form
 from .projective import ConicMatrix
 
 # Triangles with area/diameter^2 below this are rejected outright.
@@ -175,11 +175,14 @@ def dual_pencil(frame: CanonicalFrame, lam: float) -> ConicMatrix:
 
 
 def pencil_parabola(frame: CanonicalFrame, lam: float) -> Parabola:
-    """Primal parabola of the pencil, in frame coordinates.
+    """Primal parabola of the pencil, in frame coordinates: the apex form
+    that :func:`apex_form` reads off the primal matrix adj D(lam) / c2.
 
     Tangent to the three frame side lines, touching the x-axis side at
     (lam, 0).  The members lam = a1 and lam = b1 are singular (double
-    lines) and are rejected.
+    lines) and are rejected; a member close to them can have a matrix
+    that rounding leaves singular, and raises NotAParabola.  No solver
+    calls it; it is the matrix-side oracle for :func:`pencil_member`.
     """
     a1, b1, c2 = frame.a1, frame.b1, frame.c2
     s = frame.scale
@@ -188,7 +191,7 @@ def pencil_parabola(frame: CanonicalFrame, lam: float) -> Parabola:
     q = lam**2 - (a1 + b1) * lam + 2.0 * a1 * b1
     m = lam - a1 - b1
     primal = [[-c2 * lam**2, c2 * lam, q], [c2 * lam, -c2, m], [q, m, -(m**2) / c2]]
-    return Parabola.from_conic(ConicMatrix(primal))
+    return Parabola(*apex_form(ConicMatrix(primal)))
 
 
 def squared_parameter(frame: CanonicalFrame, lam) -> float | np.ndarray:

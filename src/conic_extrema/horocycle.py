@@ -42,9 +42,9 @@ Only s depends on the angle, and s >= 1 - |p| = w^2 / (1 + |p|) >= w^2 / 2,
 so the kernel ``_squared_sizes`` keeps s at or above w^2 / 2: rounding
 near the ideal point cannot take it to zero, and the denominator is at
 least w^2 > 0.  Through :func:`min_sizes_for_points` that one kernel
-decides ``Horocycle.contains``, the lens sampler and, through
-``minhorocycle``, every profile value; the cover check runs it on the
-terms of the samples it drew.  A valid point is an (x, y) pair with
+decides ``Horocycle.contains`` and, through ``minhorocycle``, every
+profile value; the lens sampler and the cover check run it on the terms
+of the samples they drew.  A valid point is an (x, y) pair with
 w^2 > 0: finite and strictly inside N.  ``_disk_points`` alone checks
 that rule, for the callers above and ``minhorocycle.as_point_set``; the
 samplers keep w^2 > 0 candidates.
@@ -60,6 +60,7 @@ from .errors import NoCommonInterior, PreconditionViolation
 from .projective import ConicMatrix, rotation_h
 
 INV_SQRT2 = 2.0 ** (-0.5)
+MAX_SAMPLES = 1_000_000  # samples per cover check, checked before any draw
 
 
 def _base_matrix(a: float) -> np.ndarray:
@@ -389,14 +390,14 @@ def check_cover_containment(
     For a < 2^{-1/2} the violation counts must be zero; above the bound
     the cover is strictly larger than a, which is reported through
     ``size_reduced``.  Raises ValueError for a non-finite ``a`` or ``t``,
-    unless 0 < a < 1, and for ``samples < 1``.
+    unless 0 < a < 1, and unless 1 <= ``samples`` <= ``MAX_SAMPLES``.
     """
     if not (np.isfinite(a) and np.isfinite(t)):
         raise ValueError("a and t must be finite")
     if not 0.0 < a < 1.0:
         raise ValueError("horocycle size must lie strictly between 0 and 1")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie between 1 and {MAX_SAMPLES}")
     rng = np.random.default_rng(seed)
     pts = np.empty((0, 2))
     while len(pts) < samples:
@@ -459,9 +460,9 @@ def sample_common_interior(a: float, omega: float, n: int, seed: int = 0) -> np.
     while len(out) < n and attempts < 400:
         attempts += 1
         cand = rng.uniform(lo, hi, (max(4 * (n - len(out)), 256), 2))
-        cand = cand[_point_terms(cand)[2] > 0.0]
-        inside = (min_sizes_for_points(angles, cand) < a).all(axis=0)
-        out = np.vstack([out, cand[inside]])
+        cand = cand.compress(_point_terms(cand)[2] > 0.0, axis=0)
+        inside = (np.sqrt(_squared_sizes(angles, _point_terms(cand))) < a).all(axis=0)
+        out = np.vstack([out, cand.compress(inside, axis=0)])
     if len(out) < n:
         raise NoCommonInterior("could not sample the common interior")
     return out[:n]

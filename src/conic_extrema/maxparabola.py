@@ -273,26 +273,23 @@ def _polish_triple(region: ConvexRegion, triple):
         return None
     a1, b1, c2 = frame.a1, frame.b1, frame.c2
     lam_star = tangency_root(frame)
-    lo, hi = a1, b1
-    if len(region.offsets) > 3:
-        u = np.delete(region._lines, triple, axis=0) @ frame.frame_to_world
-        u0, u1, u2 = u.T
-        # u^T D(lam) u = slope * lam + icept <= 0, from the entries of D(lam)
-        slope_i = 2.0 * u1 * (u0 + c2 * u2)
-        icept_i = 2.0 * u0 * (c2 * u2 - (a1 + b1) * u1) - 2.0 * a1 * b1 * u1 * u1
-        s = frame.scale
-        tangent_to_all = (
-            np.abs(slope_i) * s + np.abs(icept_i) <= 1e-13 * s * (np.abs(u0) + s)
-        )
-        slope = np.concatenate([slope_i[~tangent_to_all], -u1])
-        icept = np.concatenate([icept_i[~tangent_to_all], u1 * (a1 + b1) - u2 * c2])
-        if (icept[slope == 0.0] > 0.0).any():
-            return None
-        up, down = slope > 0.0, slope < 0.0
-        hi = float((-icept[up] / slope[up]).min(initial=hi))
-        lo = float((-icept[down] / slope[down]).max(initial=lo))
-        if lo > hi:
-            return None
+    # the other half-planes (none when m = 3: the clip keeps (a1, b1))
+    u = np.delete(region._lines, triple, axis=0) @ frame.frame_to_world
+    u0, u1, u2 = u.T
+    # u^T D(lam) u = slope * lam + icept <= 0, from the entries of D(lam)
+    slope_i = 2.0 * u1 * (u0 + c2 * u2)
+    icept_i = 2.0 * u0 * (c2 * u2 - (a1 + b1) * u1) - 2.0 * a1 * b1 * u1 * u1
+    s = frame.scale
+    tangent_to_all = np.abs(slope_i) * s + np.abs(icept_i) <= 1e-13 * s * (np.abs(u0) + s)
+    slope = np.concatenate([slope_i[~tangent_to_all], -u1])
+    icept = np.concatenate([icept_i[~tangent_to_all], u1 * (a1 + b1) - u2 * c2])
+    if (icept[slope == 0.0] > 0.0).any():
+        return None
+    up, down = slope > 0.0, slope < 0.0
+    hi = float((-icept[up] / slope[up]).min(initial=b1))
+    lo = float((-icept[down] / slope[down]).max(initial=a1))
+    if lo > hi:
+        return None
     lam = min(max(lam_star, lo), hi)
     if not a1 < lam < b1:
         return None

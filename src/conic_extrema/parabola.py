@@ -1,11 +1,13 @@
 """Parabolas in apex form, matrix recognition and the size functional.
 
 A ``Parabola`` is its apex form (apex, opening direction, parameter);
-its matrix is derived on demand.  Recognizing a matrix (``is_parabola``,
-``apex_form``, ``Parabola.from_conic``) reduces it in closed form, after
-a regularity test that depends on neither the projective scale nor the
-length unit.  No solver does it: a flat parabola far from the origin has
-a matrix whose determinant is lost in rounding.
+its matrix is only ever derived from it.  ``apex_form`` is the one
+recognizer: it reads the apex form off a matrix in closed form, after a
+regularity test that depends on neither the projective scale nor the
+length unit, and raises NotAParabola for any other conic.  Only tests
+and the ``pencil_parabola`` oracle call it; no solver does, because a
+flat parabola far from the origin has a matrix whose determinant is
+lost in rounding.
 
 A regular conic is a parabola iff it is tangent to the line at infinity,
 which in matrix coefficients reads p11 p22 - p12^2 = 0.  The size of a
@@ -25,67 +27,6 @@ from .errors import NonFiniteResult, NonpositiveParameter, NotAParabola
 from .projective import ConicMatrix, pullback, rotation_h, translation_h
 
 PARABOLA_TOL = 1e-9
-
-
-def _reduce(c: ConicMatrix, tol: float = PARABOLA_TOL):
-    """(apex, u, p) of a parabola matrix, u the unit opening direction;
-    None unless ``c`` is regular and tangent to the line at infinity.
-
-    With the matrix oriented so that t = tr A > 0 (A the affine block, b
-    the linear part), the conic is tangent to the line at infinity when
-    |det(A / t)| <= ``tol``.  Then A = t v v^T with v the normalized
-    larger row w of A, the axis is d = (-v_y, v_x), and in the coordinates
-    x = s v + r d the conic reads t (s - s0)^2 = -2 beta (r - r0) with
-    alpha = b.v, beta = b.d, s0 = -alpha / t and
-    r0 = -(m00 + alpha s0) / (2 beta): apex s0 v + r0 d, parameter
-    |beta| / t, opening along -sign(beta) d.  A translation leaves t and
-    beta unchanged and moves the apex with it, so nothing is recentered.
-
-    The apex is rational in the entries (s0 v and r0 d need only |w|^2),
-    so it is evaluated exactly, on the entries as integers over one
-    power-of-two denominator, and rounded once: m00 + alpha s0 is the
-    difference of two terms of order |apex|^2 / p, and float evaluation
-    would add its own rounding to the matrix's on flat, distant parabolas.
-    """
-    if not c.is_regular():
-        return None
-    (m00, b0, b1), (_, a11, a12), (_, _, a22) = c.m.tolist()
-    t = a11 + a22
-    if t < 0.0:
-        m00, b0, b1, a11, a12, a22, t = -m00, -b0, -b1, -a11, -a12, -a22, -t
-    # divide before multiplying: products of small entries would underflow
-    if not t > 0.0 or abs((a11 / t) * (a22 / t) - (a12 / t) ** 2) > tol:
-        return None
-    wx, wy = (a11, a12) if abs(a11) >= abs(a22) else (a12, a22)
-    ratios = [x.as_integer_ratio() for x in (m00, b0, b1, wx, wy, t)]
-    den = max(d for _, d in ratios)  # every d is a power of two
-    m00, b0, b1, ix, iy, it = (num * (den // d) for num, d in ratios)
-    # up to powers of den: bw = |w| alpha, bd = |w| beta, q = (m00 + alpha s0) |w|^2 t
-    bw, bd = b0 * ix + b1 * iy, b1 * ix - b0 * iy
-    if bd == 0:
-        return None
-    wwt = (ix * ix + iy * iy) * it
-    q = m00 * wwt - bw * bw
-    # apex = (s0 / |w|) w + (r0 / |w|) (-w_y, w_x), over one denominator
-    div = 2 * bd * wwt
-    apex = np.array([(q * iy - 2 * bd * bw * ix) / div, (-q * ix - 2 * bd * bw * iy) / div])
-    n = math.hypot(wx, wy)
-    sign = 1.0 if bd < 0 else -1.0
-    return apex, (-sign * wy / n, sign * wx / n), abs(bd) / (it * den) / n
-
-
-def is_parabola(c: ConicMatrix, tol: float = PARABOLA_TOL) -> bool:
-    """True iff ``c`` is regular and tangent to the line at infinity."""
-    return _reduce(c, tol) is not None
-
-
-def parameter(c: ConicMatrix) -> float:
-    """Focus-directrix distance of the parabola ``c``.
-
-    Invariant under rescaling of the matrix and under Euclidean isometries;
-    scales linearly under uniform scaling of the plane.
-    """
-    return apex_form(c)[2]
 
 
 @dataclass(frozen=True)
@@ -113,13 +54,6 @@ class Parabola:
         object.__setattr__(self, "axis_angle", axis_angle % (2.0 * np.pi))
         object.__setattr__(self, "parameter", parameter)
 
-    @classmethod
-    def from_conic(cls, c: ConicMatrix) -> "Parabola":
-        """The parabola of a matrix, reduced by :func:`apex_form`; keeps ``c``."""
-        para = cls(*apex_form(c))
-        para.__dict__["conic"] = c
-        return para
-
     @cached_property
     def conic(self) -> ConicMatrix:
         """x^2 / p = 2 y pulled back to world coordinates.
@@ -138,9 +72,48 @@ class Parabola:
 
 
 def apex_form(c: ConicMatrix):
-    """(apex, axis_angle, parameter) of a parabola matrix, by :func:`_reduce`."""
-    reduced = _reduce(c)
-    if reduced is None:
+    """(apex, axis_angle, parameter) of a parabola matrix; NotAParabola
+    unless ``c`` is regular and tangent to the line at infinity.
+
+    With the matrix oriented so that t = tr A > 0 (A the affine block, b
+    the linear part), the conic is tangent to the line at infinity when
+    |det(A / t)| <= ``PARABOLA_TOL``.  Then A = t v v^T with v the
+    normalized larger row w of A, the axis is d = (-v_y, v_x), and in the
+    coordinates x = s v + r d the conic reads t (s - s0)^2 = -2 beta (r - r0)
+    with alpha = b.v, beta = b.d, s0 = -alpha / t and
+    r0 = -(m00 + alpha s0) / (2 beta): apex s0 v + r0 d, parameter
+    |beta| / t, opening along -sign(beta) d.  A translation leaves t and
+    beta unchanged and moves the apex with it, so nothing is recentered.
+
+    The apex is rational in the entries (s0 v and r0 d need only |w|^2),
+    so it is evaluated exactly, on the entries as integers over one
+    power-of-two denominator, and rounded once: m00 + alpha s0 is the
+    difference of two terms of order |apex|^2 / p, and float evaluation
+    would add its own rounding to the matrix's on flat, distant parabolas.
+    """
+    if not c.is_regular():
         raise NotAParabola("conic is not a regular parabola")
-    apex, (ux, uy), p = reduced
-    return apex, math.atan2(uy, ux) % (2.0 * np.pi), p
+    (m00, b0, b1), (_, a11, a12), (_, _, a22) = c.m.tolist()
+    t = a11 + a22
+    if t < 0.0:
+        m00, b0, b1, a11, a12, a22, t = -m00, -b0, -b1, -a11, -a12, -a22, -t
+    # divide before multiplying: products of small entries would underflow
+    if not t > 0.0 or abs((a11 / t) * (a22 / t) - (a12 / t) ** 2) > PARABOLA_TOL:
+        raise NotAParabola("conic is not a regular parabola")
+    wx, wy = (a11, a12) if abs(a11) >= abs(a22) else (a12, a22)
+    ratios = [x.as_integer_ratio() for x in (m00, b0, b1, wx, wy, t)]
+    den = max(d for _, d in ratios)  # every d is a power of two
+    m00, b0, b1, ix, iy, it = (num * (den // d) for num, d in ratios)
+    # up to powers of den: bw = |w| alpha, bd = |w| beta, q = (m00 + alpha s0) |w|^2 t
+    bw, bd = b0 * ix + b1 * iy, b1 * ix - b0 * iy
+    if bd == 0:
+        raise NotAParabola("conic is not a regular parabola")
+    wwt = (ix * ix + iy * iy) * it
+    q = m00 * wwt - bw * bw
+    # apex = (s0 / |w|) w + (r0 / |w|) (-w_y, w_x), over one denominator
+    div = 2 * bd * wwt
+    apex = np.array([(q * iy - 2 * bd * bw * ix) / div, (-q * ix - 2 * bd * bw * iy) / div])
+    n = math.hypot(wx, wy)
+    sign = 1.0 if bd < 0 else -1.0  # the axis angle is that of -sign(beta) d
+    angle = math.atan2(sign * wx / n, -sign * wy / n) % (2.0 * np.pi)
+    return apex, angle, abs(bd) / (it * den) / n

@@ -34,6 +34,7 @@ from .projective import (
 )
 
 BLEND_GRID = np.arange(0.1, 0.95, 0.1)
+MAX_CASES = 100_000  # cases per cover suite, checked before any work
 
 
 def run_parallel(fun, args_list):
@@ -61,7 +62,7 @@ def _blend_stack(c0: ConicMatrix, c1: ConicMatrix) -> np.ndarray:
     return np.stack([c0.m, c1.m] + [pencil_blend(c0, c1, float(t)).m for t in BLEND_GRID])
 
 
-def _pencil_report(suite: str, one, seeds: list) -> dict:
+def _pencil_report(suite: str, one, seeds: range) -> dict:
     """Run a pencil suite's ``one`` on every case seed and sum its
     (checked, violations) counts."""
     checked, violations = map(sum, zip(*run_parallel(one, seeds)))
@@ -119,7 +120,7 @@ def pencil_interior_preservation(
         vals = _forms(rows[:points_per_pair], stack[2:])
         return vals.size, int(np.count_nonzero(vals >= 0.0))
 
-    return _pencil_report("pencil-interior", one, [seed * 100_003 + i for i in range(pairs)])
+    return _pencil_report("pencil-interior", one, range(seed * 100_003, seed * 100_003 + pairs))
 
 
 # -- dual pencil: lines missing both parabolas miss every blend member --------
@@ -195,18 +196,19 @@ def dual_pencil_line_preservation(
         bad += int(np.count_nonzero(np.abs(members[:, 0, 0]) > 1e-9 * scale))
         return vals.size + len(members), bad
 
-    return _pencil_report("dual-pencil-lines", one, [seed * 100_019 + i for i in range(pairs)])
+    return _pencil_report("dual-pencil-lines", one, range(seed * 100_019, seed * 100_019 + pairs))
 
 
 # -- horocycle cover: size reduction and containment ---------------------------
 
 
 def _check_cover_args(cases: int, a_range) -> None:
-    """ValueError unless there is a case, ``a_range`` is two finite bounds
-    in [0, 1), and an overlapping pair can be drawn: the radicand is
-    largest at the largest size and the smallest angle 0.02, and the
-    draws would never end without one."""
-    _require_counts(cases=cases)
+    """ValueError unless 1 <= ``cases`` <= ``MAX_CASES``, ``a_range`` is two
+    finite bounds in [0, 1), and an overlapping pair can be drawn: the
+    radicand is largest at the largest size and the smallest angle 0.02,
+    and the draws would never end without one."""
+    if not 1 <= cases <= MAX_CASES:
+        raise ValueError(f"cases must lie between 1 and {MAX_CASES}")
     bounds = tuple(a_range)
     if not (len(bounds) == 2 and all(isinstance(v, Real) and 0.0 <= v < 1.0 for v in bounds)):
         raise ValueError(f"a_range {bounds} must be two finite bounds in [0, 1)")
@@ -258,7 +260,7 @@ def size_reduction_suite(
             "ok": cover.a < a and identities_ok,
         }
 
-    seeds = [seed * 100_043 + i for i in range(cases)]
+    seeds = range(seed * 100_043, seed * 100_043 + cases)
     results = run_parallel(one, seeds)
     worst_margin = min(r["margin"] for r in results)
     factor_errs = [r["factor_err"] for r in results if r["factor_err"] is not None]
@@ -285,8 +287,8 @@ def cover_containment_suite(
     certificate k > 0 and lie inside the cover.  The dict also reports
     how many cases had the cover come out larger than a (the sharpness
     signal when a_range goes above 2^{-1/2}).  Raises ValueError as
-    ``_check_cover_args`` does, or, from the first case, when
-    ``samples < 1``.
+    ``_check_cover_args`` does, or, from the first case before it draws a
+    sample, unless 1 <= ``samples`` <= ``horocycle.MAX_SAMPLES``.
     """
     _check_cover_args(cases, a_range)
 
@@ -304,7 +306,7 @@ def cover_containment_suite(
             "size_grew": (rep.size_reduced is False),
         }
 
-    seeds = [seed * 100_057 + i for i in range(cases)]
+    seeds = range(seed * 100_057, seed * 100_057 + cases)
     results = run_parallel(one, seeds)
     k_viol = sum(r["k_viol"] for r in results)
     cont_viol = sum(r["cont_viol"] for r in results)

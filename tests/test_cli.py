@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conic_extrema import cli
+from conic_extrema import cli, horocycle
 from conic_extrema.cli import dumps_result, main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -293,9 +293,11 @@ class TestInputContract:
             assert strict_json(err)["error"] == "ValueError"
             assert strict_json(err)["message"].startswith("a_range")
 
-    def test_impossible_allocation_is_schema_error(self, tmp_path, capsys):
+    def test_impossible_allocation_is_schema_error(self, tmp_path, capsys, monkeypatch):
         # 10^17 samples need about 2.8 EiB, beyond any address space, so
-        # numpy refuses the first batch at once with a MemoryError
+        # numpy refuses the first batch at once with a MemoryError; the
+        # sample bound, which would reject the count first, is lifted here
+        monkeypatch.setattr(horocycle, "MAX_SAMPLES", 10**18)
         payload = {"suite": "cover", "cases": 1, "samples": 10**17}
         code, out = run_cli(tmp_path, "verify", payload, "huge")
         assert code == 3
@@ -303,6 +305,20 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert_one_json_error_line(err)
         assert strict_json(err)["error"] == "MemoryError"
+
+    @pytest.mark.parametrize("extra", [{"cases": 1e300}, {"samples": 1e12}])
+    def test_cover_work_beyond_the_bounds_is_schema_error(self, tmp_path, extra):
+        # both counts are bounded before any allocation: 1e300 cases used to
+        # build a seed list until memory ran out
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps({"suite": "cover", **extra}))
+        proc = run_cli_subprocess(
+            ["verify", "--input", str(inp), "--output", str(tmp_path / "o.json")], timeout=60
+        )
+        assert proc.returncode == 3
+        assert_one_json_error_line(proc.stderr)
+        err = strict_json(proc.stderr)
+        assert err["error"] == "ValueError" and next(iter(extra)) in err["message"]
 
 
 # -- contract fuzz: any small payload exits 0..3 with clean stderr -------------

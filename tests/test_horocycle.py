@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conic_extrema import horocycle as horocycle_module
+from conic_extrema import verify as verify_module
 from conic_extrema import (
     Horocycle,
     NoCommonInterior,
@@ -486,6 +487,19 @@ class TestInvalidInput:
     def test_lens_sampler_angle_rejected(self, omega):
         with pytest.raises(ValueError, match="omega"):
             sample_common_interior(0.5, omega, 10)
+
+    def test_cover_work_is_bounded(self, monkeypatch):
+        # checked before any draw: one past either bound raises at once
+        with pytest.raises(ValueError, match="samples"):
+            check_cover_containment(0.5, 0.2, samples=horocycle_module.MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match="cases"):
+            run_suite("cover", 0, cases=verify_module.MAX_CASES + 1)
+        with pytest.raises(ValueError, match="samples"):
+            run_suite("cover", 0, cases=2, samples=horocycle_module.MAX_SAMPLES + 1)
+        # the bounds themselves are allowed
+        monkeypatch.setattr(horocycle_module, "MAX_SAMPLES", 100)
+        monkeypatch.setattr(verify_module, "MAX_CASES", 2)
+        assert run_suite("cover", 0, cases=2, samples=100)["passed"]
 
     def test_lens_sampler_count_rejected(self):
         with pytest.raises(ValueError, match="n must"):

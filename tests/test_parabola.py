@@ -1,4 +1,4 @@
-"""Parabola recognition, the size functional, and apex-form construction."""
+"""Parabola recognition (``apex_form``), the size functional, and apex-form construction."""
 
 import dataclasses
 
@@ -12,8 +12,6 @@ from conic_extrema import (
     NonpositiveParameter,
     NotAParabola,
     Parabola,
-    is_parabola,
-    parameter,
 )
 from conic_extrema.parabola import apex_form
 from conic_extrema.projective import pullback, rotation_h, translation_h
@@ -26,39 +24,47 @@ X2_EQ_4Y = ConicMatrix([[0.0, 0.0, -2.0], [0.0, 1.0, 0.0], [-2.0, 0.0, 0.0]])
 
 class TestIsParabola:
     def test_circle_is_not(self):
-        assert not is_parabola(UNIT_CIRCLE)
+        with pytest.raises(NotAParabola):
+            apex_form(UNIT_CIRCLE)
 
     def test_vertical_parabola_is(self):
+        # x^2 = 2 y: apex at the origin, opening toward +y, parameter 1
         c = ConicMatrix([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
-        assert is_parabola(c)
+        apex, angle, p = apex_form(c)
+        assert apex.tolist() == [0.0, 0.0]
+        assert angle == np.pi / 2.0 and p == 1.0
 
     def test_double_line_fails_regularity(self):
-        assert not is_parabola(ConicMatrix(np.diag([0.0, 1.0, 0.0])))
+        with pytest.raises(NotAParabola):
+            apex_form(ConicMatrix(np.diag([0.0, 1.0, 0.0])))
 
     def test_invariant_under_rescaling(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             s = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-            assert is_parabola(ConicMatrix(X2_EQ_4Y.m * s))
+            apex, angle, p = apex_form(ConicMatrix(X2_EQ_4Y.m * s))
+            assert np.abs(apex).max() <= 1e-12
+            assert angle == pytest.approx(np.pi / 2.0, abs=1e-12)
+            assert p == pytest.approx(2.0, rel=1e-12)
 
 
 class TestParameter:
     def test_focus_directrix_oracle(self):
         # independent oracle: x^2 = 4y has focal length 1, so the
         # focus-directrix distance is 2 by definition
-        assert parameter(X2_EQ_4Y) == pytest.approx(2.0, rel=1e-12)
+        assert apex_form(X2_EQ_4Y)[2] == pytest.approx(2.0, rel=1e-12)
 
     def test_scale_invariance(self):
-        assert parameter(ConicMatrix(X2_EQ_4Y.m * -7.0)) == pytest.approx(2.0, rel=1e-12)
+        assert apex_form(ConicMatrix(X2_EQ_4Y.m * -7.0))[2] == pytest.approx(2.0, rel=1e-12)
 
     def test_isometry_invariance_worked(self):
         move = rotation_h(np.pi / 6.0) @ translation_h([3.0, -1.0])
         moved = pullback(X2_EQ_4Y, move)
-        assert parameter(moved) == pytest.approx(2.0, rel=1e-9)
+        assert apex_form(moved)[2] == pytest.approx(2.0, rel=1e-9)
 
     def test_not_a_parabola(self):
         with pytest.raises(NotAParabola):
-            parameter(UNIT_CIRCLE)
+            apex_form(UNIT_CIRCLE)
 
     def test_isometry_invariance_random(self):
         rng = np.random.default_rng(1)
@@ -66,7 +72,7 @@ class TestParameter:
             p = rng.uniform(0.1, 5.0)
             base = Parabola(rng.uniform(-3, 3, 2), rng.uniform(0, 2 * np.pi), p)
             move = rotation_h(rng.uniform(0, 2 * np.pi)) @ translation_h(rng.uniform(-5, 5, 2))
-            assert parameter(pullback(base.conic, move)) == pytest.approx(p, rel=1e-9)
+            assert apex_form(pullback(base.conic, move))[2] == pytest.approx(p, rel=1e-9)
 
     def test_linear_under_uniform_scaling(self):
         rng = np.random.default_rng(2)
@@ -75,12 +81,12 @@ class TestParameter:
             sigma = rng.uniform(0.2, 8.0)
             base = Parabola(rng.uniform(-2, 2, 2), rng.uniform(0, 2 * np.pi), p)
             scaled = pullback(base.conic, np.diag([1.0, 1.0 / sigma, 1.0 / sigma]))
-            assert parameter(scaled) == pytest.approx(sigma * p, rel=1e-9)
+            assert apex_form(scaled)[2] == pytest.approx(sigma * p, rel=1e-9)
 
     def test_exact_zeros_in_row_zero(self):
         # y^2 = 4x: focal length 1, parameter 2; m00 = m02 = 0
         y2_eq_4x = ConicMatrix([[0.0, -2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert parameter(y2_eq_4x) == 2.0
+        assert apex_form(y2_eq_4x)[2] == 2.0
 
 
 class TestParabolaFromApex:
@@ -128,14 +134,14 @@ class TestFarFromOrigin:
 
     def test_offset_parabola_recognized(self):
         para = Parabola([400.0, -350.0], 0.7, 2.5)
-        assert is_parabola(para.conic)
-        assert parameter(para.conic) == pytest.approx(2.5, rel=1e-12)
         apex, angle, p = apex_form(para.conic)
+        assert p == pytest.approx(2.5, rel=1e-12)
         assert np.allclose(apex, [400.0, -350.0], atol=1e-8)
 
     def test_offset_circle_rejected(self):
         far = pullback(UNIT_CIRCLE, translation_h([-300.0, 200.0]))
-        assert not is_parabola(far)
+        with pytest.raises(NotAParabola):
+            apex_form(far)
         assert far.is_regular()
 
     def test_offset_triangle_exparabolas(self):
@@ -166,13 +172,6 @@ class TestApexForm:
     def test_non_finite_rejected(self, apex, angle, p):
         with pytest.raises(ValueError, match="finite"):
             Parabola(apex, angle, p)
-
-    def test_from_conic_keeps_the_matrix(self):
-        para = Parabola.from_conic(X2_EQ_4Y)
-        assert para.conic is X2_EQ_4Y
-        assert np.allclose(para.apex, [0.0, 0.0], atol=1e-15)
-        assert para.axis_angle == pytest.approx(np.pi / 2.0, abs=1e-15)
-        assert para.parameter == pytest.approx(2.0, rel=1e-15)
 
     @pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
     def test_conic_finite_and_exact_at_every_scale(self, s):
@@ -216,4 +215,5 @@ def test_ellipses_are_regular_at_every_scale(e, centre, angle, axes):
     m = np.block([[np.array([[c @ a @ c - 1.0]]), -(a @ c)[None, :]], [-(a @ c)[:, None], a]])
     ellipse = ConicMatrix(m)
     assert ellipse.is_regular()
-    assert not is_parabola(ellipse)
+    with pytest.raises(NotAParabola):
+        apex_form(ellipse)
