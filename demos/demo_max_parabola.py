@@ -3,9 +3,11 @@
 # Containment alone never bounds a parabola's size in a half-plane
 # intersection (slide the apex deeper and grow), so the meaningful
 # maximum is over parabolas tangent to at least three boundary lines.
-# The solver multi-starts a derivative-free search, polishes each start
-# exactly along its tangent triple, and reports the agreement statistics
-# that witness the uniqueness of the maximum.
+# The solver finds the maximum exactly: it enumerates every triple of
+# edge lines and clips each triple's closed-form optimum to the tangency
+# interval the other half-planes allow.  A multi-start search runs beside
+# it; its agreeing-start count is printed, but it witnesses neither the
+# maximum nor its uniqueness.
 
 import os
 

@@ -45,7 +45,6 @@ from .horocycle import (
     check_size_reduction_identities,
     common_cover,
     common_cover_unchecked,
-    horocycle_matrix,
     intersection_points,
     min_size_for_point,
     sample_common_interior,

@@ -31,7 +31,8 @@ a = 2^{-1/2} all horocycles through the disk center have equal size, and
 above the bound the covering horocycle comes out strictly larger, so the
 bound is sharp.
 
-The matrix E(a) is the definition; no containment test evaluates it.
+The matrix E(a) is the definition, and ``Horocycle.matrix`` rotates it
+to any theta; no containment test evaluates it.
 For the ideal direction u = (cos theta, sin theta), the form at a point
 p inside N is negative exactly when a^2 exceeds the point's minimal
 size squared, the paper's a^2 / (1 - a^2) = (s / w)^2 solved for a^2:
@@ -97,7 +98,9 @@ class Horocycle:
         return (1.0 - self.a**2) * self.ideal_point
 
     def matrix(self) -> ConicMatrix:
-        return horocycle_matrix(self)
+        """Interior-normalized matrix: E(a) rotated to put the ideal point at theta."""
+        r = rotation_h(self.theta - 0.5 * np.pi)
+        return ConicMatrix(r @ _base_matrix(self.a) @ r.T)
 
     def contains(self, p) -> bool:
         """Strict interior test: the point's minimal size is below a.
@@ -109,16 +112,6 @@ class Horocycle:
             return min_size_for_point(self.theta, (x, y)) < self.a
         except (TypeError, ValueError):
             return False
-
-
-def horocycle_matrix(h: Horocycle) -> ConicMatrix:
-    """Conic matrix of the horocycle, interior-normalized.
-
-    Obtained from the base matrix E(a) (ideal point at angle pi/2) by
-    rotation conjugation moving the ideal point to angle theta.
-    """
-    r = rotation_h(h.theta - 0.5 * np.pi)
-    return ConicMatrix(r @ _base_matrix(h.a) @ r.T)
 
 
 def _point_terms(pts: np.ndarray):
@@ -374,6 +367,11 @@ def _lens_box(a: float, angles: np.ndarray):
     return lo, hi
 
 
+def _check_samples(samples: int) -> None:
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie between 1 and {MAX_SAMPLES}")
+
+
 def check_cover_containment(
     a: float, t: float, samples: int = 100_000, seed: int = 0
 ) -> CoverContainmentReport:
@@ -396,8 +394,7 @@ def check_cover_containment(
         raise ValueError("a and t must be finite")
     if not 0.0 < a < 1.0:
         raise ValueError("horocycle size must lie strictly between 0 and 1")
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must lie between 1 and {MAX_SAMPLES}")
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     pts = np.empty((0, 2))
     while len(pts) < samples:

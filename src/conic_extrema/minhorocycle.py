@@ -29,6 +29,9 @@ Which sets take which path:
   profile at exactly 2^{-1/2}, where infinitely many horocycles are
   minimal and the solution is flagged non-unique.
 
+So a* < 2^{-1/2} puts the center outside the hull, where the minimizer
+is unique: that bound alone is the ``unique`` flag, on either path.
+
 Every horocycle interior is a Euclidean ellipse interior, hence convex,
 so a horocycle encloses the set exactly when it encloses the set's
 convex-hull vertices, and the profile over any superset of those
@@ -60,7 +63,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 UNIQUE_SIZE_MARGIN = 1e-9  # below 2^{-1/2} required to certify uniqueness
 UNIQUE_VALUE_TOL = 1e-7  # minima within this of the best are "ties"
-UNIQUE_ANGLE_TOL = 1e-6  # tied minimizers must coincide to this angle
+PERTURBATIONS = 64  # sampled angle perturbations of the local-optimality check
 
 PRUNE_DIRECTIONS = 64  # extreme-point directions of the hull prefilter
 PRUNE_MARGIN = 1e-12  # relative depth inside the polygon a dropped point needs
@@ -89,7 +92,7 @@ def size_profile(points, theta) -> float | np.ndarray:
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.all(np.isfinite(thetas)):
         raise ValueError("theta must be finite")
-    prof = _profile(thetas, pts)
+    prof = _profile_of(pts)(thetas)
     return float(prof[0]) if np.isscalar(theta) or np.ndim(theta) == 0 else prof
 
 
@@ -108,22 +111,10 @@ class MinHorocycleSolution:
     unique: bool
     profile: ProfileDiagnostics
 
-    @property
-    def size(self) -> float:
-        return self.horocycle.a
-
-    @property
-    def theta(self) -> float:
-        return self.horocycle.theta
-
-
-def _profile(thetas: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """``min_sizes_for_points(thetas, pts).max(axis=1)``, bit for bit."""
-    return _profile_of(pts)(thetas)
-
 
 def _profile_of(pts: np.ndarray):
-    """The profile of ``pts`` as a function of an angle array.
+    """The profile of ``pts`` as a function of an angle array:
+    ``min_sizes_for_points(thetas, pts).max(axis=1)``, bit for bit.
 
     Forms the kernel's per-point terms once.  Each call takes the max of
     ``_squared_sizes`` over the points and one sqrt after it (monotone
@@ -319,9 +310,10 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     enclosure check recomputes.
 
     ``unique`` is the paper's criterion: a* < 2^{-1/2} -
-    UNIQUE_SIZE_MARGIN and all tied minimizers coincide in angle.  (On
-    the exact path the minimizer is unique at every size, but a size at
-    or above the bound is not flagged.)
+    UNIQUE_SIZE_MARGIN, below which the center lies outside the hull and
+    the minimizer is unique (module text).  (On the exact path the
+    minimizer is unique at every size, but a size at or above the bound
+    is not flagged.)
 
     The path test and the solve see only a superset of the convex-hull
     vertices: horocycle interiors are convex, so the profile over those
@@ -350,8 +342,7 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
         minima = sorted((val, th % (2.0 * np.pi)) for th, val in zip(xs, vals))
         a_star, th_star = minima[0]
         ties = np.array([th for val, th in minima if val <= a_star + UNIQUE_VALUE_TOL])
-    dth = np.abs((ties - th_star + np.pi) % (2.0 * np.pi) - np.pi)
-    unique = bool(a_star < INV_SQRT2 - UNIQUE_SIZE_MARGIN and np.all(dth <= UNIQUE_ANGLE_TOL))
+    unique = a_star < INV_SQRT2 - UNIQUE_SIZE_MARGIN
 
     needs = min_sizes_for_points([th_star], pts)[0]
     support = tuple(int(i) for i in np.nonzero(needs >= a_star - 1e-8)[0])
@@ -364,15 +355,14 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     )
 
 
-def verify_solution(
-    points, sol: MinHorocycleSolution, perturbations: int = 64, seed: int = 0
-) -> dict:
+def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     """Independent checks of a proposed solution; raises on failure.
 
     Checks enclosure of every input point (closed interior), local
-    optimality of the profile under sampled angle perturbations, and,
-    when the solution claims uniqueness, the absence of a second
-    minimizer anywhere on the diagnostic grid.
+    optimality of the profile under PERTURBATIONS angle perturbations
+    drawn from ``default_rng(0)``, and, when the solution claims
+    uniqueness, the absence of a second minimizer more than 1e-2 rad
+    from theta* anywhere on the diagnostic grid.
 
     The perturbed profile runs on the points ``sol.hull`` names, the
     hull superset the solver ran on.  Their values are those of the same
@@ -380,8 +370,6 @@ def verify_solution(
     at most the all-points max: a wrong ``hull`` can only make the check
     stricter.  A ``hull`` that is not an index array fails it.
     """
-    if perturbations < 1:
-        raise ValueError("perturbations must be at least 1")
     pts = as_point_set(points)
     a_star = sol.horocycle.a
     th_star = sol.horocycle.theta
@@ -396,11 +384,10 @@ def verify_solution(
     valid = hull.ndim == 1 and hull.dtype.kind in "iu" and len(hull) > 0
     if not (valid and 0 <= hull.min() and hull.max() < len(pts)):
         raise VerificationFailure("hull: not a nonempty array of indices into the points")
-    rng = np.random.default_rng(seed)
-    mags = 10.0 ** rng.uniform(-6.0, -2.0, perturbations)
-    signs = rng.choice([-1.0, 1.0], perturbations)
-    deltas = mags * signs
-    vals = _profile(th_star + deltas, pts[hull])
+    rng = np.random.default_rng(0)
+    mags = 10.0 ** rng.uniform(-6.0, -2.0, PERTURBATIONS)
+    signs = rng.choice([-1.0, 1.0], PERTURBATIONS)
+    vals = _profile_of(pts[hull])(th_star + mags * signs)
     if np.any(vals < a_star - 1e-12):
         raise VerificationFailure("local optimality: a nearby angle does better")
 
@@ -415,7 +402,7 @@ def verify_solution(
 
     return {
         "enclosure_margin": -worst,
-        "perturbations": int(perturbations),
+        "perturbations": PERTURBATIONS,
         "support": sol.support,
         "unique": sol.unique,
     }

@@ -18,6 +18,7 @@ import numpy as np
 
 from .horocycle import (
     INV_SQRT2,
+    _check_samples,
     check_cover_containment,
     check_size_reduction_identities,
     common_cover_unchecked,
@@ -332,18 +333,15 @@ def run_suite(name: str, seed: int = 0, **kw) -> dict:
         ]
     elif name == "cover":
         a_range = tuple(kw.get("a_range", (0.05, 0.70)))
+        cases = int(kw.get("cases", 100)), int(kw.get("cases", 20))
+        samples = int(kw.get("samples", 20_000))
+        # both suites' arguments, before either runs a case
+        for n in cases:
+            _check_cover_args(n, a_range)
+        _check_samples(samples)
         reports = [
-            size_reduction_suite(
-                seed=seed,
-                cases=int(kw.get("cases", 100)),
-                a_range=a_range,
-            ),
-            cover_containment_suite(
-                seed=seed,
-                cases=int(kw.get("cases", 20)),
-                samples=int(kw.get("samples", 20_000)),
-                a_range=a_range,
-            ),
+            size_reduction_suite(seed=seed, cases=cases[0], a_range=a_range),
+            cover_containment_suite(seed=seed, cases=cases[1], samples=samples, a_range=a_range),
         ]
     elif name == "all":
         reports = run_suite("pencil", seed)["reports"] + run_suite(

@@ -19,7 +19,6 @@ from conic_extrema import (
     check_size_reduction_identities,
     common_cover,
     common_cover_unchecked,
-    horocycle_matrix,
     intersection_points,
     min_size_for_point,
     sample_common_interior,
@@ -41,8 +40,8 @@ from conftest import equal_up_to_scale
 def pair_matrices(a, w):
     """Matrices of the pair of size a with ideal angles pi/2 +- w."""
     return (
-        horocycle_matrix(Horocycle(np.pi / 2 + w, a)),
-        horocycle_matrix(Horocycle(np.pi / 2 - w, a)),
+        Horocycle(np.pi / 2 + w, a).matrix(),
+        Horocycle(np.pi / 2 - w, a).matrix(),
     )
 
 
@@ -68,7 +67,7 @@ def test_non_finite_angle_rejected(bad):
 
 class TestMatrix:
     def test_half_size_matrix(self):
-        m = horocycle_matrix(Horocycle(theta=np.pi / 2, a=0.5)).m
+        m = Horocycle(theta=np.pi / 2, a=0.5).matrix().m
         assert np.allclose(
             m, [[0.5, 0.0, -0.75], [0.0, 0.25, 0.0], [-0.75, 0.0, 1.0]], atol=1e-15
         )
@@ -501,6 +500,14 @@ class TestInvalidInput:
         monkeypatch.setattr(verify_module, "MAX_CASES", 2)
         assert run_suite("cover", 0, cases=2, samples=100)["passed"]
 
+    def test_cover_suite_counts_checked_before_any_case(self, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("a size-reduction case ran")
+
+        monkeypatch.setattr(verify_module, "size_reduction_suite", ran)
+        with pytest.raises(ValueError, match="samples"):
+            run_suite("cover", 0, cases=5, samples=horocycle_module.MAX_SAMPLES + 1)
+
     def test_lens_sampler_count_rejected(self):
         with pytest.raises(ValueError, match="n must"):
             sample_common_interior(0.5, 0.2, -1)
@@ -513,7 +520,7 @@ def test_horocycle_paths_build_no_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a horocycle matrix was built")
 
-    for name in ("horocycle_matrix", "_base_matrix", "ConicMatrix"):
+    for name in ("_base_matrix", "ConicMatrix"):
         monkeypatch.setattr(horocycle_module, name, forbidden)
     assert Horocycle(theta=np.pi / 2, a=0.9).contains([0.0, 0.0])
     assert not Horocycle(theta=np.pi / 2, a=0.3).contains([0.0, -0.5])

@@ -29,7 +29,7 @@ from conic_extrema.minhorocycle import (
     _center_outside_hull,
     _golden_minimize,
     _hull_superset,
-    _profile,
+    _profile_of,
 )
 
 
@@ -146,6 +146,8 @@ class TestSolve:
                 continue
             coarse, fine = (solve_min_horocycle(pts, grid=g) for g in (720, 1440))
             assert fine.horocycle.a == pytest.approx(coarse.horocycle.a, rel=1e-12, abs=0.0)
+            for sol in (coarse, fine):
+                assert sol.unique == (sol.horocycle.a < INV_SQRT2 - UNIQUE_SIZE_MARGIN)
             if family == "centre":
                 assert (coarse.horocycle.a, coarse.unique) == (INV_SQRT2, False)
                 assert (fine.horocycle.a, fine.unique) == (INV_SQRT2, False)
@@ -192,7 +194,7 @@ class TestSolve:
         pts = np.array([[0.3, 0.2], [-0.1, 0.4], [0.2, -0.3]])
         default = solve_min_horocycle(pts)
         lo = np.array([default.horocycle.theta - 2.0 * np.pi / 720])
-        (x,), (a,) = _golden_minimize(lambda th: _profile(th, pts), lo, lo + 4.0 * np.pi / 720, tol)
+        (x,), (a,) = _golden_minimize(_profile_of(pts), lo, lo + 4.0 * np.pi / 720, tol)
         assert x == pytest.approx(default.horocycle.theta, abs=1e-12)
         assert a == pytest.approx(default.horocycle.a, rel=1e-13)
 
@@ -339,7 +341,7 @@ class TestHullPrune:
         assert np.array_equal(sol.profile.values, full)
         # the perturbation check of verify_solution sees the same values
         near = _perturbed_angles(sol.horocycle.theta)
-        assert np.array_equal(_profile(near, hull), _profile(near, pts))
+        assert np.array_equal(_profile_of(hull)(near), _profile_of(pts)(near))
         verify_solution(pts, sol)
 
     def test_solve_and_verify_allocate_no_angle_by_point_array(self):
@@ -380,7 +382,7 @@ class TestExactPath:
         sol = solve_min_horocycle(pts)
         a = sol.horocycle.a
         # the profile over the hull superset is the profile over all points
-        assert a <= (1.0 + 1e-12) * _profile(DENSE, hull).min()
+        assert a <= (1.0 + 1e-12) * _profile_of(hull)(DENSE).min()
         needs = min_sizes_for_points([sol.horocycle.theta], pts)[0]
         assert needs.max() <= a + 1e-10
         verify_solution(pts, sol)
@@ -460,6 +462,7 @@ class TestPathSelection:
         dth = (capped.horocycle.theta - exact.horocycle.theta + np.pi) % (2.0 * np.pi) - np.pi
         assert abs(dth) <= 1e-6
         assert capped.unique and exact.unique
+        assert capped.unique == (capped.horocycle.a < INV_SQRT2 - UNIQUE_SIZE_MARGIN)
         assert capped.support == exact.support
 
 
@@ -481,7 +484,7 @@ class TestProfileKernel:
         if n == 5000:
             assert len(thetas) % -(-PROFILE_BLOCK // len(pts)) != 0
         expect = min_sizes_for_points(thetas, pts).max(axis=1)
-        assert np.array_equal(_profile(thetas, pts), expect)
+        assert np.array_equal(_profile_of(pts)(thetas), expect)
 
 
 def _scalar_golden(fun, lo, hi, tol):
@@ -507,7 +510,7 @@ class TestLockstepRefine:
     def test_matches_scalar_search_per_bracket(self, family, n):
         pts = _point_family(family, np.random.default_rng(3), n)
         thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        values = _profile(thetas, pts)
+        values = _profile_of(pts)(thetas)
         idx = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
         if family == "centre":
             assert len(idx) >= 50  # the plateau at 2^(-1/2)
@@ -529,7 +532,7 @@ class TestLockstepRefine:
 
         def lockstep(th):
             calls.append(len(th))
-            return _profile(th, pts)
+            return _profile_of(pts)(th)
 
         xs, vals = _golden_minimize(lockstep, lo, hi, 1e-12)
         assert xs == [x for x, _ in expect]
@@ -625,10 +628,3 @@ class TestVerifySolution:
         assert len(rest)
         with pytest.raises(VerificationFailure, match="local optimality"):
             verify_solution(pts, dataclasses.replace(sol, hull=rest))
-
-    @pytest.mark.parametrize("perturbations", [0, -1])
-    def test_perturbations_below_one_rejected(self, perturbations):
-        pts = [[-0.3, 0.2], [0.3, 0.2], [0.0, -0.1]]
-        sol = solve_min_horocycle(pts)
-        with pytest.raises(ValueError, match="perturbations"):
-            verify_solution(pts, sol, perturbations=perturbations)
