@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,8 +31,6 @@ from .horocycle import Horocycle, common_cover_unchecked, intersection_points
 from .maxparabola import ConvexRegion, HalfPlane, solve_max_parabola
 from .minhorocycle import solve_min_horocycle
 from .verify import run_suite
-
-COMMANDS = ("exparabola", "max-parabola", "lemma-shrink", "min-horocycle", "verify")
 
 
 def _numpy_default(obj):
@@ -109,19 +108,13 @@ def _run_max_parabola(data, args):
         "apex": sol.apex,
         "axis_angle": sol.axis_angle,
         "active_constraints": list(sol.active_constraints),
-        "convergence": {
-            "starts": sol.convergence.starts,
-            "agreeing_starts": sol.convergence.agreeing_starts,
-            "spread": sol.convergence.spread,
-        },
+        "convergence": asdict(sol.convergence),
         "conic": sol.parabola.conic.m,
     }
     svg = None
     if args.svg:
         span = max(4.0 * sol.parabola.parameter, 2.0)
-        fig = svgfig.SvgFigure(
-            viewport=_viewbox([sol.apex], pad=span), width_px=640
-        )
+        fig = svgfig.SvgFigure(viewport=_viewbox([sol.apex], pad=span))
         for h in region.halfplanes:
             fig.add_line(h.normal, h.offset, stroke="gray", width=0.004 * span)
         fig.add_parabola(sol.parabola, stroke="crimson", width=0.006 * span)
@@ -138,7 +131,7 @@ def _run_lemma_shrink(data, args):
     out = {
         "a": a,
         "omega": omega,
-        "cover": {"theta": cover.theta, "a": cover.a},
+        "cover": asdict(cover),
         "lower": lower,
         "upper": upper,
         "size_reduced": bool(cover.a < a),
@@ -209,7 +202,7 @@ def main(argv=None) -> int:
         prog="conic-extrema", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--input", required=True)
     parser.add_argument("--output", required=True)
     parser.add_argument("--svg", default=None)

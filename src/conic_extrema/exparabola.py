@@ -80,11 +80,11 @@ class Triangle:
         object.__setattr__(self, "_xy", coords)
 
 
-SIDES = ("AB", "BC", "CA")
-# vertex opposite each side
-OPPOSITE = {"AB": "C", "BC": "A", "CA": "B"}
 # (endpoint, endpoint, opposite vertex) of each side, as indices into (A, B, C) and Triangle._xy
 _SIDE_INDEX = {"AB": (0, 1, 2), "BC": (1, 2, 0), "CA": (2, 0, 1)}
+SIDES = tuple(_SIDE_INDEX)
+# vertex opposite each side
+OPPOSITE = {side: "ABC"[k] for side, (_, _, k) in _SIDE_INDEX.items()}
 
 
 @dataclass(frozen=True)

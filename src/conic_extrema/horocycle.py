@@ -178,10 +178,12 @@ def intersection_points(a: float, omega: float):
     """Intersection points L = (0, l), U = (0, u) of the symmetric pair.
 
     The pair consists of the two horocycles of size ``a`` with ideal
-    angles pi/2 +- omega.  Raises NoCommonInterior when the radicand
-    2 a^2 - a^2 cos^2 w - sin^2 w is not positive (interiors disjoint or
-    merely tangent).
+    angles pi/2 +- omega.  Raises ValueError unless 0 < a < 1, and
+    NoCommonInterior when the radicand 2 a^2 - a^2 cos^2 w - sin^2 w is
+    not positive (interiors disjoint or merely tangent).
     """
+    if not 0.0 < a < 1.0:
+        raise ValueError("horocycle size must lie strictly between 0 and 1")
     rad = intersection_radicand(a, omega)
     if rad <= 0.0:
         raise NoCommonInterior("horocycle pair has no common interior points")
@@ -198,7 +200,7 @@ def common_cover_unchecked(a: float, omega: float) -> Horocycle:
 
     Always covers the common interior of the symmetric pair; its size is
     smaller than ``a`` exactly when a < 2^{-1/2} (equal at the bound,
-    larger above it).  No size precondition is enforced here.
+    larger above it).  The bound is not enforced here.
     """
     ell = intersection_points(a, omega)[0][1]
     return Horocycle(theta=0.5 * np.pi, a=float(np.sqrt((1.0 - ell) / 2.0)))

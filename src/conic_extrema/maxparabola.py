@@ -121,10 +121,16 @@ class Convergence:
 @dataclass(frozen=True)
 class MaxParabolaSolution:
     parabola: Parabola
-    apex: np.ndarray
-    axis_angle: float
     active_constraints: tuple
     convergence: Convergence
+
+    @property
+    def apex(self) -> np.ndarray:
+        return self.parabola.apex
+
+    @property
+    def axis_angle(self) -> float:
+        return self.parabola.axis_angle
 
 
 def halfplane_violation(apex, axis_dir, p: float, normal, offset):
@@ -185,12 +191,8 @@ def _feasible_direction_arc(normals: np.ndarray):
     k = int(np.argmax(gaps))
     if gaps[k] <= np.pi + DIRECTION_TOL:
         return None
-    if k == m - 1:
-        first = ang[0] + 2.0 * np.pi
-        last = ang[m - 1] + 2.0 * np.pi
-    else:
-        first = ang[k + 1]
-        last = ang[k] + 2.0 * np.pi
+    first = ang[(k + 1) % m] + (2.0 * np.pi if k == m - 1 else 0.0)
+    last = ang[k] + 2.0 * np.pi
     return last + 0.5 * np.pi, first + 1.5 * np.pi
 
 
@@ -333,7 +335,7 @@ def _unit_scale(normals, offsets):
     return k + k2, math.ldexp(span, -k2), np.ldexp(verts.mean(axis=0), -k2), edges
 
 
-def _coarse_search(normals, offsets, seeds, gscale, center, kappa, max_iter=600):
+def _coarse_search(normals, offsets, seeds, gscale, center, kappa):
     """Vectorized compass search maximizing p - kappa * (3 smallest slacks).
 
     States are (apex_x, apex_y, axis_angle, p); infeasible states score
@@ -375,7 +377,7 @@ def _coarse_search(normals, offsets, seeds, gscale, center, kappa, max_iter=600)
     stop = 1e-8 * gscale
     escaped = np.zeros(s, dtype=bool)
     drifted = np.zeros(s, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(600):
         if (step <= stop).all():
             break
         cand = z[None, :, :] + dirs[:, None, :] * (
@@ -537,8 +539,6 @@ def solve_max_parabola(region: ConvexRegion, starts: int = 64, seed: int = 0) ->
         spread = float(np.ldexp(spread, k))
     return MaxParabolaSolution(
         parabola=parabola,
-        apex=parabola.apex,
-        axis_angle=parabola.axis_angle,
         active_constraints=tuple(int(i) for i in np.nonzero(viol >= -tol)[0]),
         convergence=Convergence(
             starts=len(seeds), agreeing_starts=len(agreeing), spread=spread

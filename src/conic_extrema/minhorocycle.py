@@ -25,9 +25,10 @@ Which sets take which path:
   whose basis solve has not converged after EXACT_PASSES passes, take
   the grid path: the solver scans a dense theta grid, refines every
   bracketed local minimum by golden-section search, and returns the
-  global minimum.  A set containing the center forces a constant
-  profile at exactly 2^{-1/2}, where infinitely many horocycles are
-  minimal and the solution is flagged non-unique.
+  global minimum.  A set containing the center has a* = 2^{-1/2}
+  exactly when it fits in a horocycle of that size (the center alone
+  has the constant profile 2^{-1/2}), and a larger a* otherwise; either
+  way the solution is flagged non-unique.
 
 So a* < 2^{-1/2} puts the center outside the hull, where the minimizer
 is unique: that bound alone is the ``unique`` flag, on either path.
@@ -93,7 +94,7 @@ def size_profile(points, theta) -> float | np.ndarray:
     if not np.all(np.isfinite(thetas)):
         raise ValueError("theta must be finite")
     prof = _profile_of(pts)(thetas)
-    return float(prof[0]) if np.isscalar(theta) or np.ndim(theta) == 0 else prof
+    return float(prof[0]) if np.ndim(theta) == 0 else prof
 
 
 @dataclass(frozen=True)

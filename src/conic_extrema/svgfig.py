@@ -48,8 +48,8 @@ class SvgFigure:
     def _fmt(self, v: float) -> str:
         return f"{v:.3f}"
 
-    def _style(self, stroke, width, fill="none", dash=None):
-        s = f'fill="{fill}" stroke="{stroke}" stroke-width="{self._fmt(width * self.scale)}"'
+    def _style(self, stroke, width, dash=None):
+        s = f'fill="none" stroke="{stroke}" stroke-width="{self._fmt(width * self.scale)}"'
         if dash:
             s += f' stroke-dasharray="{self._fmt(dash * self.scale)}"'
         return s
@@ -162,11 +162,11 @@ class SvgFigure:
             f'r="{self._fmt(r * self.scale)}" fill="{fill}" />'
         )
 
-    def add_label(self, pt, text: str, fill="black", dx=0.06, dy=0.06):
+    def add_label(self, pt, text: str, dx=0.06, dy=0.06):
         x, y = self._map((pt[0] + dx, pt[1] + dy))
         self.elements.append(
             f'<text x="{self._fmt(x)}" y="{self._fmt(y)}" '
-            f'font-size="{self._fmt(0.12 * self.scale)}" fill="{fill}">{text}</text>'
+            f'font-size="{self._fmt(0.12 * self.scale)}" fill="black">{text}</text>'
         )
 
     def to_xml(self) -> str:

@@ -12,12 +12,13 @@ of the case in one product (``_forms``).
 
 from __future__ import annotations
 
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 from .horocycle import (
     INV_SQRT2,
+    CoverContainmentReport,
     _check_samples,
     check_cover_containment,
     check_size_reduction_identities,
@@ -80,22 +81,20 @@ def _pencil_report(suite: str, one, seeds: range) -> dict:
 
 
 def _random_ellipse_through_origin(rng) -> ConicMatrix:
-    """Random ellipse matrix with the origin strictly interior."""
-    while True:
-        ax = rng.uniform(0.5, 2.0, 2)
-        ang = rng.uniform(0.0, np.pi)
-        c, s = np.cos(ang), np.sin(ang)
-        rot = np.array([[c, -s], [s, c]])
-        q = rot @ np.diag(1.0 / ax**2) @ rot.T
-        center = rng.uniform(-0.4, 0.4, 2) * ax.min()
-        val = center @ q @ center - 1.0
-        if val < -0.05:
-            m = np.empty((3, 3))
-            m[0, 0] = val
-            m[0, 1:] = -(q @ center)
-            m[1:, 0] = -(q @ center)
-            m[1:, 1:] = q
-            return ConicMatrix(m)
+    """Random ellipse matrix with the origin strictly interior: each centre coordinate
+    is within 0.4 of the shorter semi-axis, so the form there is at most 0.32 - 1."""
+    ax = rng.uniform(0.5, 2.0, 2)
+    ang = rng.uniform(0.0, np.pi)
+    c, s = np.cos(ang), np.sin(ang)
+    rot = np.array([[c, -s], [s, c]])
+    q = rot @ np.diag(1.0 / ax**2) @ rot.T
+    center = rng.uniform(-0.4, 0.4, 2) * ax.min()
+    m = np.empty((3, 3))
+    m[0, 0] = center @ q @ center - 1.0
+    m[0, 1:] = -(q @ center)
+    m[1:, 0] = -(q @ center)
+    m[1:, 1:] = q
+    return ConicMatrix(m)
 
 
 def pencil_interior_preservation(
@@ -293,34 +292,24 @@ def cover_containment_suite(
     """
     _check_cover_args(cases, a_range)
 
-    def one(case_seed: int) -> dict:
+    def one(case_seed: int) -> CoverContainmentReport:
         rng = np.random.default_rng(case_seed)
         a, omega = _random_pair_with_overlap(rng, *a_range)
         t = float(np.tan(0.5 * omega))
-        rep = check_cover_containment(a, t, samples=samples, seed=case_seed + 1)
-        return {
-            "a": a,
-            "t": t,
-            "common": rep.common_interior_points,
-            "k_viol": rep.k_violations,
-            "cont_viol": rep.containment_violations,
-            "size_grew": (rep.size_reduced is False),
-        }
+        return check_cover_containment(a, t, samples=samples, seed=case_seed + 1)
 
     seeds = range(seed * 100_057, seed * 100_057 + cases)
-    results = run_parallel(one, seeds)
-    k_viol = sum(r["k_viol"] for r in results)
-    cont_viol = sum(r["cont_viol"] for r in results)
-    below = a_range[1] <= INV_SQRT2
+    reports = run_parallel(one, seeds)
     return {
         "suite": "cover-containment",
         "cases": cases,
         "samples_per_case": samples,
-        "common_interior_points": sum(r["common"] for r in results),
-        "k_violations": k_viol,
-        "containment_violations": cont_viol,
-        "size_growth_cases": sum(r["size_grew"] for r in results),
-        "passed": (k_viol == 0 and cont_viol == 0) if below else True,
+        "common_interior_points": sum(r.common_interior_points for r in reports),
+        "k_violations": sum(r.k_violations for r in reports),
+        "containment_violations": sum(r.containment_violations for r in reports),
+        "size_growth_cases": sum(r.size_reduced is False for r in reports),
+        # above 2^{-1/2} violations show the bound's sharpness, not a failure
+        "passed": a_range[1] > INV_SQRT2 or all(r.passed for r in reports),
     }
 
 
@@ -332,6 +321,11 @@ def run_suite(name: str, seed: int = 0, **kw) -> dict:
             dual_pencil_line_preservation(seed=seed),
         ]
     elif name == "cover":
+        for key in ("cases", "samples"):  # int() would truncate 2.5, or read True and "3"
+            v = kw.get(key, 1)
+            whole = isinstance(v, Integral) or (isinstance(v, float) and v.is_integer())
+            if isinstance(v, bool) or not whole:
+                raise ValueError(f"{key} must be a whole number, not {v!r}")
         a_range = tuple(kw.get("a_range", (0.05, 0.70)))
         cases = int(kw.get("cases", 100)), int(kw.get("cases", 20))
         samples = int(kw.get("samples", 20_000))

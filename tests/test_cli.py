@@ -164,6 +164,8 @@ class TestExitCodes:
                 {"triangle": {**TRIANGLE["triangle"], "A": [float("nan"), 0.0]}},
                 [],
             ),
+            # a negative size: the radicand test alone sees only a^2
+            ("lemma-shrink", {"a": -0.5, "omega": 0.2}, []),
         ],
     )
     def test_bad_solver_input_is_schema_error(self, tmp_path, capsys, command, payload, extra):
@@ -282,6 +284,11 @@ class TestInputContract:
             {"a_range": [0.3, float("nan")]},
             {"a_range": [-0.7, -0.5]},
             {"a_range": [0.5, 1.5]},
+            # counts that int() would truncate or misread
+            {"cases": 2.5},
+            {"cases": True},
+            {"cases": "3"},
+            {"samples": 999.9},
         ],
     )
     def test_empty_cover_suite_is_schema_error(self, tmp_path, capsys, extra):
@@ -292,6 +299,8 @@ class TestInputContract:
         if "a_range" in extra:
             assert strict_json(err)["error"] == "ValueError"
             assert strict_json(err)["message"].startswith("a_range")
+        assert strict_json(err)["error"] == "ValueError"
+        assert next(iter(extra)) in strict_json(err)["message"]
 
     def test_impossible_allocation_is_schema_error(self, tmp_path, capsys, monkeypatch):
         # 10^17 samples need about 2.8 EiB, beyond any address space, so

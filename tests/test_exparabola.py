@@ -432,6 +432,24 @@ class TestClosedFormMembers:
             assert np.abs(member.apex - oracle.apex).max() <= 1e-9 * fr.scale
             assert abs((member.axis_angle - oracle.axis_angle + np.pi) % (2 * np.pi) - np.pi) <= 1e-9
 
+    def test_members_next_to_the_singular_ends(self):
+        # lam within 1e-9 .. 1e-4 of the frame scale from a1 or b1, where
+        # pencil_parabola's matrix is mostly singular to rounding (6924 of
+        # these draws raise NotAParabola), so the check builds no primal
+        # matrix.  Worst of these draws: 2.9e-16 on the line, 1.6e-15 on p^2
+        rng = np.random.default_rng(0)
+        for _ in range(10_000):
+            fr = frame_of(*random_frame_params(rng))
+            eps = 10.0 ** rng.uniform(-9.0, -4.0) * fr.scale
+            lam = fr.a1 + eps if rng.uniform() < 0.5 else fr.b1 - eps
+            para = pencil_member(fr, lam)
+            # the apex tangent line u.x = u.apex lies on the dual conic D(lam)
+            u = np.array([np.cos(para.axis_angle), np.sin(para.axis_angle)])
+            ell = np.array([u @ para.apex, -u[0], -u[1]])
+            d = dual_pencil(fr, lam).m
+            assert abs(ell @ d @ ell) <= 2e-15 * np.abs(d).max() * (ell @ ell)
+            assert para.parameter**2 == pytest.approx(squared_parameter(fr, lam), rel=1e-14)
+
     @pytest.mark.parametrize("lam", [-1.0, 1.0, -2.0, 3.0])
     def test_pencil_member_singular_outside_open_interval(self, lam):
         with pytest.raises(SingularPencilMember):
