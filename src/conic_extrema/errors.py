@@ -1,4 +1,15 @@
-"""Exception hierarchy for geometric and numerical failure modes."""
+"""Exception hierarchy for geometric and numerical failure modes, and the count rule."""
+
+from numbers import Integral
+
+
+def check_count(name: str, value, most=float("inf"), least: int = 1) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a count in
+    [least, most]: an Integral other than bool, or an integral float."""
+    whole = isinstance(value, Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not (whole and least <= value <= most):
+        raise ValueError(f"{name} must be a whole number in [{least}, {most}], not {value!r}")
+    return int(value)
 
 
 class ConicExtremaError(Exception):

@@ -57,11 +57,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCommonInterior, PreconditionViolation
+from .errors import NoCommonInterior, PreconditionViolation, check_count
 from .projective import ConicMatrix, rotation_h
 
 INV_SQRT2 = 2.0 ** (-0.5)
 MAX_SAMPLES = 1_000_000  # samples per cover check, checked before any draw
+
+
+def _check_size(a: float) -> None:
+    if not 0.0 < a < 1.0:
+        raise ValueError("horocycle size must lie strictly between 0 and 1")
 
 
 def _base_matrix(a: float) -> np.ndarray:
@@ -85,8 +90,7 @@ class Horocycle:
     def __post_init__(self):
         if not np.isfinite(self.theta):
             raise ValueError("horocycle angle must be finite")
-        if not 0.0 < self.a < 1.0:
-            raise ValueError("horocycle size must lie strictly between 0 and 1")
+        _check_size(self.a)
 
     @property
     def ideal_point(self) -> np.ndarray:
@@ -115,10 +119,9 @@ class Horocycle:
 
 
 def _point_terms(pts: np.ndarray):
-    """The kernel's per-point terms (x, y, w^2, w^2 / 2) of (n, 2) points."""
+    """The kernel's per-point terms (x, y, w^2) of (n, 2) points."""
     x, y = pts[:, 0], pts[:, 1]
-    w2 = 1.0 - (x * x + y * y)
-    return x, y, w2, 0.5 * w2
+    return x, y, 1.0 - (x * x + y * y)
 
 
 def _disk_points(points):
@@ -139,13 +142,13 @@ def _squared_sizes(thetas: np.ndarray, terms) -> np.ndarray:
     s^2 / (s^2 + w^2), s = 1 - (x cos theta + y sin theta) kept at or
     above its lower bound w^2 / 2: in (0, 1] for points inside the disk.
     """
-    x, y, w2, floor = terms
+    x, y, w2 = terms
     col = thetas[:, None]
     s = x * np.cos(col)
     tmp = y * np.sin(col)
     s += tmp
     np.subtract(1.0, s, out=s)
-    np.maximum(s, floor, out=s)
+    np.maximum(s, 0.5 * w2, out=s)
     s *= s
     s /= np.add(s, w2, out=tmp)
     return s
@@ -182,8 +185,7 @@ def intersection_points(a: float, omega: float):
     NoCommonInterior when the radicand 2 a^2 - a^2 cos^2 w - sin^2 w is
     not positive (interiors disjoint or merely tangent).
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError("horocycle size must lie strictly between 0 and 1")
+    _check_size(a)
     rad = intersection_radicand(a, omega)
     if rad <= 0.0:
         raise NoCommonInterior("horocycle pair has no common interior points")
@@ -230,16 +232,11 @@ def _q_poly(a: float, t: float) -> float:
 class SizeIdentityReport:
     """Checked identities for the size-reduction inequality at one (a, t)."""
 
-    a: float
-    t: float
-    q: float
-    rhs: float  # R = 2 - 3 a^2 - a^2 t^4 - 2 (2 a^2 - 1)^2 t^2
-    rhs_positive: bool
+    rhs_positive: bool  # R = 2 - 3 a^2 - a^2 t^4 - 2 (2 a^2 - 1)^2 t^2 > 0
     rhs_at_t1: float
     rhs_at_t1_identity_error: float  # relative, vs 4 a^2 (1 - 2 a^2)
     rhs_monotone_decreasing: bool
     lhs_squared_minus_rhs_squared: float | None
-    factored_value: float | None
     factorization_rel_error: float | None
     size_inequality_holds: bool | None  # L < R, i.e. the cover is smaller
 
@@ -285,7 +282,7 @@ def check_size_reduction_identities(a: float, t: float) -> SizeIdentityReport:
     rhs = float(_rhs(a, t))
     tgrid = np.linspace(1e-3, 1.0, 41)
     monotone = bool(np.all(np.diff(_rhs(a, tgrid)) < 0.0))
-    diff = factored = rel = holds = None
+    diff = rel = holds = None
     if t < 1.0:
         if q <= 0.0:
             raise PreconditionViolation("q <= 0: the pair has no common interior")
@@ -301,16 +298,11 @@ def check_size_reduction_identities(a: float, t: float) -> SizeIdentityReport:
         rel = float(abs(diff - factored) / max(abs(factored), 1e-300))
         holds = bool(lhs < rhs)
     return SizeIdentityReport(
-        a=a,
-        t=t,
-        q=q,
-        rhs=rhs,
         rhs_positive=rhs > 0.0,
         rhs_at_t1=at_one,
         rhs_at_t1_identity_error=at_one_err,
         rhs_monotone_decreasing=monotone,
         lhs_squared_minus_rhs_squared=diff,
-        factored_value=factored,
         factorization_rel_error=rel,
         size_inequality_holds=holds,
     )
@@ -369,11 +361,6 @@ def _lens_box(a: float, angles: np.ndarray):
     return lo, hi
 
 
-def _check_samples(samples: int) -> None:
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must lie between 1 and {MAX_SAMPLES}")
-
-
 def check_cover_containment(
     a: float, t: float, samples: int = 100_000, seed: int = 0
 ) -> CoverContainmentReport:
@@ -390,13 +377,12 @@ def check_cover_containment(
     For a < 2^{-1/2} the violation counts must be zero; above the bound
     the cover is strictly larger than a, which is reported through
     ``size_reduced``.  Raises ValueError for a non-finite ``a`` or ``t``,
-    unless 0 < a < 1, and unless 1 <= ``samples`` <= ``MAX_SAMPLES``.
+    unless 0 < a < 1, and unless ``samples`` is a count in [1, MAX_SAMPLES].
     """
     if not (np.isfinite(a) and np.isfinite(t)):
         raise ValueError("a and t must be finite")
-    if not 0.0 < a < 1.0:
-        raise ValueError("horocycle size must lie strictly between 0 and 1")
-    _check_samples(samples)
+    _check_size(a)
+    samples = check_count("samples", samples, MAX_SAMPLES)
     rng = np.random.default_rng(seed)
     pts = np.empty((0, 2))
     while len(pts) < samples:
@@ -441,14 +427,12 @@ def sample_common_interior(a: float, omega: float, n: int, seed: int = 0) -> np.
     boxes clipped to the unit square; sampling is reproducible via the
     explicit seed.  A candidate in the open disk is kept when its
     minimal sizes at both ideal angles pi/2 +- omega are below ``a``.
-    Raises ValueError unless 0 < a < 1, omega is finite and n >= 0.
+    Raises ValueError unless 0 < a < 1, omega is finite and n is a count >= 0.
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError("horocycle size must lie strictly between 0 and 1")
+    _check_size(a)
     if not np.isfinite(omega):
         raise ValueError("omega must be finite")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = check_count("n", n, least=0)
     angles = np.array([0.5 * np.pi + omega, 0.5 * np.pi - omega])
     lo, hi = _lens_box(a, angles)
     if np.any(hi <= lo):

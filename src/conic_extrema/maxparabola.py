@@ -57,11 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTriangle, NoInscribedParabola, NumericalRootFailure, UnboundedParameter
+from .errors import DegenerateTriangle, NoInscribedParabola, NumericalRootFailure, UnboundedParameter, check_count
 from .exparabola import _SIDE_INDEX, OPPOSITE, SIDES, Triangle, canonical_frame, pencil_member, tangency_root
 from .parabola import Parabola
 
 DIRECTION_TOL = 1e-9
+MAX_STARTS = 4096  # pattern searches per solve, checked before any work
 
 
 @dataclass(frozen=True)
@@ -467,10 +468,9 @@ def solve_max_parabola(region: ConvexRegion, starts: int = 64, seed: int = 0) ->
     surrounding boundary normals) and UnboundedParameter when parabolas
     fit but their size is unbounded (e.g. a two-line wedge), or
     NumericalRootFailure when an unsolved triple might have pinned one.
-    Raises ValueError when ``starts < 1``.
+    Raises ValueError unless ``starts`` is a count in [1, MAX_STARTS].
     """
-    if starts < 1:
-        raise ValueError("starts must be at least 1")
+    starts = check_count("starts", starts, MAX_STARTS)
     arc = _feasible_direction_arc(region.normals)
     if arc is None:
         raise NoInscribedParabola(

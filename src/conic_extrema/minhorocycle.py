@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VerificationFailure
+from .errors import VerificationFailure, check_count
 from .horocycle import INV_SQRT2, Horocycle, _disk_points, _point_terms, _squared_sizes, min_sizes_for_points
 from .maxparabola import _feasible_direction_arc
 
@@ -71,6 +71,7 @@ PRUNE_MARGIN = 1e-12  # relative depth inside the polygon a dropped point needs
 
 PROFILE_BLOCK = 1 << 15  # angle x point elements per block of the profile kernel
 REFINE_TOL = 1e-12  # radians: golden-section refine stops below this bracket width
+MAX_GRID = 100_000  # profile angles per solve, checked before any work
 
 EXACT_PASSES = 32  # most-violated passes of the exact solve before the grid takes over
 EXACT_TOL = 1e-14  # violation, relative to c_i + |q_i|_1, the exact solve leaves alone
@@ -320,10 +321,10 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     vertices: horocycle interiors are convex, so the profile over those
     points is the profile over all of them.  ``hull`` holds their
     indices into ``points``, ``support`` those of every input point on
-    the boundary.
+    the boundary.  Raises ValueError for an invalid point, or unless
+    ``grid`` is a count in [1, MAX_GRID].
     """
-    if grid < 1:
-        raise ValueError("grid must be at least 1")
+    grid = check_count("grid", grid, MAX_GRID)
     pts = as_point_set(points)
     kept = _hull_superset(pts)
     kept.flags.writeable = False

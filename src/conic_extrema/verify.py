@@ -12,14 +12,14 @@ of the case in one product (``_forms``).
 
 from __future__ import annotations
 
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
+from . import horocycle
+from .errors import check_count
 from .horocycle import (
     INV_SQRT2,
-    CoverContainmentReport,
-    _check_samples,
     check_cover_containment,
     check_size_reduction_identities,
     common_cover_unchecked,
@@ -42,14 +42,6 @@ MAX_CASES = 100_000  # cases per cover suite, checked before any work
 def run_parallel(fun, args_list):
     """Order-preserving map over independent verification cases."""
     return [fun(a) for a in args_list]
-
-
-def _require_counts(**counts: int) -> None:
-    """ValueError unless every named sample count is at least 1: a suite
-    that checks nothing must not report that it passed."""
-    for name, count in counts.items():
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1")
 
 
 def _forms(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -101,8 +93,9 @@ def pencil_interior_preservation(
     pairs: int = 40, points_per_pair: int = 250, seed: int = 0
 ) -> dict:
     """Common interior points of two conics stay interior along the blend;
-    ValueError when ``pairs`` or ``points_per_pair`` is below 1."""
-    _require_counts(pairs=pairs, points_per_pair=points_per_pair)
+    ValueError unless ``pairs`` and ``points_per_pair`` are counts >= 1."""
+    pairs = check_count("pairs", pairs)
+    points_per_pair = check_count("points_per_pair", points_per_pair)
 
     def one(case_seed: int) -> tuple[int, int]:
         rng = np.random.default_rng(case_seed)
@@ -157,9 +150,10 @@ def dual_pencil_line_preservation(
     closed-form containment test) to miss both primal parabolas; the
     blend property is asserted at the line level via the dual quadratic
     form, and each dual blend member is checked to be a dual parabola.
-    ValueError when ``pairs`` or ``lines_per_pair`` is below 1.
+    ValueError unless ``pairs`` and ``lines_per_pair`` are counts >= 1.
     """
-    _require_counts(pairs=pairs, lines_per_pair=lines_per_pair)
+    pairs = check_count("pairs", pairs)
+    lines_per_pair = check_count("lines_per_pair", lines_per_pair)
 
     def one(case_seed: int) -> tuple[int, int]:
         rng = np.random.default_rng(case_seed)
@@ -202,18 +196,18 @@ def dual_pencil_line_preservation(
 # -- horocycle cover: size reduction and containment ---------------------------
 
 
-def _check_cover_args(cases: int, a_range) -> None:
-    """ValueError unless 1 <= ``cases`` <= ``MAX_CASES``, ``a_range`` is two
-    finite bounds in [0, 1), and an overlapping pair can be drawn: the
-    radicand is largest at the largest size and the smallest angle 0.02,
-    and the draws would never end without one."""
-    if not 1 <= cases <= MAX_CASES:
-        raise ValueError(f"cases must lie between 1 and {MAX_CASES}")
+def _check_cover_args(cases, a_range) -> int:
+    """``cases`` as an int; ValueError unless it is a count in [1, MAX_CASES],
+    ``a_range`` is two finite bounds in [0, 1), and an overlapping pair can
+    be drawn: the radicand is largest at the largest size and the smallest
+    angle 0.02, and the draws would never end without one."""
+    cases = check_count("cases", cases, MAX_CASES)
     bounds = tuple(a_range)
     if not (len(bounds) == 2 and all(isinstance(v, Real) and 0.0 <= v < 1.0 for v in bounds)):
         raise ValueError(f"a_range {bounds} must be two finite bounds in [0, 1)")
     if not intersection_radicand(max(bounds), 0.02) > 1e-6:
         raise ValueError(f"a_range {bounds} admits no overlapping horocycle pair")
+    return cases
 
 
 def _random_pair_with_overlap(rng, a_lo: float, a_hi: float):
@@ -237,41 +231,26 @@ def size_reduction_suite(
     which is exactly the sharpness of the bound.  Raises ValueError as
     ``_check_cover_args`` does.
     """
-    _check_cover_args(cases, a_range)
+    cases = _check_cover_args(cases, a_range)
 
-    def one(case_seed: int) -> dict:
+    def one(case_seed: int):  # margin, identity report (None at or above the bound), ok
         rng = np.random.default_rng(case_seed)
         a, omega = _random_pair_with_overlap(rng, *a_range)
-        cover = common_cover_unchecked(a, omega)
-        t = np.tan(0.5 * omega)
-        if a < INV_SQRT2:
-            rep = check_size_reduction_identities(a, t)
-            identity_err = rep.rhs_at_t1_identity_error
-            factor_err = rep.factorization_rel_error
-            identities_ok = rep.passed
-        else:
-            identity_err = 0.0
-            factor_err = None
-            identities_ok = True
-        return {
-            "margin": a - cover.a,
-            "identity_err": identity_err,
-            "factor_err": factor_err,
-            "ok": cover.a < a and identities_ok,
-        }
+        margin = a - common_cover_unchecked(a, omega).a  # > 0 exactly when cover.a < a
+        rep = check_size_reduction_identities(a, np.tan(0.5 * omega)) if a < INV_SQRT2 else None
+        return margin, rep, margin > 0.0 and (rep is None or rep.passed)
 
     seeds = range(seed * 100_043, seed * 100_043 + cases)
-    results = run_parallel(one, seeds)
-    worst_margin = min(r["margin"] for r in results)
-    factor_errs = [r["factor_err"] for r in results if r["factor_err"] is not None]
+    margins, reps, oks = zip(*run_parallel(one, seeds))
+    reps = [r for r in reps if r is not None]
     return {
         "suite": "cover-size-reduction",
         "cases": cases,
-        "min_margin": worst_margin,
-        "max_identity_error": max(r["identity_err"] for r in results),
-        "max_factorization_error": max(factor_errs) if factor_errs else None,
-        "violations": sum(not r["ok"] for r in results),
-        "passed": all(r["ok"] for r in results) and worst_margin > 0.0,
+        "min_margin": min(margins),
+        "max_identity_error": max((r.rhs_at_t1_identity_error for r in reps), default=0.0),
+        "max_factorization_error": max((r.factorization_rel_error for r in reps), default=None),
+        "violations": oks.count(False),
+        "passed": all(oks),
     }
 
 
@@ -287,12 +266,13 @@ def cover_containment_suite(
     certificate k > 0 and lie inside the cover.  The dict also reports
     how many cases had the cover come out larger than a (the sharpness
     signal when a_range goes above 2^{-1/2}).  Raises ValueError as
-    ``_check_cover_args`` does, or, from the first case before it draws a
-    sample, unless 1 <= ``samples`` <= ``horocycle.MAX_SAMPLES``.
+    ``_check_cover_args`` does, or unless ``samples`` is a count in [1,
+    ``horocycle.MAX_SAMPLES``].
     """
-    _check_cover_args(cases, a_range)
+    cases = _check_cover_args(cases, a_range)
+    samples = check_count("samples", samples, horocycle.MAX_SAMPLES)
 
-    def one(case_seed: int) -> CoverContainmentReport:
+    def one(case_seed: int):
         rng = np.random.default_rng(case_seed)
         a, omega = _random_pair_with_overlap(rng, *a_range)
         t = float(np.tan(0.5 * omega))
@@ -321,18 +301,10 @@ def run_suite(name: str, seed: int = 0, **kw) -> dict:
             dual_pencil_line_preservation(seed=seed),
         ]
     elif name == "cover":
-        for key in ("cases", "samples"):  # int() would truncate 2.5, or read True and "3"
-            v = kw.get(key, 1)
-            whole = isinstance(v, Integral) or (isinstance(v, float) and v.is_integer())
-            if isinstance(v, bool) or not whole:
-                raise ValueError(f"{key} must be a whole number, not {v!r}")
-        a_range = tuple(kw.get("a_range", (0.05, 0.70)))
-        cases = int(kw.get("cases", 100)), int(kw.get("cases", 20))
-        samples = int(kw.get("samples", 20_000))
         # both suites' arguments, before either runs a case
-        for n in cases:
-            _check_cover_args(n, a_range)
-        _check_samples(samples)
+        a_range = tuple(kw.get("a_range", (0.05, 0.70)))
+        cases = [_check_cover_args(kw.get("cases", n), a_range) for n in (100, 20)]
+        samples = check_count("samples", kw.get("samples", 20_000), horocycle.MAX_SAMPLES)
         reports = [
             size_reduction_suite(seed=seed, cases=cases[0], a_range=a_range),
             cover_containment_suite(seed=seed, cases=cases[1], samples=samples, a_range=a_range),

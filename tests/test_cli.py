@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conic_extrema import cli, horocycle
+from conic_extrema import cli, horocycle, maxparabola, minhorocycle
 from conic_extrema.cli import dumps_result, main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -166,6 +166,8 @@ class TestExitCodes:
             ),
             # a negative size: the radicand test alone sees only a^2
             ("lemma-shrink", {"a": -0.5, "omega": 0.2}, []),
+            # one past the bound: the work grows with the count
+            ("max-parabola", HALFPLANES, ["--starts", str(maxparabola.MAX_STARTS + 1)]),
         ],
     )
     def test_bad_solver_input_is_schema_error(self, tmp_path, capsys, command, payload, extra):
@@ -181,6 +183,7 @@ class TestExitCodes:
             ([[float("nan"), 0.1], [0.2, 0.1]], []),
             ([[0.1, float("inf")]], []),
             ([[0.2, 0.1]], ["--grid", "0"]),
+            ([[0.2, 0.1]], ["--grid", str(minhorocycle.MAX_GRID + 1)]),
         ],
     )
     def test_bad_min_horocycle_input_is_schema_error(self, tmp_path, capsys, points, extra):

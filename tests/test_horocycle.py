@@ -472,7 +472,7 @@ class TestInvalidInput:
         with pytest.raises(ValueError, match="a_range"):
             run_suite("cover", 0, cases=2, samples=100, a_range=a_range)
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 2.5, True])
     def test_cover_containment_needs_a_sample(self, samples):
         with pytest.raises(ValueError, match="samples"):
             check_cover_containment(0.5, 0.2, samples=samples)
@@ -511,6 +511,10 @@ class TestInvalidInput:
     def test_lens_sampler_count_rejected(self):
         with pytest.raises(ValueError, match="n must"):
             sample_common_interior(0.5, 0.2, -1)
+        with pytest.raises(ValueError, match="n must"):
+            sample_common_interior(0.5, 0.2, 2.5)
+        with pytest.raises(ValueError, match="n must"):
+            sample_common_interior(0.5, 0.2, True)
         assert sample_common_interior(0.5, 0.2, 0).shape == (0, 2)
 
 

@@ -395,7 +395,7 @@ class TestSolver:
             assert smallest == slack.min()
             assert (slack >= gscale * (1.0 - 1e-9)).all()
 
-    @pytest.mark.parametrize("starts", [0, -2])
+    @pytest.mark.parametrize("starts", [0, -2, 2.5, True])
     def test_starts_below_one_rejected(self, starts):
         t = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(ValueError, match="starts"):

@@ -183,7 +183,7 @@ class TestSolve:
         with pytest.raises(ValueError, match="inside the unit disk"):
             size_profile([[0.2, 0.1], p], 0.5)
 
-    @pytest.mark.parametrize("grid", [0, -3])
+    @pytest.mark.parametrize("grid", [0, -3, 2.5, True])
     def test_empty_grid_rejected(self, grid):
         with pytest.raises(ValueError, match="grid"):
             solve_min_horocycle([[0.2, 0.1]], grid=grid)

@@ -20,8 +20,10 @@ from conic_extrema.verify import (
     _line_misses_parabola,
     _missing_lines,
     _random_ellipse_through_origin,
+    cover_containment_suite,
     dual_pencil_line_preservation,
     pencil_interior_preservation,
+    size_reduction_suite,
 )
 
 
@@ -182,7 +184,7 @@ def test_constructed_line_hitting_a_parabola_is_a_violation(monkeypatch):
     assert report["passed"] is False
 
 
-@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("count", [0, -1, 2.5, True])
 @pytest.mark.parametrize(
     "suite, size",
     [
@@ -190,6 +192,8 @@ def test_constructed_line_hitting_a_parabola_is_a_violation(monkeypatch):
         (pencil_interior_preservation, "points_per_pair"),
         (dual_pencil_line_preservation, "pairs"),
         (dual_pencil_line_preservation, "lines_per_pair"),
+        (size_reduction_suite, "cases"),
+        (cover_containment_suite, "cases"),
     ],
 )
 def test_empty_pencil_suite_rejected(suite, size, count):
