@@ -4,8 +4,9 @@
 # form, so the solve is a 1-D minimization of the profile a(theta).
 # When the disk center lies outside the cloud's hull that minimum is
 # unique and found exactly by a small basis solve; a set containing the
-# disk center sits at the bound 2^(-1/2), where the profile is constant
-# and infinitely many horocycles are minimal.
+# disk center sits at the bound 2^(-1/2): the minimal ideal angles form an
+# arc, whose ends have a closed form, and infinitely many horocycles are
+# minimal.
 
 import os
 
@@ -71,6 +72,29 @@ print(f"  unique = {center_sol.unique}, profile spread = {np.ptp(prof):.2e}")
 print()
 if center_sol.horocycle.a != 2**-0.5:
     raise SystemExit(f"disk-center set: a* = {center_sol.horocycle.a!r}, expected 2^-1/2")
+
+# the center plus 999 points inside the horocycle of size 2^(-1/2) at
+# angle phi, shrunk about its own center: a whole arc of angles is minimal,
+# and the solver returns its ends, solved in closed form
+phi = 0.8
+u, v = np.array([np.cos(phi), np.sin(phi)]), np.array([-np.sin(phi), np.cos(phi)])
+rho, ang = np.sqrt(rng.uniform(0.0, 1.0, 999)), rng.uniform(0.0, 2.0 * np.pi, 999)
+along = 0.5 + 0.9 * 0.5 * rho * np.cos(ang)
+across = 0.9 * 2**-0.5 * rho * np.sin(ang)
+plateau = np.vstack([[0.0, 0.0], along[:, None] * u + across[:, None] * v])
+plateau_sol = solve_min_horocycle(plateau)
+lo, hi = plateau_sol.profile.tied_minimizers
+width = (hi - lo) % (2.0 * np.pi)
+inner = lo + np.linspace(1e-9, width - 1e-9, 4097)
+flat = size_profile(plateau, inner)
+print(f"{len(plateau)} points holding the disk center:")
+print(f"  a* = {plateau_sol.horocycle.a!r}, unique = {plateau_sol.unique}")
+print(f"  minimal arc [{lo:.9f}, {hi:.9f}] rad, theta* = {plateau_sol.horocycle.theta:.9f}")
+print(f"  profile at 4097 angles inside the arc: {np.unique(flat)}")
+print("  verification:", verify_solution(plateau, plateau_sol))
+print()
+if not (plateau_sol.horocycle.a == 2**-0.5 and np.all(flat == 2**-0.5)):
+    raise SystemExit("an angle inside the minimal arc does not give exactly 2^-1/2")
 
 # profile along a few angles for the cloud
 for theta in np.linspace(0, 2 * np.pi, 5, endpoint=False):

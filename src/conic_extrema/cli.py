@@ -11,8 +11,9 @@ deterministic for a fixed input and seed, and every float is printed in
 shortest round-trip form, so reruns are byte-identical.
 
 Exit codes: 0 success, 1 domain error (degenerate or incompatible
-geometry), 2 verification failure, 3 I/O or parse error.  Error details
-go to stderr as single-line JSON.
+geometry), 2 verification failure, 3 I/O or parse error, including a
+--seed, --grid or --starts that is no count in its range.  Error
+details go to stderr as single-line JSON.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import svgfig
-from .errors import ConicExtremaError, VerificationFailure
+from .errors import ConicExtremaError, VerificationFailure, check_count
 from .exparabola import Triangle, exparabolas
 from .horocycle import Horocycle, common_cover_unchecked, intersection_points
-from .maxparabola import ConvexRegion, HalfPlane, solve_max_parabola
-from .minhorocycle import solve_min_horocycle
+from .maxparabola import MAX_STARTS, ConvexRegion, HalfPlane, solve_max_parabola
+from .minhorocycle import MAX_GRID, solve_min_horocycle
 from .verify import run_suite
 
 
@@ -193,6 +194,19 @@ RUNNERS = {
 }
 
 
+def _count_option(name: str, text, most=float("inf"), least: int = 1) -> int:
+    """A count option's text, read as an int or else as a float, under
+    ``errors.check_count``; ValueError naming the option otherwise."""
+    value = text
+    for read in (int, float):
+        try:
+            value = read(text)
+            break
+        except ValueError:
+            pass
+    return check_count(name, value, most, least)
+
+
 def _diag(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
@@ -206,12 +220,15 @@ def main(argv=None) -> int:
     parser.add_argument("--input", required=True)
     parser.add_argument("--output", required=True)
     parser.add_argument("--svg", default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--grid", type=int, default=720)
-    parser.add_argument("--starts", type=int, default=64)
+    parser.add_argument("--seed", default="0")
+    parser.add_argument("--grid", default="720")
+    parser.add_argument("--starts", default="64")
     args = parser.parse_args(argv)
 
     try:
+        args.seed = _count_option("seed", args.seed, least=0)
+        args.grid = _count_option("grid", args.grid, MAX_GRID)
+        args.starts = _count_option("starts", args.starts, MAX_STARTS)
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):

@@ -61,7 +61,7 @@ from .errors import NoCommonInterior, PreconditionViolation, check_count
 from .projective import ConicMatrix, rotation_h
 
 INV_SQRT2 = 2.0 ** (-0.5)
-MAX_SAMPLES = 1_000_000  # samples per cover check, checked before any draw
+MAX_SAMPLES = 1_000_000  # samples per cover check or lens sample, checked before any draw
 
 
 def _check_size(a: float) -> None:
@@ -427,12 +427,13 @@ def sample_common_interior(a: float, omega: float, n: int, seed: int = 0) -> np.
     boxes clipped to the unit square; sampling is reproducible via the
     explicit seed.  A candidate in the open disk is kept when its
     minimal sizes at both ideal angles pi/2 +- omega are below ``a``.
-    Raises ValueError unless 0 < a < 1, omega is finite and n is a count >= 0.
+    Raises ValueError unless 0 < a < 1, omega is finite and n is a count
+    in [0, MAX_SAMPLES].
     """
     _check_size(a)
     if not np.isfinite(omega):
         raise ValueError("omega must be finite")
-    n = check_count("n", n, least=0)
+    n = check_count("n", n, MAX_SAMPLES, least=0)
     angles = np.array([0.5 * np.pi + omega, 0.5 * np.pi - omega])
     lo, hi = _lens_box(a, angles)
     if np.any(hi <= lo):

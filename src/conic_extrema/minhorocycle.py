@@ -21,17 +21,26 @@ Which sets take which path:
   whose optimum at most two constraints fix (``_exact_minimizer``),
   whatever the size.
 - The center in the hull or on its boundary: every direction has a
-  point with p_i.u <= 0, so a* >= 2^{-1/2}.  These sets, and any set
-  whose basis solve has not converged after EXACT_PASSES passes, take
-  the grid path: the solver scans a dense theta grid, refines every
-  bracketed local minimum by golden-section search, and returns the
-  global minimum.  A set containing the center has a* = 2^{-1/2}
-  exactly when it fits in a horocycle of that size (the center alone
-  has the constant profile 2^{-1/2}), and a larger a* otherwise; either
-  way the solution is flagged non-unique.
+  point with p_i.u <= 0, so a* >= 2^{-1/2}.  Of these, a set holding
+  the center itself is solved in closed form: the center's size is 2^{-1/2}
+  at every angle, and a point p with w = sqrt(1 - |p|^2) fits in the
+  horocycle of that size at angle theta exactly when
+  cos(theta - phi) >= |p| / (1 + w), phi being p's own angle.  Each such
+  set of angles is an arc of half-width below pi/2, so the arcs meet in
+  one arc or not at all, and one pass over the kept points finds it
+  (``_plateau``).  When they meet, a* = 2^{-1/2} and every angle of the
+  arc is a minimizer: the solver returns the arc's midpoint, or
+  theta* = 0 when the center is the only point.  (A center the hull
+  filter drops lies strictly inside the hull, where a* > 2^{-1/2}.)
+- The grid path takes the rest: the center in the hull but not among
+  the points, arcs that do not meet, a basis solve that has not
+  converged after EXACT_PASSES passes, and a plateau midpoint where the
+  profile is not exactly 2^{-1/2}.  The solver scans a dense theta
+  grid, refines every bracketed local minimum by golden-section search,
+  and returns the global minimum.
 
 So a* < 2^{-1/2} puts the center outside the hull, where the minimizer
-is unique: that bound alone is the ``unique`` flag, on either path.
+is unique: that bound alone is the ``unique`` flag, on every path.
 
 Every horocycle interior is a Euclidean ellipse interior, hence convex,
 so a horocycle encloses the set exactly when it encloses the set's
@@ -57,7 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerificationFailure, check_count
-from .horocycle import INV_SQRT2, Horocycle, _disk_points, _point_terms, _squared_sizes, min_sizes_for_points
+from .horocycle import INV_SQRT2, Horocycle, _disk_points, _point_terms, _squared_sizes
+from .horocycle import min_sizes_for_points  # noqa: F401  (re-exported)
 from .maxparabola import _feasible_direction_arc
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,12 +87,23 @@ EXACT_PASSES = 32  # most-violated passes of the exact solve before the grid tak
 EXACT_TOL = 1e-14  # violation, relative to c_i + |q_i|_1, the exact solve leaves alone
 
 
-def as_point_set(points) -> np.ndarray:
-    """The nonempty (n, 2) array of valid points (see ``horocycle``)."""
-    pts = _disk_points(points)[0]
+def _point_set(points):
+    """``as_point_set`` and the kernel terms of its points, from one check."""
+    pts, terms = _disk_points(points)
     if not len(pts):
         raise ValueError("point set must be a nonempty list of (x, y) pairs")
-    return pts
+    return pts, terms
+
+
+def as_point_set(points) -> np.ndarray:
+    """The nonempty (n, 2) array of valid points (see ``horocycle``)."""
+    return _point_set(points)[0]
+
+
+def _sizes_at(theta: float, terms) -> np.ndarray:
+    """Every point's minimal size at one angle: ``min_sizes_for_points``'s
+    row, bit for bit, on terms already checked."""
+    return np.sqrt(_squared_sizes(np.array([theta], dtype=float), terms)[0])
 
 
 def size_profile(points, theta) -> float | np.ndarray:
@@ -102,7 +123,9 @@ def size_profile(points, theta) -> float | np.ndarray:
 class ProfileDiagnostics:
     thetas: np.ndarray
     values: np.ndarray
-    tied_minimizers: np.ndarray  # refined minimizers near the best value; [theta*] if exact
+    # [theta*] if exact; the plateau's two ends (or [0.0] for the center
+    # alone); else the refined minimizers near the best value
+    tied_minimizers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -294,6 +317,48 @@ def _exact_minimizer(pts: np.ndarray) -> float | None:
     return None
 
 
+def _plateau(pts: np.ndarray):
+    """theta* and the ends of the arc of angles where every point of
+    ``pts`` fits in the horocycle of size 2^{-1/2} (see the module text),
+    mod 2 pi; (0.0, [0.0]) when every point is the center, None when the
+    arcs do not meet.
+
+    Each point off the center gives the arc phi +- arccos(|p| / (1 + w))
+    of half-width below pi/2, so the meet, if any, lies in the first
+    arc.  Measured from that arc's center, every other arc is the one
+    interval [d - h, d + h] with d in [-pi, pi]: its copies 2 pi away lie
+    beyond +- pi/2.  The meet is the largest lower end to the smallest
+    upper end, and theta* its midpoint.
+    """
+    off = pts[pts.any(axis=1)]
+    if not len(off):
+        return 0.0, np.array([0.0])
+    x, y, w2 = _point_terms(off)
+    phi = np.arctan2(y, x)
+    half = np.arccos(np.hypot(x, y) / (1.0 + np.sqrt(w2)))
+    d = (phi - phi[0] + np.pi) % (2.0 * np.pi) - np.pi
+    lo, hi = float((d - half).max()), float((d + half).min())
+    if lo > hi:
+        return None
+    phi0, tau = float(phi[0]), 2.0 * np.pi
+    return (phi0 + 0.5 * (lo + hi)) % tau, np.array([(phi0 + lo) % tau, (phi0 + hi) % tau])
+
+
+def _closed_form(hull: np.ndarray, profile):
+    """(a*, theta*, tied minimizers) of a set solved without the grid, or
+    None: the exact solve when the center lies outside the hull, the
+    plateau when the center is among the kept points and the profile at
+    theta* is exactly 2^{-1/2}.  a* is the profile's own value at theta*."""
+    if _center_outside_hull(hull):
+        th = _exact_minimizer(hull)
+        return None if th is None else (float(profile(np.array([th]))[0]), th, np.array([th]))
+    found = None if hull.any(axis=1).all() else _plateau(hull)
+    if found is None:
+        return None
+    a = float(profile(np.array([found[0]]))[0])
+    return (a, *found) if a == INV_SQRT2 else None
+
+
 def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     """Globally minimal enclosing horocycle of the point set.
 
@@ -303,13 +368,19 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     When the disk center lies strictly outside the points' hull, the
     minimizer theta* is solved exactly (``_exact_minimizer``); ``grid``
     then only shapes the diagnostic grid, and ``tied_minimizers`` is
-    ``[theta*]``.  Otherwise, or if that solve does not converge, every
-    bracketed local minimum of the grid is golden-section refined down
-    to REFINE_TOL radians (all brackets in lockstep, one vectorized
-    profile call per step), the best is taken, and ``tied_minimizers``
-    holds the refined minimizers within UNIQUE_VALUE_TOL of it.  Either
-    way a* is the blocked profile's own value at theta*, the value the
-    enclosure check recomputes.
+    ``[theta*]``.  When the center is one of the points and some angles
+    fit every point in a horocycle of size 2^{-1/2}, those angles form
+    one arc, found in one pass (``_plateau``): theta* is its midpoint,
+    a* = 2^{-1/2}, and ``tied_minimizers`` holds the arc's two ends, or
+    ``[0.0]`` with theta* = 0 for the center alone.  Otherwise, or if
+    the basis solve does not converge, every bracketed local minimum of
+    the grid is golden-section refined down to REFINE_TOL radians (all
+    brackets in lockstep, one vectorized profile call per step), the
+    best is taken, and ``tied_minimizers`` holds the refined minimizers
+    within UNIQUE_VALUE_TOL of it.  On every path a* is the blocked
+    profile's own value at theta*, the value the enclosure check
+    recomputes; the plateau is used only when that value is 2^{-1/2}
+    exactly.
 
     ``unique`` is the paper's criterion: a* < 2^{-1/2} -
     UNIQUE_SIZE_MARGIN, below which the center lies outside the hull and
@@ -325,7 +396,7 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     ``grid`` is a count in [1, MAX_GRID].
     """
     grid = check_count("grid", grid, MAX_GRID)
-    pts = as_point_set(points)
+    pts, terms = _point_set(points)
     kept = _hull_superset(pts)
     kept.flags.writeable = False
     hull = pts[kept]
@@ -333,9 +404,9 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     profile = _profile_of(hull)
     values = profile(thetas)
 
-    th_star = _exact_minimizer(hull) if _center_outside_hull(hull) else None
-    if th_star is not None:
-        a_star, ties = float(profile(np.array([th_star]))[0]), np.array([th_star])
+    found = _closed_form(hull, profile)
+    if found is not None:
+        a_star, th_star, ties = found
     else:
         idx = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
         # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
@@ -346,7 +417,7 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
         ties = np.array([th for val, th in minima if val <= a_star + UNIQUE_VALUE_TOL])
     unique = a_star < INV_SQRT2 - UNIQUE_SIZE_MARGIN
 
-    needs = min_sizes_for_points([th_star], pts)[0]
+    needs = _sizes_at(th_star, terms)
     support = tuple(int(i) for i in np.nonzero(needs >= a_star - 1e-8)[0])
     return MinHorocycleSolution(
         horocycle=Horocycle(theta=th_star, a=a_star),
@@ -372,10 +443,10 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     at most the all-points max: a wrong ``hull`` can only make the check
     stricter.  A ``hull`` that is not an index array fails it.
     """
-    pts = as_point_set(points)
+    pts, terms = _point_set(points)
     a_star = sol.horocycle.a
     th_star = sol.horocycle.theta
-    needs = min_sizes_for_points([th_star], pts)[0]
+    needs = _sizes_at(th_star, terms)
     worst = float((needs - a_star).max())
     if worst > 1e-10:
         raise VerificationFailure(

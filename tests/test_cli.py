@@ -194,6 +194,56 @@ class TestExitCodes:
         assert json.loads(err[0])["error"] == "ValueError"
 
 
+class TestCountOptions:
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--grid", "2.5"),
+            ("--grid", "abc"),
+            ("--grid", "nan"),
+            ("--grid", str(minhorocycle.MAX_GRID + 1)),
+            ("--starts", "0"),
+            ("--starts", "1e400"),
+            ("--starts", "64.5"),
+            ("--seed", "-1"),
+            ("--seed", "0.5"),
+            ("--seed", "true"),
+        ],
+    )
+    def test_malformed_count_is_schema_error(self, tmp_path, capsys, option, value):
+        # every command reads the three options, whether it uses them or not
+        for command, payload in (("min-horocycle", CENTER), ("lemma-shrink", LEMMA)):
+            code, out = run_cli(tmp_path, command, payload, "opt", extra=[option, value])
+            assert code == 3 and not out.exists()
+            err = capsys.readouterr().err
+            assert_one_json_error_line(err)
+            assert f"{option[2:]} must be a whole number" in json.loads(err)["message"]
+
+    def test_malformed_count_prints_no_usage_text(self, tmp_path):
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(CENTER))
+        proc = run_cli_subprocess(
+            ["min-horocycle", "--input", str(inp), "--output", str(tmp_path / "o.json"),
+             "--grid", "2.5"])
+        assert proc.returncode == 3
+        assert_one_json_error_line(proc.stderr)
+
+    @pytest.mark.parametrize(
+        "command, payload, extra",
+        [
+            ("min-horocycle", {"points": [[0.2, 0.1], [-0.3, 0.4]]}, ["--grid", "720"]),
+            ("min-horocycle", {"points": [[0.2, 0.1], [-0.3, 0.4]]}, ["--grid", "720.0"]),
+            ("max-parabola", HALFPLANES, ["--starts", "64", "--seed", "0"]),
+            ("max-parabola", HALFPLANES, ["--starts", "6.4e1", "--seed", " 0 "]),
+        ],
+    )
+    def test_valid_counts_keep_the_default_bytes(self, tmp_path, command, payload, extra):
+        _, default = run_cli(tmp_path, command, payload, "default")
+        code, explicit = run_cli(tmp_path, command, payload, "explicit", extra=extra)
+        assert code == 0
+        assert explicit.read_bytes() == default.read_bytes()
+
+
 def strict_json(text):
     """json.loads that refuses the NaN and Infinity literals."""
     def refuse(name):

@@ -1,6 +1,7 @@
 """Horocycle matrices, containment, pair intersections and the cover."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -516,6 +517,18 @@ class TestInvalidInput:
         with pytest.raises(ValueError, match="n must"):
             sample_common_interior(0.5, 0.2, True)
         assert sample_common_interior(0.5, 0.2, 0).shape == (0, 2)
+
+    @pytest.mark.parametrize("n", [horocycle_module.MAX_SAMPLES + 1, 10**17])
+    def test_lens_sampler_count_is_bounded(self, n):
+        # 10^17 points once raised MemoryError; the bound is checked first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n must"):
+                sample_common_interior(0.5, 0.2, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 def test_horocycle_paths_build_no_matrix(monkeypatch):

@@ -395,6 +395,70 @@ class TestExactPath:
             assert a > 0.75 and not sol.unique
 
 
+# the centre in the hull, a* > 2^(-1/2): the centre and points whose arcs
+# do not meet, and the centre strictly inside the hull but not a point
+FALLBACK_SETS = [
+    [[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]],
+    [[0.0, 0.0], [0.3, 0.1], [-0.1, 0.4], [-0.2, -0.3]],
+    [[0.1, 0.1], [-0.2, 0.1], [0.0, -0.3]],
+]
+
+PLATEAU_GRID = np.linspace(0.0, 2.0 * np.pi, 1 << 14, endpoint=False)
+
+
+def _from(theta, angles):
+    """Signed angle from ``theta`` to each of ``angles``, in [-pi, pi)."""
+    return (np.asarray(angles) - theta + np.pi) % (2.0 * np.pi) - np.pi
+
+
+class TestPlateau:
+    @pytest.mark.parametrize("n", [2, 10, 1000, 20_000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_dense_profile(self, n, seed):
+        pts = _point_family("centre", np.random.default_rng(seed), n)
+        sol = solve_min_horocycle(pts)
+        assert (sol.horocycle.a, sol.unique) == (INV_SQRT2, False)
+        lo, hi = sol.profile.tied_minimizers.tolist()
+        half = 0.5 * ((hi - lo) % (2.0 * np.pi))
+        # theta* is the arc's midpoint, and the centre (index 0) is on the boundary
+        assert abs(_from(sol.horocycle.theta, [lo, hi]) + [half, -half]).max() <= 1e-12
+        assert 0 in sol.support
+        # the oracle: the profile over all points, or over the centre and
+        # the vertices of scipy's hull, which encloses them all
+        sub = pts if n <= 1000 else pts[np.union1d([0], ConvexHull(pts).vertices)]
+        vals = size_profile(sub, PLATEAU_GRID)
+        off = np.abs(_from(sol.horocycle.theta, PLATEAU_GRID))
+        inside, outside = off <= half - 1e-9, off >= half + 1e-9
+        assert inside.any() and outside.any()
+        assert np.all(vals[inside] == INV_SQRT2)
+        assert np.all(vals[outside] > INV_SQRT2)
+        verify_solution(pts, sol)
+
+    def test_centre_alone_fits_at_every_angle(self):
+        sol = solve_min_horocycle([[0.0, 0.0], [-0.0, 0.0]])
+        assert (sol.horocycle.theta, sol.horocycle.a) == (0.0, INV_SQRT2)
+        assert sol.profile.tied_minimizers.tolist() == [0.0]
+        assert sol.support == (0, 1)
+
+    @pytest.mark.parametrize("pts", FALLBACK_SETS[:2])
+    def test_arcs_that_do_not_meet_take_the_grid(self, pts):
+        sol = solve_min_horocycle(pts)
+        assert sol.horocycle.a > INV_SQRT2 and not sol.unique
+        dense = size_profile(pts, PLATEAU_GRID).min()
+        assert sol.horocycle.a <= dense * (1.0 + 1e-12)
+        verify_solution(pts, sol)
+
+    def test_plateau_off_the_exact_size_takes_the_grid(self, monkeypatch):
+        # a midpoint where the profile is not exactly 2^(-1/2) is not used
+        pts = _point_family("centre", np.random.default_rng(4), 100)
+        lo, hi = solve_min_horocycle(pts).profile.tied_minimizers.tolist()
+        monkeypatch.setattr(minhorocycle_module, "_plateau", lambda hull: (hi + 0.1, [lo, hi]))
+        calls = _count_golden_calls(monkeypatch)
+        sol = solve_min_horocycle(pts)
+        assert calls and sol.horocycle.a == pytest.approx(INV_SQRT2, abs=1e-15)
+        assert len(sol.profile.tied_minimizers) > 2
+
+
 def _count_golden_calls(monkeypatch) -> list:
     calls = []
 
@@ -438,18 +502,20 @@ class TestPathSelection:
             assert outcomes[-1] == (depth > 0.0)
         assert 50 < sum(outcomes) < 250
 
-    def test_golden_refine_runs_on_degenerate_sets_only(self, monkeypatch):
+    def test_golden_refine_runs_only_without_a_plateau(self, monkeypatch):
         calls = _count_golden_calls(monkeypatch)
         rng = np.random.default_rng(8)
-        for family in ("near-boundary", "spread"):
+        for family in ("near-boundary", "spread", "centre"):
             for n in (1, 10, 1000, 20_000):
                 solve_min_horocycle(_point_family(family, rng, n))
-        assert calls == []
-        for n in (10, 1000):
-            solve_min_horocycle(_point_family("centre", rng, n))
-        assert len(calls) == 2
         solve_min_horocycle([[0.0, 0.0]])
-        assert len(calls) == 3
+        assert calls == []
+        # the centre in the hull: a point at the centre whose arcs do not
+        # meet, or no point at the centre at all
+        for pts in FALLBACK_SETS:
+            sol = solve_min_horocycle(pts)
+            assert sol.horocycle.a > INV_SQRT2 and not sol.unique
+        assert len(calls) == len(FALLBACK_SETS)
 
     def test_grid_path_runs_when_the_basis_solve_is_capped(self, monkeypatch):
         pts = _point_family("spread", np.random.default_rng(9), 300)
