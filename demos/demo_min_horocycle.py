@@ -40,7 +40,7 @@ if worst > 1e-12:
 if not sol.horocycle.a <= (1.0 + 1e-12) * dense:
     raise SystemExit(f"a* = {sol.horocycle.a!r} exceeds the dense-profile minimum {dense!r}")
 
-# a large cloud: the solve and the local-optimality check of the
+# a large cloud: the solve and the optimality checks of the
 # verification see only the points the convex-hull filter keeps, which
 # the solution names
 big = rng.uniform(-0.2, 0.2, (20_000, 2)) + np.array([-0.3, 0.35])
@@ -49,9 +49,12 @@ hull = big_sol.hull
 print(f"{len(big)} points, {len(hull)} kept by the convex-hull filter:")
 print(f"  theta* = {big_sol.horocycle.theta:.9f} rad, a* = {big_sol.horocycle.a:.12f}")
 print(f"  unique = {big_sol.unique}")
-print("  verification:", verify_solution(big, big_sol))
-# verify_solution's perturbed angles: the profile over the kept points
-# must be the profile over all of them, bit for bit
+big_report = verify_solution(big, big_sol)
+print("  verification:", big_report)
+# the angles verify_solution perturbs theta* by when its exact cone
+# certificate does not decide (this set is certified by the cone): the
+# profile over the kept points must be the profile over all of them, bit
+# for bit
 draws = np.random.default_rng(0)
 mags = 10.0 ** draws.uniform(-6.0, -2.0, 64)
 near = big_sol.horocycle.theta + mags * draws.choice([-1.0, 1.0], 64)
@@ -62,6 +65,8 @@ if not len(hull) < len(big):
     raise SystemExit("the convex-hull filter kept every point of the large cloud")
 if not same:
     raise SystemExit("the perturbed profile over the kept points differs from all points")
+if big_report["certificate"] != "cone":
+    raise SystemExit(f"the large cloud was not certified exactly: {big_report}")
 
 # the degenerate case: the disk center pins every profile value at 2^(-1/2)
 center_sol = solve_min_horocycle([[0.0, 0.0]])

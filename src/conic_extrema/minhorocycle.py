@@ -14,12 +14,12 @@ be valid (w_i^2 > 0, see ``horocycle``); ``as_point_set`` checks them.
 Which sets take which path:
 
 - The disk center strictly outside the hull (no point at the center,
-  and the points' directions inside an open half-circle): then some v
-  has q_i.v > 0 for every i, so the convex F(u) = max_i t_i(u) has no
-  minimum inside the disk, its minimum over the disk lies on the circle
-  and is unique.  The solver finds it exactly, as an LP-type problem
-  whose optimum at most two constraints fix (``_exact_minimizer``),
-  whatever the size.
+  see the last paragraph, and the points' directions inside an open
+  half-circle): then some v has q_i.v > 0 for every i, so the convex
+  F(u) = max_i t_i(u) has no minimum inside the disk, its minimum over
+  the disk lies on the circle and is unique.  The solver finds it
+  exactly, as an LP-type problem whose optimum at most two constraints
+  fix (``_exact_minimizer``), whatever the size.
 - The center in the hull or on its boundary: every direction has a
   point with p_i.u <= 0, so a* >= 2^{-1/2}.  Of these, a set holding
   the center itself is solved in closed form: the center's size is 2^{-1/2}
@@ -30,7 +30,7 @@ Which sets take which path:
   one arc or not at all, and one pass over the kept points finds it
   (``_plateau``).  When they meet, a* = 2^{-1/2} and every angle of the
   arc is a minimizer: the solver returns the arc's midpoint, or
-  theta* = 0 when the center is the only point.  (A center the hull
+  theta* = 0 when every point is at the center.  (A center the hull
   filter drops lies strictly inside the hull, where a* > 2^{-1/2}.)
 - The grid path takes the rest: the center in the hull but not among
   the points, arcs that do not meet, a basis solve that has not
@@ -49,19 +49,28 @@ vertices is the profile over all points.  The path test, the basis
 solve, the grid scan and the refine therefore run on the points an
 Akl-Toussaint extreme-point filter keeps, and their cost follows the
 number of extreme points, not n.  The solution names the kept points
-(``hull``), and the local-optimality check of :func:`verify_solution`
-runs on them; the boundary ``support`` and its enclosure check use
-every input point.  Each profile value is computed per point, so the
-kept points' values are the full computation's bit for bit, and a max
-over any subset can only be lower: a wrong ``hull`` can only make that
-check stricter than over all points.
+(``hull``), and both optimality checks of :func:`verify_solution` run
+on them: the exact certificate, that u* lies in the cone of the kept
+points active there (the KKT conditions of min F over the disk), and
+the sampled perturbations it falls back to when that fails and the
+solution is not flagged unique.  The boundary ``support`` and its
+enclosure check use every input point.  Each profile value is computed
+per point, so the kept points' values are the full computation's bit
+for bit, and a max over any subset can only be lower, with fewer active
+points: a wrong ``hull`` can only make either check stricter than over
+all points.
+
+A point with |x| + |y| <= CENTER_RADIUS (``_at_center``) has the
+center's profile term exactly, 2^{-1/2} at every angle, so the path
+test, the plateau and the certificate all count it as the center.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +84,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 UNIQUE_SIZE_MARGIN = 1e-9  # below 2^{-1/2} required to certify uniqueness
 UNIQUE_VALUE_TOL = 1e-7  # minima within this of the best are "ties"
 PERTURBATIONS = 64  # sampled angle perturbations of the local-optimality check
+ACTIVE_TOL = 1e-12  # relative: a point needing a*(1 - ACTIVE_TOL) or more is active
+CONE_TOL = 1e-12  # radians: how far u* may miss the cone of the active points
+CENTER_RADIUS = 2.0**-54  # |x| + |y| at most this: the kernel's term is the center's
 
 PRUNE_DIRECTIONS = 64  # extreme-point directions of the hull prefilter
 PRUNE_MARGIN = 1e-12  # relative depth inside the polygon a dropped point needs
@@ -122,10 +134,15 @@ def size_profile(points, theta) -> float | np.ndarray:
 @dataclass(frozen=True)
 class ProfileDiagnostics:
     thetas: np.ndarray
-    values: np.ndarray
-    # [theta*] if exact; the plateau's two ends (or [0.0] for the center
-    # alone); else the refined minimizers near the best value
+    # [theta*] if exact; the plateau's two ends (or [0.0] when every point
+    # is at the center); else the refined minimizers near the best value
     tied_minimizers: np.ndarray
+    points: np.ndarray = field(repr=False)  # the kept points the solve ran on
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The profile at ``thetas``, evaluated on first read."""
+        return _profile_of(self.points)(self.thetas)
 
 
 @dataclass(frozen=True)
@@ -247,15 +264,22 @@ def _not_deep_inside(pts: np.ndarray, dirs: np.ndarray, margin: float) -> np.nda
     return depth.min(axis=0) <= margin
 
 
+def _at_center(pts: np.ndarray) -> np.ndarray:
+    """Mask of the points whose profile term is the center's, 2^{-1/2} at
+    every angle: |x| + |y| <= CENTER_RADIUS bounds the kernel's rounded
+    p.u by 2^{-54}, so s = 1 - p.u rounds to 1, and w^2 rounds to 1."""
+    return np.abs(pts).sum(axis=1) <= CENTER_RADIUS
+
+
 def _center_outside_hull(pts: np.ndarray) -> bool:
     """Whether the disk center lies strictly outside the hull of ``pts``.
 
-    It does when no point is the center and the points' directions fit in
-    an open half-circle: the largest circular gap between their angles
-    exceeds pi by more than rounding, the test
+    It does when no point is at the center (``_at_center``) and the
+    points' directions fit in an open half-circle: the largest circular
+    gap between their angles exceeds pi by more than rounding, the test
     ``maxparabola._feasible_direction_arc`` runs on normals.
     """
-    return bool(pts.any(axis=1).all()) and _feasible_direction_arc(pts) is not None
+    return not _at_center(pts).any() and _feasible_direction_arc(pts) is not None
 
 
 def _circle_optimum(c: list, q: list, basis: tuple):
@@ -320,8 +344,8 @@ def _exact_minimizer(pts: np.ndarray) -> float | None:
 def _plateau(pts: np.ndarray):
     """theta* and the ends of the arc of angles where every point of
     ``pts`` fits in the horocycle of size 2^{-1/2} (see the module text),
-    mod 2 pi; (0.0, [0.0]) when every point is the center, None when the
-    arcs do not meet.
+    mod 2 pi; (0.0, [0.0]) when every point is at the center
+    (``_at_center``), None when the arcs do not meet.
 
     Each point off the center gives the arc phi +- arccos(|p| / (1 + w))
     of half-width below pi/2, so the meet, if any, lies in the first
@@ -330,7 +354,7 @@ def _plateau(pts: np.ndarray):
     beyond +- pi/2.  The meet is the largest lower end to the smallest
     upper end, and theta* its midpoint.
     """
-    off = pts[pts.any(axis=1)]
+    off = pts[~_at_center(pts)]
     if not len(off):
         return 0.0, np.array([0.0])
     x, y, w2 = _point_terms(off)
@@ -347,12 +371,13 @@ def _plateau(pts: np.ndarray):
 def _closed_form(hull: np.ndarray, profile):
     """(a*, theta*, tied minimizers) of a set solved without the grid, or
     None: the exact solve when the center lies outside the hull, the
-    plateau when the center is among the kept points and the profile at
-    theta* is exactly 2^{-1/2}.  a* is the profile's own value at theta*."""
+    plateau when a kept point is at the center (``_at_center``) and the
+    profile at theta* is exactly 2^{-1/2}.  a* is the profile's own value
+    at theta*."""
     if _center_outside_hull(hull):
         th = _exact_minimizer(hull)
         return None if th is None else (float(profile(np.array([th]))[0]), th, np.array([th]))
-    found = None if hull.any(axis=1).all() else _plateau(hull)
+    found = _plateau(hull) if _at_center(hull).any() else None
     if found is None:
         return None
     a = float(profile(np.array([found[0]]))[0])
@@ -362,25 +387,26 @@ def _closed_form(hull: np.ndarray, profile):
 def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     """Globally minimal enclosing horocycle of the point set.
 
-    Always evaluates the profile on ``grid`` evenly spaced ideal angles
-    from 0; ``profile`` reports them.
+    ``profile`` reports the profile on ``grid`` evenly spaced ideal
+    angles from 0; the grid path reads it for its brackets, and a closed
+    form solve leaves it to be evaluated on first read of ``values``.
 
     When the disk center lies strictly outside the points' hull, the
     minimizer theta* is solved exactly (``_exact_minimizer``); ``grid``
     then only shapes the diagnostic grid, and ``tied_minimizers`` is
-    ``[theta*]``.  When the center is one of the points and some angles
-    fit every point in a horocycle of size 2^{-1/2}, those angles form
-    one arc, found in one pass (``_plateau``): theta* is its midpoint,
+    ``[theta*]``.  When a point is at the center and some angles fit
+    every point in a horocycle of size 2^{-1/2}, those angles form one
+    arc, found in one pass (``_plateau``): theta* is its midpoint,
     a* = 2^{-1/2}, and ``tied_minimizers`` holds the arc's two ends, or
-    ``[0.0]`` with theta* = 0 for the center alone.  Otherwise, or if
-    the basis solve does not converge, every bracketed local minimum of
-    the grid is golden-section refined down to REFINE_TOL radians (all
-    brackets in lockstep, one vectorized profile call per step), the
-    best is taken, and ``tied_minimizers`` holds the refined minimizers
-    within UNIQUE_VALUE_TOL of it.  On every path a* is the blocked
-    profile's own value at theta*, the value the enclosure check
-    recomputes; the plateau is used only when that value is 2^{-1/2}
-    exactly.
+    ``[0.0]`` with theta* = 0 when every point is at the center.
+    Otherwise, or if the basis solve does not converge, every bracketed
+    local minimum of the grid is golden-section refined down to
+    REFINE_TOL radians (all brackets in lockstep, one vectorized profile
+    call per step), the best is taken, and ``tied_minimizers`` holds the
+    refined minimizers within UNIQUE_VALUE_TOL of it.  On every path a*
+    is the blocked profile's own value at theta*, the value the
+    enclosure check recomputes; the plateau is used only when that value
+    is 2^{-1/2} exactly.
 
     ``unique`` is the paper's criterion: a* < 2^{-1/2} -
     UNIQUE_SIZE_MARGIN, below which the center lies outside the hull and
@@ -402,12 +428,12 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     hull = pts[kept]
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     profile = _profile_of(hull)
-    values = profile(thetas)
 
     found = _closed_form(hull, profile)
     if found is not None:
         a_star, th_star, ties = found
     else:
+        values = profile(thetas)
         idx = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
         # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
         wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
@@ -419,29 +445,85 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
 
     needs = _sizes_at(th_star, terms)
     support = tuple(int(i) for i in np.nonzero(needs >= a_star - 1e-8)[0])
+    diagnostics = ProfileDiagnostics(thetas=thetas, tied_minimizers=ties, points=hull)
+    if found is None:  # the grid path has the values already: fill the cache
+        object.__setattr__(diagnostics, "values", values)
     return MinHorocycleSolution(
         horocycle=Horocycle(theta=th_star, a=a_star),
         support=support,
         hull=kept,
         unique=unique,
-        profile=ProfileDiagnostics(thetas=thetas, values=values, tied_minimizers=ties),
+        profile=diagnostics,
     )
+
+
+def _cone_margin(active: np.ndarray, theta: float) -> float:
+    """Signed angle from u = (cos theta, sin theta) to the edge of the
+    directions where the KKT conditions of min G over the disk hold with
+    ``active`` as the active points (see :func:`verify_solution`).
+
+    Those are the directions in the closed cone of the points, or every
+    direction when 0 is in their convex hull: when a point is at the
+    center (``_at_center``) or when no open half-circle holds their
+    directions, and the margin is then pi.  Otherwise the cone is the
+    arc, of width below pi, left by the largest circular gap between the
+    points' angles measured from u, and the margin is positive when u
+    lies inside that arc, by its distance to the nearer end, and
+    negative, by the same distance, when it lies outside.  No point: -pi.
+    """
+    if not len(active):
+        return -math.pi
+    if _at_center(active).any():
+        return math.pi
+    ux, uy = math.cos(theta), math.sin(theta)
+    d = np.sort(np.arctan2(ux * active[:, 1] - uy * active[:, 0], active @ np.array([ux, uy])))
+    gaps = np.diff(d, append=d[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    if gaps[k] <= np.pi:
+        return math.pi
+    lo, hi = float(d[(k + 1) % len(d)]), float(d[k])
+    if lo <= 0.0 <= hi:
+        return min(-lo, hi)
+    return -min(lo % (2.0 * np.pi), -hi % (2.0 * np.pi))
 
 
 def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     """Independent checks of a proposed solution; raises on failure.
 
-    Checks enclosure of every input point (closed interior), local
-    optimality of the profile under PERTURBATIONS angle perturbations
-    drawn from ``default_rng(0)``, and, when the solution claims
-    uniqueness, the absence of a second minimizer more than 1e-2 rad
-    from theta* anywhere on the diagnostic grid.
+    Checks enclosure of every input point (closed interior), then
+    optimality, and, when the solution claims uniqueness, that a* lies
+    below 2^{-1/2} - UNIQUE_SIZE_MARGIN.
 
-    The perturbed profile runs on the points ``sol.hull`` names, the
-    hull superset the solver ran on.  Their values are those of the same
-    points among all of them, bit for bit, so their max at each angle is
-    at most the all-points max: a wrong ``hull`` can only make the check
-    stricter.  A ``hull`` that is not an index array fails it.
+    Optimality is decided by an exact certificate where it holds.  G(u) =
+    max_i c_i - q_i.u is convex on the disk (module text), and at u* =
+    (cos theta*, sin theta*) its active points are the kept points that
+    need a*(1 - ACTIVE_TOL) or more.  When some nonnegative combination
+    of their q_i = p_i / w_i is mu u* with mu >= 0, the KKT conditions of
+    min G over |u| <= 1 hold: u* minimizes G over the disk, hence the
+    profile over the circle.  The q_i span the cone of the p_i, and a
+    point at the center gives q_i = 0, so this is the test that u* lies
+    within CONE_TOL radians of the closed cone of the active points, or
+    that 0 is in their hull (``_cone_margin``).  Under the size bound the
+    verified enclosure puts the center outside the hull, where the
+    minimizer is unique (module text): so a solution flagged unique
+    passes exactly when the certificate holds, and fails "local
+    optimality" when it does not.  A solution not flagged unique whose
+    certificate does not hold (the grid path: the center in the hull but
+    not a point) is checked as before by sampling: the profile under
+    PERTURBATIONS angle perturbations drawn from ``default_rng(0)`` must
+    not fall below a* - 1e-12.
+
+    Both checks run on the points ``sol.hull`` names, the hull superset
+    the solver ran on.  Their values are those of the same points among
+    all of them, bit for bit, so a max over them is at most the
+    all-points max, and fewer active points span a smaller cone: a wrong
+    ``hull`` can only make either check stricter.  A ``hull`` that is not
+    an index array fails.
+
+    The report names the check that decided optimality, ``"cone"`` or
+    ``"perturbations"``, and its margin: the signed angle of
+    ``_cone_margin`` (at least -CONE_TOL), or the least perturbed profile
+    value minus a* (at least -1e-12).
     """
     pts, terms = _point_set(points)
     a_star = sol.horocycle.a
@@ -457,25 +539,33 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     valid = hull.ndim == 1 and hull.dtype.kind in "iu" and len(hull) > 0
     if not (valid and 0 <= hull.min() and hull.max() < len(pts)):
         raise VerificationFailure("hull: not a nonempty array of indices into the points")
-    rng = np.random.default_rng(0)
-    mags = 10.0 ** rng.uniform(-6.0, -2.0, PERTURBATIONS)
-    signs = rng.choice([-1.0, 1.0], PERTURBATIONS)
-    vals = _profile_of(pts[hull])(th_star + mags * signs)
-    if np.any(vals < a_star - 1e-12):
-        raise VerificationFailure("local optimality: a nearby angle does better")
+    if sol.unique and not a_star < INV_SQRT2 - UNIQUE_SIZE_MARGIN:
+        raise VerificationFailure(
+            f"uniqueness: a* = {a_star:.17g} is not below 2^(-1/2) - {UNIQUE_SIZE_MARGIN:g}"
+        )
 
-    if sol.unique:
-        prof = sol.profile
-        dth = np.abs((prof.thetas - th_star + np.pi) % (2.0 * np.pi) - np.pi)
-        second = (prof.values <= a_star + 1e-12) & (dth > 1e-2)
-        if np.any(second):
-            raise VerificationFailure(
-                "uniqueness: a second enclosing horocycle of minimal size exists"
-            )
+    active = hull[needs[hull] >= a_star * (1.0 - ACTIVE_TOL)]
+    margin = _cone_margin(pts[active], th_star)
+    if margin >= -CONE_TOL:
+        certificate = "cone"
+    elif sol.unique:
+        raise VerificationFailure(
+            f"local optimality: theta* misses the cone of the active points by {-margin:.3g} rad"
+        )
+    else:
+        certificate = "perturbations"
+        rng = np.random.default_rng(0)
+        mags = 10.0 ** rng.uniform(-6.0, -2.0, PERTURBATIONS)
+        signs = rng.choice([-1.0, 1.0], PERTURBATIONS)
+        vals = _profile_of(pts[hull])(th_star + mags * signs)
+        if np.any(vals < a_star - 1e-12):
+            raise VerificationFailure("local optimality: a nearby angle does better")
+        margin = float(vals.min()) - a_star
 
     return {
         "enclosure_margin": -worst,
-        "perturbations": PERTURBATIONS,
+        "certificate": certificate,
+        "certificate_margin": margin,
         "support": sol.support,
         "unique": sol.unique,
     }

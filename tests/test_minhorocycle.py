@@ -21,11 +21,14 @@ from conic_extrema import (
 from conic_extrema import minhorocycle as minhorocycle_module
 from conic_extrema.horocycle import INV_SQRT2, Horocycle, min_sizes_for_points
 from conic_extrema.minhorocycle import (
+    CENTER_RADIUS,
+    CONE_TOL,
     GOLDEN,
     PROFILE_BLOCK,
     PRUNE_DIRECTIONS,
     PRUNE_MARGIN,
     UNIQUE_SIZE_MARGIN,
+    _at_center,
     _center_outside_hull,
     _golden_minimize,
     _hull_superset,
@@ -440,6 +443,47 @@ class TestPlateau:
         assert sol.profile.tied_minimizers.tolist() == [0.0]
         assert sol.support == (0, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.floats(-CENTER_RADIUS, CENTER_RADIUS),
+        share=st.floats(0.0, 1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_points_at_the_centre_have_its_profile_term(self, x, share, sign):
+        # |x| + |y| <= 2^-54: s = 1 - p.u rounds to 1 at every angle
+        p = [x, sign * share * (CENTER_RADIUS - abs(x))]
+        if not _at_center(np.array([p]))[0]:
+            return
+        assert np.all(size_profile([p], PLATEAU_GRID) == INV_SQRT2)
+
+    def test_centre_radius_is_where_the_profile_term_changes(self):
+        edge = np.array([[CENTER_RADIUS, 0.0], [0.5 * CENTER_RADIUS, -0.5 * CENTER_RADIUS]])
+        assert _at_center(edge).all()
+        assert np.all(size_profile(edge, PLATEAU_GRID) == INV_SQRT2)
+        beyond = np.array([[2.0 * CENTER_RADIUS, 0.0]])
+        assert not _at_center(beyond).any()
+        assert size_profile(beyond, 0.0) < INV_SQRT2
+
+    def test_points_within_rounding_of_the_centre_take_the_plateau(self, monkeypatch):
+        calls = _count_golden_calls(monkeypatch)
+        four = [[1e-17, 0.0], [0.0, 1e-17], [-1e-17, 0.0], [0.0, -1e-17]]
+        for pts in (four, four[:1]):
+            for grid in (720, 20_000):
+                sol = solve_min_horocycle(pts, grid=grid)
+                assert (sol.horocycle.theta, sol.horocycle.a, sol.unique) == (0.0, INV_SQRT2, False)
+                assert sol.profile.tied_minimizers.tolist() == [0.0]
+                assert sol.support == tuple(range(len(pts)))
+                assert verify_solution(pts, sol)["certificate"] == "cone"
+        # a centre set solves the same with its centre moved by rounding
+        pts = _point_family("centre", np.random.default_rng(6), 200)
+        exact = solve_min_horocycle(pts)
+        pts[0] = [3e-17, -2e-17]
+        near = solve_min_horocycle(pts)
+        assert near.horocycle == exact.horocycle
+        assert near.profile.tied_minimizers.tolist() == exact.profile.tied_minimizers.tolist()
+        assert near.support == exact.support
+        assert calls == []
+
     @pytest.mark.parametrize("pts", FALLBACK_SETS[:2])
     def test_arcs_that_do_not_meet_take_the_grid(self, pts):
         sol = solve_min_horocycle(pts)
@@ -694,3 +738,107 @@ class TestVerifySolution:
         assert len(rest)
         with pytest.raises(VerificationFailure, match="local optimality"):
             verify_solution(pts, dataclasses.replace(sol, hull=rest))
+
+
+class TestCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepts_every_closed_form_solution(self, family, n, seed):
+        pts = _point_family(family, np.random.default_rng(seed), n)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return _golden_minimize(*args)
+
+        with mock.patch.object(minhorocycle_module, "_golden_minimize", counted):
+            sol = solve_min_horocycle(pts)
+        report = verify_solution(pts, sol)
+        if not calls or sol.unique:  # the exact solve or the plateau
+            assert report["certificate"] == "cone"
+            assert report["certificate_margin"] >= -CONE_TOL
+
+    @pytest.mark.parametrize(
+        "family",
+        ["random", "near-boundary", "spread", "tiny-near-boundary", "arc-near-absolute",
+         "duplicate-heavy", "on-circle", "near-collinear"],
+    )
+    def test_angle_moved_by_1e_9_fails(self, family):
+        # the sampled checks pass all of these: none of their perturbations
+        # comes within 1e-6 rad of theta*, and the grid no nearer than 1e-2
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 8:
+            pts = _point_family(family, rng, int(rng.choice([1, 3, 30, 1000])))
+            sol = solve_min_horocycle(pts)
+            if not (sol.unique and _center_outside_hull(pts[sol.hull])):
+                continue
+            for theta in sol.horocycle.theta + np.array([1e-9, -1e-9]):
+                # a* the profile at the moved angle: the enclosure check passes
+                moved = Horocycle(theta=theta, a=size_profile(pts, theta))
+                with pytest.raises(VerificationFailure, match="local optimality"):
+                    verify_solution(pts, dataclasses.replace(sol, horocycle=moved))
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "pts, certificate",
+        [
+            ([[0.3, 0.2], [-0.1, 0.4], [0.2, 0.3]], "cone"),  # exact
+            ([[0.0, 0.0], [0.3, 0.1], [0.1, 0.3]], "cone"),  # plateau
+            (FALLBACK_SETS[0], "cone"),  # grid, a point at the centre
+            (FALLBACK_SETS[2], "perturbations"),  # grid, the centre inside the hull
+        ],
+    )
+    def test_report_names_the_deciding_check(self, pts, certificate):
+        report = verify_solution(pts, solve_min_horocycle(pts))
+        assert set(report) == {
+            "enclosure_margin", "certificate", "certificate_margin", "support", "unique"
+        }
+        assert report["certificate"] == certificate
+        floor = -CONE_TOL if certificate == "cone" else -1e-12
+        assert report["certificate_margin"] >= floor
+        if pts[0] == [0.0, 0.0]:
+            # an active point at the centre: every direction is certified
+            assert report["certificate_margin"] == np.pi
+
+
+def _count_profile_angles(monkeypatch) -> list:
+    """Lengths of the angle arrays every ``_profile_of`` closure is called on."""
+    lengths = []
+
+    def counted(pts):
+        profile = _profile_of(pts)
+
+        def recorded(thetas):
+            lengths.append(len(thetas))
+            return profile(thetas)
+
+        return recorded
+
+    monkeypatch.setattr(minhorocycle_module, "_profile_of", counted)
+    return lengths
+
+
+class TestLazyProfile:
+    @pytest.mark.parametrize(
+        "pts, grid_path",
+        [
+            (_point_family("spread", np.random.default_rng(1), 500), False),
+            (_point_family("centre", np.random.default_rng(1), 500), False),
+            (np.array(FALLBACK_SETS[2]), True),
+        ],
+        ids=["exact", "plateau", "grid"],
+    )
+    def test_grid_is_evaluated_once_and_only_when_needed(self, monkeypatch, pts, grid_path):
+        lengths = _count_profile_angles(monkeypatch)
+        sol = solve_min_horocycle(pts)
+        verify_solution(pts, sol)
+        assert lengths.count(720) == int(grid_path)
+        values = sol.profile.values
+        assert sol.profile.values is values
+        assert lengths.count(720) == 1
+        assert np.array_equal(values, size_profile(pts, sol.profile.thetas))
