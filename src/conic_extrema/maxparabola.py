@@ -34,7 +34,7 @@ written in apex form (``pencil_member``), with no matrix.  The largest
 of these over all triples is the solution.  Independently, a multi-start
 derivative-free pattern search over (apex_x, apex_y, axis_angle, p),
 with an exact penalty on the three smallest containment slacks pulling
-iterates onto the pinned set, is run from seeded starts;
+iterates onto the pinned set, is run once from seeded starts;
 ``Convergence.agreeing_starts`` counts the starts whose nearest pinned
 member, where they stopped, is the maximum.  That count witnesses
 neither the maximum nor its uniqueness: starts often stop well below it.
@@ -336,22 +336,19 @@ def _unit_scale(normals, offsets):
     return k + k2, math.ldexp(span, -k2), np.ldexp(verts.mean(axis=0), -k2), edges
 
 
-def _coarse_search(normals, offsets, seeds, gscale, center, kappa):
-    """Vectorized compass search maximizing p - kappa * (3 smallest slacks).
+def _coarse_search(normals, offsets, seeds, gscale):
+    """Vectorized compass search maximizing p - 8 * (3 smallest slacks).
 
     States are (apex_x, apex_y, axis_angle, p); infeasible states score
-    -inf.  Returns (final states, escaped mask, drifted mask); a start
-    escapes when its parameter exceeds the growth cap 1e6 * gscale, and
-    drifts when it leaves a generous multiple of the geometry scale --
-    evidence that the penalty weight is too weak for this geometry.
+    -inf.  One round at the penalty weight 8 from every seed; returns the
+    final states, one row per seed.  Seeds hold p <= 1e3 * gscale and a
+    step moves p by at most 0.5 * gscale, so no start can run away.
     """
     ns, ds = normals, offsets
     m = len(ns)
     nsmall = min(3, m)
-    z = seeds.copy()
+    z = seeds
     s = len(z)
-    p_cap = 1e6 * gscale
-    drift_cap = 100.0 * gscale
 
     def objective(zz):
         ap = zz[..., :2]
@@ -365,7 +362,7 @@ def _coarse_search(normals, offsets, seeds, gscale, center, kappa):
         slack = ds - ap @ ns.T - cmat * p[..., None]
         feas = ok_dir & (slack >= 0.0).all(axis=-1)
         pen = np.sort(slack, axis=-1)[..., :nsmall].sum(axis=-1)
-        val = p - kappa * pen
+        val = p - 8.0 * pen
         return np.where(feas, val, -np.inf)
 
     f = objective(z)
@@ -376,8 +373,6 @@ def _coarse_search(normals, offsets, seeds, gscale, center, kappa):
         dirs[2 * i + 1, i] = -1.0
     weights = np.array([1.0, 1.0, 1.0 / gscale, 1.0])
     stop = 1e-8 * gscale
-    escaped = np.zeros(s, dtype=bool)
-    drifted = np.zeros(s, dtype=bool)
     for _ in range(600):
         if (step <= stop).all():
             break
@@ -391,17 +386,7 @@ def _coarse_search(normals, offsets, seeds, gscale, center, kappa):
         z = np.where(improve[:, None], cand[arg, np.arange(s)], z)
         f = np.where(improve, best, f)
         step = np.where(improve, np.minimum(step * 1.7, 0.5 * gscale), step * 0.5)
-        over = z[:, 3] > p_cap
-        away = np.abs(z[:, :2] - center).max(axis=1) > drift_cap
-        halted = over | away
-        if halted.any():
-            escaped |= over
-            drifted |= away
-            z = z.copy()
-            step = step.copy()
-            z[over, 3] = p_cap
-            step[halted] = 0.0
-    return z, escaped, drifted
+    return z
 
 
 def _make_seeds(region, arc, gscale, center, starts, rng):
@@ -412,15 +397,12 @@ def _make_seeds(region, arc, gscale, center, starts, rng):
     m = len(ns)
     lo, hi = arc
     span = hi - lo
-    margin = min(0.02 * span, 0.45 * span)
+    margin = 0.02 * span
     thetas = []
     for i in range(m):
         for j in range(i, m):
             v = -(ns[i] + ns[j])
-            nv = np.linalg.norm(v)
-            if nv < 1e-12:
-                continue
-            v = v / nv
+            v = v / np.linalg.norm(v)
             if (ns @ v).max() < -DIRECTION_TOL:
                 thetas.append(float(np.arctan2(v[1], v[0])))
     need = max(0, starts - len(thetas))
@@ -432,7 +414,7 @@ def _make_seeds(region, arc, gscale, center, starts, rng):
     samples = center + rng.uniform(-2.0 * gscale, 2.0 * gscale, (4096, 2))
     slack = ds[None, :] - samples @ ns.T
     good = samples[slack.min(axis=1) > 0]
-    pool = np.vstack([apex0[None, :], good]) if len(good) else apex0[None, :]
+    pool = np.vstack([apex0[None, :], good])
     apexes = pool[rng.integers(0, len(pool), starts)]
     apexes[0] = apex0
 
@@ -454,9 +436,10 @@ def solve_max_parabola(region: ConvexRegion, starts: int = 64, seed: int = 0) ->
     Enumerates the triples of edge lines (``_unit_scale``), clips each
     by every half-plane and takes the largest exact pinned member (see
     ``_polish_triple``).  ``starts`` independent pattern searches from
-    seeded apexes and axis directions are each assigned to the pinned
-    member nearest to where they stopped; ``convergence`` counts those
-    assigned to the maximum, not how close they came to it.
+    seeded apexes and axis directions, one round at the penalty weight 8
+    (``_coarse_search``), are each assigned to the pinned member nearest
+    to where they stopped, the first on ties; ``convergence`` counts
+    every start assigned to the maximum, not how close it came to it.
     Everything runs on the region divided by 2^k, k the binary exponent
     of its vertex span (``_unit_scale``), so tolerances are relative to
     that span and scaling by 2^j scales apex, parameter and spread
@@ -498,38 +481,27 @@ def solve_max_parabola(region: ConvexRegion, starts: int = 64, seed: int = 0) ->
         )
 
     seeds = _make_seeds(unit, arc, gscale, center, starts, np.random.default_rng(seed))
-    states = seeds
-    kappa = 8.0
-    while True:
-        states, escaped, drifted = _coarse_search(ns, ds, states, gscale, center, kappa)
-        unfinished = escaped | drifted
-        if not unfinished.any() or kappa >= 512.0:
-            break
-        kappa *= 8.0
-        states = np.where(unfinished[:, None], seeds, states)
+    states = _coarse_search(ns, ds, seeds, gscale)
 
-    # assign each finished start to the nearest pinned solution in the
-    # scaled state space (which basin did it converge to)
+    # assign each start to the nearest pinned solution in the scaled
+    # state space (which basin did it converge to), first minimum on ties
     sol_states = np.array([[*r[1], r[2], r[0]] for r in solutions])  # apex, angle, p
-    found = []
-    for z in states[~unfinished]:
-        dpos = np.abs(sol_states[:, :2] - z[:2]).max(axis=1)
-        dth = np.abs((sol_states[:, 2] - z[2] + np.pi) % (2.0 * np.pi) - np.pi)
-        dist = np.maximum(dpos, np.maximum(dth * gscale, np.abs(sol_states[:, 3] - z[3])))
-        found.append(solutions[int(np.argmin(dist))])
+    diff = sol_states[None, :, :] - states[:, None, :]
+    dpos = np.abs(diff[..., :2]).max(axis=2)
+    dth = np.abs((diff[..., 2] + np.pi) % (2.0 * np.pi) - np.pi)
+    dist = np.maximum(dpos, np.maximum(dth * gscale, np.abs(diff[..., 3])))
+    nearest = dist.argmin(axis=1)
 
     p_best, apex_best, angle_best = max(solutions, key=lambda r: r[0])[:3]
     agree_tol = max(1e-9 * gscale, 1e-7 * p_best)
-    agreeing = [r for r in found if abs(r[0] - p_best) <= agree_tol]
-    spread = 0.0
-    for r in agreeing:
-        dth = abs((r[2] - angle_best + np.pi) % (2.0 * np.pi) - np.pi)
-        spread = max(
-            spread,
-            float(np.abs(r[1] - apex_best).max()),
-            abs(r[0] - p_best),
-            dth * gscale / (2.0 * np.pi),
-        )
+    gap_p = np.abs(sol_states[:, 3] - p_best)
+    gap_th = np.abs((sol_states[:, 2] - angle_best + np.pi) % (2.0 * np.pi) - np.pi)
+    gap = np.maximum(
+        np.maximum(np.abs(sol_states[:, :2] - apex_best).max(axis=1), gap_p),
+        gap_th * gscale / (2.0 * np.pi),
+    )
+    agreeing = nearest[gap_p[nearest] <= agree_tol]
+    spread = float(gap[agreeing].max(initial=0.0))
 
     axis_dir = (np.cos(angle_best), np.sin(angle_best))
     viol = halfplane_violation(apex_best, axis_dir, p_best, ns, ds)

@@ -52,8 +52,9 @@ number of extreme points, not n.  The solution names the kept points
 (``hull``), and both optimality checks of :func:`verify_solution` run
 on them: the exact certificate, that u* lies in the cone of the kept
 points active there (the KKT conditions of min F over the disk), and
-the sampled perturbations it falls back to when that fails and the
-solution is not flagged unique.  The boundary ``support`` and its
+the sampled perturbations it falls back to when that fails, the center
+is in the kept points' hull and the solution is not flagged unique.
+The boundary ``support`` and its
 enclosure check use every input point.  Each profile value is computed
 per point, so the kept points' values are the full computation's bit
 for bit, and a max over any subset can only be lower, with fewer active
@@ -503,15 +504,16 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     profile over the circle.  The q_i span the cone of the p_i, and a
     point at the center gives q_i = 0, so this is the test that u* lies
     within CONE_TOL radians of the closed cone of the active points, or
-    that 0 is in their hull (``_cone_margin``).  Under the size bound the
-    verified enclosure puts the center outside the hull, where the
-    minimizer is unique (module text): so a solution flagged unique
-    passes exactly when the certificate holds, and fails "local
-    optimality" when it does not.  A solution not flagged unique whose
-    certificate does not hold (the grid path: the center in the hull but
-    not a point) is checked as before by sampling: the profile under
-    PERTURBATIONS angle perturbations drawn from ``default_rng(0)`` must
-    not fall below a* - 1e-12.
+    that 0 is in their hull (``_cone_margin``).  Where the center lies
+    outside the hull of the kept points (``_center_outside_hull``) the
+    minimizer is unique (module text), and under the size bound the
+    verified enclosure puts it there: so a solution flagged unique, or
+    one whose kept points' hull misses the center, passes exactly when
+    the certificate holds, and fails "local optimality" when it does
+    not.  Any other solution whose certificate does not hold (the grid
+    path: the center in the hull but not a point) is checked by
+    sampling: the profile under PERTURBATIONS angle perturbations drawn
+    from ``default_rng(0)`` must not fall below a* - 1e-12.
 
     Both checks run on the points ``sol.hull`` names, the hull superset
     the solver ran on.  Their values are those of the same points among
@@ -548,7 +550,7 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     margin = _cone_margin(pts[active], th_star)
     if margin >= -CONE_TOL:
         certificate = "cone"
-    elif sol.unique:
+    elif sol.unique or _center_outside_hull(pts[hull]):
         raise VerificationFailure(
             f"local optimality: theta* misses the cone of the active points by {-margin:.3g} rad"
         )

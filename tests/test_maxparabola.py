@@ -585,6 +585,79 @@ def test_translation_keeps_the_certificate():
         assert b.convergence.agreeing_starts == a.convergence.agreeing_starts
 
 
+def scalar_matching(solutions, states, gscale):
+    """Oracle: (agreeing starts, spread in unit-region lengths), one start
+    at a time, each to its nearest pinned member, first minimum on ties."""
+    sol_states = np.array([[*r[1], r[2], r[0]] for r in solutions])
+    found = []
+    for z in states:
+        dpos = np.abs(sol_states[:, :2] - z[:2]).max(axis=1)
+        dth = np.abs((sol_states[:, 2] - z[2] + np.pi) % (2.0 * np.pi) - np.pi)
+        dist = np.maximum(dpos, np.maximum(dth * gscale, np.abs(sol_states[:, 3] - z[3])))
+        found.append(solutions[int(np.argmin(dist))])
+    p_best, apex_best, angle_best = max(solutions, key=lambda r: r[0])[:3]
+    agree_tol = max(1e-9 * gscale, 1e-7 * p_best)
+    agreeing = [r for r in found if abs(r[0] - p_best) <= agree_tol]
+    spread = 0.0
+    for r in agreeing:
+        dth = abs((r[2] - angle_best + np.pi) % (2.0 * np.pi) - np.pi)
+        spread = max(
+            spread,
+            float(np.abs(r[1] - apex_best).max()),
+            abs(r[0] - p_best),
+            dth * gscale / (2.0 * np.pi),
+        )
+    return len(agreeing), spread
+
+
+@pytest.mark.parametrize("mode", ["searched", "at_members", "tied"])
+@pytest.mark.parametrize("starts", [1, 3, 64])
+def test_matching_equals_the_scalar_loop(monkeypatch, starts, mode):
+    # the pinned members and the final states are captured from the solve
+    # itself.  "at_members" stops the search on the members, cycled over
+    # the starts; "tied" also rounds every member's p up to a quarter, so
+    # distinct members tie for the maximum, count as agreeing and spread.
+    members, searched = [], []
+    polish, coarse = maxparabola_module._polish_triple, maxparabola_module._coarse_search
+
+    def recorded_polish(*args):
+        r = polish(*args)
+        if r is not None:
+            if mode == "tied":
+                r = (math.ceil(4.0 * r[0]) / 4.0, *r[1:])
+            members.append(r)
+        return r
+
+    def recorded_coarse(ns, ds, seeds, gscale):
+        states = coarse(ns, ds, seeds, gscale)
+        if mode != "searched":
+            own = np.array([[*r[1], r[2], r[0]] for r in members])
+            states = own[np.arange(len(seeds)) % len(own)]
+        searched.append((states, gscale))
+        return states
+
+    monkeypatch.setattr(maxparabola_module, "_polish_triple", recorded_polish)
+    monkeypatch.setattr(maxparabola_module, "_coarse_search", recorded_coarse)
+    rng = np.random.default_rng(2929)
+    many = spread_seen = 0
+    for trial in range(30):
+        region, _ = random_pinned_region(rng, extra_max=12)
+        members.clear()
+        searched.clear()
+        conv = solve_max_parabola(region, starts=starts, seed=trial).convergence
+        (states, gscale), = searched
+        agreeing, spread = scalar_matching(members, states, gscale)
+        k = _unit_scale(region.normals, region.offsets)[0]
+        assert conv.starts == starts == len(states)
+        assert conv.agreeing_starts == agreeing
+        assert conv.spread == math.ldexp(spread, k)
+        many += len(members) >= 10
+        spread_seen += conv.spread > 0.0
+    assert many >= 3
+    if mode == "tied" and starts > 1:  # one start sits on the first maximum
+        assert spread_seen >= 10
+
+
 UNIT = st.floats(-1.0, 1.0)
 
 
