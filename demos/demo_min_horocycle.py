@@ -51,22 +51,30 @@ print(f"  theta* = {big_sol.horocycle.theta:.9f} rad, a* = {big_sol.horocycle.a:
 print(f"  unique = {big_sol.unique}")
 big_report = verify_solution(big, big_sol)
 print("  verification:", big_report)
-# the angles verify_solution perturbs theta* by when its exact cone
-# certificate does not decide (this set is certified by the cone): the
-# profile over the kept points must be the profile over all of them, bit
-# for bit
-draws = np.random.default_rng(0)
-mags = 10.0 ** draws.uniform(-6.0, -2.0, 64)
-near = big_sol.horocycle.theta + mags * draws.choice([-1.0, 1.0], 64)
-same = np.array_equal(size_profile(big[hull], near), size_profile(big, near))
-print(f"  perturbed profile over the kept points = over all points: {same}")
+# the diagnostic grid, evaluated over the kept points: the profile over
+# them must be the profile over all of them, bit for bit
+same = np.array_equal(big_sol.profile.values, size_profile(big, big_sol.profile.thetas))
+print(f"  profile over the kept points = over all points: {same}")
 print()
 if not len(hull) < len(big):
     raise SystemExit("the convex-hull filter kept every point of the large cloud")
 if not same:
-    raise SystemExit("the perturbed profile over the kept points differs from all points")
+    raise SystemExit("the profile over the kept points differs from all points")
 if big_report["certificate"] != "cone":
-    raise SystemExit(f"the large cloud was not certified exactly: {big_report}")
+    raise SystemExit(f"the large cloud was not certified by the disk cone: {big_report}")
+
+# the disk center inside the hull but not a point: a* > 2^(-1/2), the
+# grid path, and theta* a kink of the profile, where -u* lies strictly
+# inside the cone of the points active there
+inside = [[0.1, 0.1], [-0.2, 0.1], [0.0, -0.3]]
+inside_sol = solve_min_horocycle(inside)
+inside_report = verify_solution(inside, inside_sol)
+print("3 points around the disk center:")
+print(f"  theta* = {inside_sol.horocycle.theta:.9f} rad, a* = {inside_sol.horocycle.a:.12f}")
+print("  verification:", inside_report)
+print()
+if inside_report["certificate"] != "circle":
+    raise SystemExit(f"the set around the center was not certified a kink: {inside_report}")
 
 # the degenerate case: the disk center pins every profile value at 2^(-1/2)
 center_sol = solve_min_horocycle([[0.0, 0.0]])

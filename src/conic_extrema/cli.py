@@ -31,7 +31,7 @@ from .exparabola import Triangle, exparabolas
 from .horocycle import Horocycle, common_cover_unchecked, intersection_points
 from .maxparabola import MAX_STARTS, ConvexRegion, HalfPlane, solve_max_parabola
 from .minhorocycle import MAX_GRID, solve_min_horocycle
-from .verify import run_suite
+from .verify import COVER_KEYWORDS, run_suite
 
 
 def _numpy_default(obj):
@@ -180,7 +180,7 @@ def _run_verify(data, args):
     report = run_suite(
         name,
         seed=args.seed,
-        **{k: v for k, v in data.items() if k in ("cases", "samples", "a_range")},
+        **{k: v for k, v in data.items() if k in COVER_KEYWORDS},
     )
     return report, None
 

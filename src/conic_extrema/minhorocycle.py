@@ -49,16 +49,12 @@ vertices is the profile over all points.  The path test, the basis
 solve, the grid scan and the refine therefore run on the points an
 Akl-Toussaint extreme-point filter keeps, and their cost follows the
 number of extreme points, not n.  The solution names the kept points
-(``hull``), and both optimality checks of :func:`verify_solution` run
-on them: the exact certificate, that u* lies in the cone of the kept
-points active there (the KKT conditions of min F over the disk), and
-the sampled perturbations it falls back to when that fails, the center
-is in the kept points' hull and the solution is not flagged unique.
-The boundary ``support`` and its
-enclosure check use every input point.  Each profile value is computed
+(``hull``), and both optimality tests of :func:`verify_solution` run
+on them, while the boundary ``support`` and its enclosure check use
+every input point.  Each profile value is computed
 per point, so the kept points' values are the full computation's bit
 for bit, and a max over any subset can only be lower, with fewer active
-points: a wrong ``hull`` can only make either check stricter than over
+points: a wrong ``hull`` can only make either test stricter than over
 all points.
 
 A point with |x| + |y| <= CENTER_RADIUS (``_at_center``) has the
@@ -84,7 +80,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 UNIQUE_SIZE_MARGIN = 1e-9  # below 2^{-1/2} required to certify uniqueness
 UNIQUE_VALUE_TOL = 1e-7  # minima within this of the best are "ties"
-PERTURBATIONS = 64  # sampled angle perturbations of the local-optimality check
 ACTIVE_TOL = 1e-12  # relative: a point needing a*(1 - ACTIVE_TOL) or more is active
 CONE_TOL = 1e-12  # radians: how far u* may miss the cone of the active points
 CENTER_RADIUS = 2.0**-54  # |x| + |y| at most this: the kernel's term is the center's
@@ -460,17 +455,16 @@ def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
 
 def _cone_margin(active: np.ndarray, theta: float) -> float:
     """Signed angle from u = (cos theta, sin theta) to the edge of the
-    directions where the KKT conditions of min G over the disk hold with
-    ``active`` as the active points (see :func:`verify_solution`).
+    closed cone of the points ``active``; see :func:`verify_solution`.
 
-    Those are the directions in the closed cone of the points, or every
-    direction when 0 is in their convex hull: when a point is at the
-    center (``_at_center``) or when no open half-circle holds their
-    directions, and the margin is then pi.  Otherwise the cone is the
-    arc, of width below pi, left by the largest circular gap between the
-    points' angles measured from u, and the margin is positive when u
-    lies inside that arc, by its distance to the nearer end, and
-    negative, by the same distance, when it lies outside.  No point: -pi.
+    The cone holds every direction, and the margin is pi, when 0 is in
+    the points' convex hull: when a point is at the center
+    (``_at_center``) or when no open half-circle holds their directions.
+    Otherwise the cone is the arc, of width below pi, left by the largest
+    circular gap between the points' angles measured from u, and the
+    margin is positive when u lies inside that arc, by its distance to
+    the nearer end, and negative, by the same distance, when it lies
+    outside.  No point: -pi.
     """
     if not len(active):
         return -math.pi
@@ -495,37 +489,39 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     optimality, and, when the solution claims uniqueness, that a* lies
     below 2^{-1/2} - UNIQUE_SIZE_MARGIN.
 
-    Optimality is decided by an exact certificate where it holds.  G(u) =
-    max_i c_i - q_i.u is convex on the disk (module text), and at u* =
-    (cos theta*, sin theta*) its active points are the kept points that
-    need a*(1 - ACTIVE_TOL) or more.  When some nonnegative combination
-    of their q_i = p_i / w_i is mu u* with mu >= 0, the KKT conditions of
-    min G over |u| <= 1 hold: u* minimizes G over the disk, hence the
-    profile over the circle.  The q_i span the cone of the p_i, and a
-    point at the center gives q_i = 0, so this is the test that u* lies
-    within CONE_TOL radians of the closed cone of the active points, or
-    that 0 is in their hull (``_cone_margin``).  Where the center lies
-    outside the hull of the kept points (``_center_outside_hull``) the
-    minimizer is unique (module text), and under the size bound the
-    verified enclosure puts it there: so a solution flagged unique, or
-    one whose kept points' hull misses the center, passes exactly when
-    the certificate holds, and fails "local optimality" when it does
-    not.  Any other solution whose certificate does not hold (the grid
-    path: the center in the hull but not a point) is checked by
-    sampling: the profile under PERTURBATIONS angle perturbations drawn
-    from ``default_rng(0)`` must not fall below a* - 1e-12.
+    Optimality is decided exactly, to first order.  G(u) = max_i c_i -
+    q_i.u is convex on the disk (module text), and at u* = (cos theta*,
+    sin theta*) its active points are the kept points that need a*(1 -
+    ACTIVE_TOL) or more; their q_i = p_i / w_i span the cone of the p_i,
+    and a point at the center gives q_i = 0.  On the circle theta* is
+    critical when a nonnegative combination of the active q_i is mu u*,
+    for a mu of either sign, which ``_cone_margin`` tests:
 
-    Both checks run on the points ``sol.hull`` names, the hull superset
-    the solver ran on.  Their values are those of the same points among
-    all of them, bit for bit, so a max over them is at most the
-    all-points max, and fewer active points span a smaller cone: a wrong
-    ``hull`` can only make either check stricter.  A ``hull`` that is not
-    an index array fails.
+    - ``"cone"``, mu >= 0: u* lies within CONE_TOL radians of the cone of
+      the active points, or 0 is in their hull: the KKT conditions of min
+      G over |u| <= 1, so theta* is a global minimum.  A solution flagged
+      unique, or whose kept hull misses the center
+      (``_center_outside_hull``), has a unique minimizer (module text)
+      and must pass this test.
+    - ``"circle"``, mu < 0, for any other solution: -u* lies more than
+      CONE_TOL radians inside the cone, so the active slopes -q_i.u*'
+      have both signs and theta* is a kink, a strict local minimum (on
+      the cone's edge an active term is at its own maximum).  With the
+      center in the kept hull, G >= 1 on the circle (every direction has
+      a point with p.u <= 0), and a lone term's least value there,
+      (1 - |p|) / w, is below 1: every minimum is such a kink, or has
+      the center's term active, which the cone certifies.  The test is
+      local: it does not tell a global minimum from another one.
 
-    The report names the check that decided optimality, ``"cone"`` or
-    ``"perturbations"``, and its margin: the signed angle of
-    ``_cone_margin`` (at least -CONE_TOL), or the least perturbed profile
-    value minus a* (at least -1e-12).
+    A solution that fails its test fails "local optimality".  Both tests
+    run on the points ``sol.hull`` names, the hull superset the solver
+    ran on.  Their values are those of the same points among all of
+    them, bit for bit, so a max over them is at most the all-points max,
+    and fewer active points span a smaller cone: a wrong ``hull`` can
+    only make either test stricter.  A ``hull`` that is not an index
+    array fails.  The report names the deciding test and its margin, the
+    signed angle of ``_cone_margin``: at least -CONE_TOL at u*, above
+    CONE_TOL at -u*.
     """
     pts, terms = _point_set(points)
     a_star = sol.horocycle.a
@@ -546,8 +542,8 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
             f"uniqueness: a* = {a_star:.17g} is not below 2^(-1/2) - {UNIQUE_SIZE_MARGIN:g}"
         )
 
-    active = hull[needs[hull] >= a_star * (1.0 - ACTIVE_TOL)]
-    margin = _cone_margin(pts[active], th_star)
+    active = pts[hull[needs[hull] >= a_star * (1.0 - ACTIVE_TOL)]]
+    margin = _cone_margin(active, th_star)
     if margin >= -CONE_TOL:
         certificate = "cone"
     elif sol.unique or _center_outside_hull(pts[hull]):
@@ -555,14 +551,11 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
             f"local optimality: theta* misses the cone of the active points by {-margin:.3g} rad"
         )
     else:
-        certificate = "perturbations"
-        rng = np.random.default_rng(0)
-        mags = 10.0 ** rng.uniform(-6.0, -2.0, PERTURBATIONS)
-        signs = rng.choice([-1.0, 1.0], PERTURBATIONS)
-        vals = _profile_of(pts[hull])(th_star + mags * signs)
-        if np.any(vals < a_star - 1e-12):
-            raise VerificationFailure("local optimality: a nearby angle does better")
-        margin = float(vals.min()) - a_star
+        certificate, margin = "circle", _cone_margin(active, th_star + math.pi)
+        if not margin > CONE_TOL:
+            raise VerificationFailure(
+                f"local optimality: theta* is no kink: -u* lies {margin:.3g} rad inside the cone"
+            )
 
     return {
         "enclosure_margin": -worst,

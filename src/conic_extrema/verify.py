@@ -5,9 +5,9 @@ sampled set, and returns a plain dict report with a ``passed`` flag and
 violation counts.  Case seeds derive from the master seed, so reports
 are deterministic.  The dual-pencil suite builds each case's witness
 and sampled lines in one array pass of ``halfplane_violation`` on rows.
-Each pencil case stacks its two conics and their ``BLEND_GRID`` members,
-one ``pencil_blend`` call per member, and takes every quadratic form
-of the case in one product (``_forms``).
+Each pencil case stacks its two conics and their ``BLEND_GRID`` members
+in one broadcast (``_blend_stack``) and takes every quadratic form of
+the case in one product (``_forms``).
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from .projective import (
     HomPoint,
     dualize,
     normalize_interior,
-    pencil_blend,
 )
 
 BLEND_GRID = np.arange(0.1, 0.95, 0.1)
 MAX_CASES = 100_000  # cases per cover suite, checked before any work
+COVER_KEYWORDS = ("cases", "samples", "a_range")
+SUITE_KEYWORDS = {"pencil": (), "cover": COVER_KEYWORDS, "all": COVER_KEYWORDS}
 
 
 def run_parallel(fun, args_list):
@@ -52,8 +53,10 @@ def _forms(rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 def _blend_stack(c0: ConicMatrix, c1: ConicMatrix) -> np.ndarray:
     """c0, c1 and their ``BLEND_GRID`` members as one (2 + len(BLEND_GRID), 3, 3)
-    stack."""
-    return np.stack([c0.m, c1.m] + [pencil_blend(c0, c1, float(t)).m for t in BLEND_GRID])
+    stack, each member ``pencil_blend(c0, c1, t).m`` bit for bit; none is
+    zero, as both ends are negative at their common witness."""
+    t = BLEND_GRID[:, None, None]
+    return np.concatenate([[c0.m, c1.m], (1.0 - t) * c0.m + t * c1.m])
 
 
 def _pencil_report(suite: str, one, seeds: range) -> dict:
@@ -294,7 +297,12 @@ def cover_containment_suite(
 
 
 def run_suite(name: str, seed: int = 0, **kw) -> dict:
-    """Run one named suite (or 'all') and aggregate the reports."""
+    """Run one named suite (or 'all'); ValueError for a keyword not in its SUITE_KEYWORDS."""
+    if name not in SUITE_KEYWORDS:
+        raise ValueError(f"unknown suite: {name!r}")
+    extra = [key for key in kw if key not in SUITE_KEYWORDS[name]]
+    if extra:
+        raise ValueError(f"suite {name!r} takes no keyword {extra[0]!r}")
     if name == "pencil":
         reports = [
             pencil_interior_preservation(seed=seed),
@@ -309,12 +317,10 @@ def run_suite(name: str, seed: int = 0, **kw) -> dict:
             size_reduction_suite(seed=seed, cases=cases[0], a_range=a_range),
             cover_containment_suite(seed=seed, cases=cases[1], samples=samples, a_range=a_range),
         ]
-    elif name == "all":
+    else:
         reports = run_suite("pencil", seed)["reports"] + run_suite(
             "cover", seed, **kw
         )["reports"]
-    else:
-        raise ValueError(f"unknown suite: {name!r}")
     return {
         "suite": name,
         "reports": reports,

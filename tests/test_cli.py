@@ -382,6 +382,23 @@ class TestInputContract:
         err = strict_json(proc.stderr)
         assert err["error"] == "ValueError" and next(iter(extra)) in err["message"]
 
+    @pytest.mark.parametrize(
+        "payload", [{"suite": "pencil", "cases": -1}, {"suite": "pencil", "samples": 10}]
+    )
+    def test_keyword_the_suite_does_not_take_is_schema_error(self, tmp_path, payload):
+        # the pencil suite used to ignore both counts and exit 0
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(payload))
+        proc = run_cli_subprocess(
+            ["verify", "--input", str(inp), "--output", str(tmp_path / "o.json")], timeout=60
+        )
+        assert proc.returncode == 3
+        assert not (tmp_path / "o.json").exists()
+        assert_one_json_error_line(proc.stderr)
+        err = strict_json(proc.stderr)
+        key = next(k for k in payload if k != "suite")
+        assert err == {"error": "ValueError", "message": f"suite 'pencil' takes no keyword '{key}'"}
+
 
 # -- contract fuzz: any small payload exits 0..3 with clean stderr -------------
 

@@ -1,6 +1,7 @@
 """The library's own checks survive ``python -O``: no ``assert`` in src.
-Every name the benchmark tracer wraps still exists in the package, and
-every count argument follows the one count rule."""
+The min-horocycle module draws no random numbers, every name the
+benchmark tracer wraps still exists in the package, and every count
+argument follows the one count rule."""
 
 import ast
 import importlib
@@ -25,6 +26,20 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert SRC.is_dir() and not found, found
+
+
+def test_min_horocycle_draws_no_random_numbers():
+    # its solve and both optimality tests are exact: no sampled angle decides
+    tree = ast.parse((SRC / "minhorocycle.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert not names & {"random", "default_rng", "RandomState", "Generator"}
 
 
 def test_every_traced_name_resolves():

@@ -21,6 +21,7 @@ from conic_extrema import (
 from conic_extrema import minhorocycle as minhorocycle_module
 from conic_extrema.horocycle import INV_SQRT2, Horocycle, min_sizes_for_points
 from conic_extrema.minhorocycle import (
+    ACTIVE_TOL,
     CENTER_RADIUS,
     CONE_TOL,
     GOLDEN,
@@ -265,6 +266,11 @@ FAMILIES = [
 ]
 
 
+# the families whose sets may hold the centre in their hull without a point
+# there: the grid path, where the kink test decides what the cone does not
+IN_HULL_FAMILIES = ["random", "on-circle", "duplicate-heavy"]
+
+
 def _one_stage_hull_superset(pts):
     """The single-pass filter: the full polygon's depth test on every point.
 
@@ -288,8 +294,8 @@ def _one_stage_hull_superset(pts):
     return np.nonzero(depth.min(axis=0) <= margin)[0]
 
 
-def _perturbed_angles(theta):
-    """The angles ``verify_solution`` checks local optimality at, seed 0."""
+def _near_angles(theta):
+    """64 seeded angles 1e-6 to 1e-2 rad either side of ``theta``."""
     rng = np.random.default_rng(0)
     mags = 10.0 ** rng.uniform(-6.0, -2.0, 64)
     return theta + mags * rng.choice([-1.0, 1.0], 64)
@@ -342,8 +348,8 @@ class TestHullPrune:
         # several 720 x 20 000 temporaries
         full = np.concatenate([size_profile(pts, t) for t in np.split(sol.profile.thetas, 8)])
         assert np.array_equal(sol.profile.values, full)
-        # the perturbation check of verify_solution sees the same values
-        near = _perturbed_angles(sol.horocycle.theta)
+        # and so are the values near theta*
+        near = _near_angles(sol.horocycle.theta)
         assert np.array_equal(_profile_of(hull)(near), _profile_of(pts)(near))
         verify_solution(pts, sol)
 
@@ -787,13 +793,80 @@ class TestCertificate:
                     verify_solution(pts, dataclasses.replace(sol, horocycle=moved))
             checked += 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(IN_HULL_FAMILIES + ["near-collinear", "centre"]),
+        n=st.integers(3, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepts_every_solution_with_the_centre_in_the_hull(self, family, n, seed):
+        # without the centre among the points these take the grid path; the
+        # disk cone may still hold there (near-collinear sets mostly), and
+        # where it does not, theta* is a kink
+        pts = _point_family(family, np.random.default_rng(seed), n)
+        sol = solve_min_horocycle(pts)
+        if _center_outside_hull(pts[sol.hull]):
+            return
+        report = verify_solution(pts, sol)
+        if report["certificate"] == "cone":
+            assert report["certificate_margin"] >= -CONE_TOL
+        else:
+            assert report["certificate"] == "circle"
+            assert report["certificate_margin"] > CONE_TOL
+
+    @pytest.mark.parametrize("family", IN_HULL_FAMILIES)
+    def test_grid_path_angle_moved_by_1e_9_fails(self, family):
+        # the kink test is exact up to ACTIVE_TOL: only a move that raises
+        # a* by less may pass, and such moves are counted, not skipped
+        rng = np.random.default_rng(13)
+        checked, passed = 0, 0
+        while checked < 8:
+            pts = _point_family(family, rng, int(rng.choice([3, 30, 1000])))
+            sol = solve_min_horocycle(pts)
+            if verify_solution(pts, sol)["certificate"] != "circle":
+                continue
+            for theta in sol.horocycle.theta + np.array([1e-9, -1e-9]):
+                moved = Horocycle(theta=theta, a=size_profile(pts, theta))
+                try:
+                    verify_solution(pts, dataclasses.replace(sol, horocycle=moved))
+                except VerificationFailure as exc:
+                    assert str(exc).startswith("local optimality")
+                    continue
+                assert moved.a / sol.horocycle.a - 1.0 < ACTIVE_TOL
+                passed += 1
+            checked += 1
+        assert passed <= 2
+
+    @pytest.mark.parametrize("family", IN_HULL_FAMILIES)
+    def test_angle_at_a_profile_maximum_fails(self, family):
+        rng = np.random.default_rng(14)
+        checked, maxima = 0, 0
+        while checked < 6:
+            pts = _point_family(family, rng, int(rng.choice([3, 10, 30, 100])))
+            sol = solve_min_horocycle(pts)
+            if verify_solution(pts, sol)["certificate"] != "circle":
+                continue
+            # the grid's strict local maxima, refined as maxima
+            th, v = sol.profile.thetas, sol.profile.values
+            peaks = np.nonzero((v > np.roll(v, 1)) & (v > np.roll(v, -1)))[0]
+            step = th[1] - th[0]
+            profile = _profile_of(pts)
+            xs, _ = _golden_minimize(lambda t: -profile(t), th[peaks] - step, th[peaks] + step, 1e-12)
+            for theta in xs:
+                top = Horocycle(theta=theta % (2.0 * np.pi), a=size_profile(pts, theta))
+                with pytest.raises(VerificationFailure, match="local optimality"):
+                    verify_solution(pts, dataclasses.replace(sol, horocycle=top))
+            maxima += len(xs)
+            checked += 1
+        assert maxima >= checked
+
     @pytest.mark.parametrize(
         "pts, certificate",
         [
             ([[0.3, 0.2], [-0.1, 0.4], [0.2, 0.3]], "cone"),  # exact
             ([[0.0, 0.0], [0.3, 0.1], [0.1, 0.3]], "cone"),  # plateau
             (FALLBACK_SETS[0], "cone"),  # grid, a point at the centre
-            (FALLBACK_SETS[2], "perturbations"),  # grid, the centre inside the hull
+            (FALLBACK_SETS[2], "circle"),  # grid, the centre inside the hull
         ],
     )
     def test_report_names_the_deciding_check(self, pts, certificate):
@@ -802,8 +875,10 @@ class TestCertificate:
             "enclosure_margin", "certificate", "certificate_margin", "support", "unique"
         }
         assert report["certificate"] == certificate
-        floor = -CONE_TOL if certificate == "cone" else -1e-12
-        assert report["certificate_margin"] >= floor
+        if certificate == "cone":
+            assert report["certificate_margin"] >= -CONE_TOL
+        else:  # -u* strictly inside the cone of the active points
+            assert report["certificate_margin"] > CONE_TOL
         if pts[0] == [0.0, 0.0]:
             # an active point at the centre: every direction is certified
             assert report["certificate_margin"] == np.pi

@@ -1,6 +1,6 @@
 """The pencil suites: the dual suite's array-built lines and the primal
 suite's stacked forms against per-blend loops, a negated blend member,
-and the sample counts each suite rejects."""
+and the sample counts and keywords each suite rejects."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from conic_extrema import Parabola
 from conic_extrema import verify as verify_module
 from conic_extrema.maxparabola import halfplane_violation
 from conic_extrema.projective import (
-    ConicMatrix,
     HomPoint,
     dualize,
     normalize_interior,
@@ -140,18 +139,29 @@ def test_interior_reports_equal_loop_suite(seed):
     )
 
 
+def test_blend_stack_is_pencil_blend_bitwise(rng):
+    # one broadcast for the members: each is pencil_blend's matrix bit for bit
+    witness = HomPoint([1.0, 0.0, 0.0])
+    for _ in range(200):
+        c0, c1 = (normalize_interior(_random_ellipse_through_origin(rng), witness) for _ in range(2))
+        if rng.uniform() < 0.5:
+            c0, c1 = (normalize_interior(dualize(c), witness) for c in (c0, c1))
+        expect = [c0.m, c1.m] + [pencil_blend(c0, c1, float(t)).m for t in BLEND_GRID]
+        assert verify_module._blend_stack(c0, c1).tobytes() == np.stack(expect).tobytes()
+
+
 @pytest.mark.parametrize("member", [0, 4, len(BLEND_GRID) - 1])
 def test_negated_blend_member_fails_every_sample(monkeypatch, member):
-    # the member at one t has the wrong sign: each case's points (lines)
-    # all fail under it and under no other member, however the suite
-    # stacks its members
-    real = pencil_blend
+    # the member at one t has the wrong sign in the stack: each case's
+    # points (lines) all fail under it and under no other member
+    real = verify_module._blend_stack
 
-    def negate_one(c0, c1, t):
-        blend = real(c0, c1, t)
-        return ConicMatrix(-blend.m) if t == float(BLEND_GRID[member]) else blend
+    def negate_one(c0, c1):
+        stack = real(c0, c1).copy()
+        stack[2 + member] *= -1.0
+        return stack
 
-    monkeypatch.setattr(verify_module, "pencil_blend", negate_one)
+    monkeypatch.setattr(verify_module, "_blend_stack", negate_one)
     primal = pencil_interior_preservation(pairs=3, points_per_pair=50, seed=0)
     dual = dual_pencil_line_preservation(pairs=4, lines_per_pair=30, seed=0)
     assert (primal["violations"], primal["passed"]) == (3 * 50, False)
@@ -200,3 +210,27 @@ def test_empty_pencil_suite_rejected(suite, size, count):
     # a suite that checks nothing must not report that it passed
     with pytest.raises(ValueError, match=size):
         suite(**{size: count})
+
+
+@pytest.mark.parametrize(
+    "suite, keyword",
+    [("pencil", "cases"), ("pencil", "a_range"), ("cover", "sample"), ("all", "seeds")],
+)
+def test_run_suite_rejects_a_keyword_its_suite_does_not_take(monkeypatch, suite, keyword):
+    # "pencil" used to ignore every keyword, and "cover" a misspelt one;
+    # the check comes before any case runs
+    def ran(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in ("pencil_interior_preservation", "size_reduction_suite"):
+        monkeypatch.setattr(verify_module, name, ran)
+    with pytest.raises(ValueError, match=f"suite '{suite}' takes no keyword '{keyword}'"):
+        verify_module.run_suite(suite, **{keyword: 10**9})
+
+
+def test_run_suite_takes_the_cover_keywords():
+    kw = {"cases": 2, "samples": 50, "a_range": (0.1, 0.5)}
+    for suite in ("cover", "all"):
+        assert verify_module.run_suite(suite, **kw)["passed"]
+    with pytest.raises(ValueError, match="unknown suite: 'nope'"):
+        verify_module.run_suite("nope", cases=2)
