@@ -25,12 +25,19 @@ for r in results:
     print(f"  tangency point on side    = ({r.tangency[0]:+.6f}, {r.tangency[1]:+.6f})")
     print(f"  apex                      = ({r.parabola.apex[0]:+.6f}, {r.parabola.apex[1]:+.6f})")
     print()
+    # the frame is built here, on first read: it must map the tangency
+    # point to (lambda, 0) in the side's canonical frame
+    off = np.abs(r.frame.to_frame(r.tangency) - [r.lam, 0.0]).max()
+    if off > 1e-12 * triangle.diameter:
+        raise SystemExit(f"side {r.side}: the tangency point is {off:.3e} off (lambda, 0) in its frame")
 
 # the worked symmetric example: cubic lam^3 - 5 lam, in-interval root 0,
 # parameter exactly 2
 symmetric = Triangle([-1.0, 0.0], [1.0, 0.0], [0.0, 1.0])
 ab = next(r for r in exparabolas(symmetric) if r.side == "AB")
 print(f"symmetric triangle check: lambda = {ab.lam:.1e}, parameter = {ab.parabola.parameter}")
+if abs(ab.lam) > 1e-15 or abs(ab.parabola.parameter - 2.0) > 2e-15:
+    raise SystemExit("the symmetric triangle's AB exparabola is not lambda = 0, p = 2")
 
 os.makedirs(os.path.join(os.path.dirname(__file__), "output"), exist_ok=True)
 d = triangle.diameter

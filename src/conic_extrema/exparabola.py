@@ -23,16 +23,22 @@ side lines within that region.
 
 The solve path (``tangency_root``, then ``pencil_member`` in apex form)
 builds and recognizes no matrix, so results scale linearly with the
-triangle over the whole float range.  It runs on Python floats, from the
-vertex coordinates ``Triangle`` keeps through the frame, the cubic and its
-roots to the world apex, axis and tangency point (x = R^T (x_f - t));
-arrays are built only for the fields that callers read.
+triangle over the whole float range.  ``exparabolas`` runs it as one pass
+over Python floats per side, through the private helpers that
+``canonical_frame``, ``solve_cubic``, ``tangency_root`` and
+``pencil_member`` wrap: from the vertex coordinates ``Triangle`` keeps
+through the frame lengths and rigid motion, the cubic and its sorted
+roots to the world apex, axis and tangency point (x = R^T (x_f - t)).  It
+builds no ``CanonicalFrame``, 3x3 matrix or root array; its only arrays
+are the apex and the tangency point, and a result's frame is built when
+first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +63,7 @@ class Triangle:
     def __init__(self, A, B, C):
         xy = np.array((A, B, C), dtype=float).reshape(3, 2)
         xy.flags.writeable = False
-        # the six coordinates as Python floats, read by canonical_frame
+        # the six coordinates as Python floats, read by _frame_floats
         (ax, ay), (bx, by), (cx, cy) = coords = xy.tolist()
         if not all(map(math.isfinite, (ax, ay, bx, by, cx, cy))):
             raise ValueError("triangle vertices must be finite")
@@ -127,16 +133,12 @@ class CanonicalFrame:
         return max(abs(self.a1), abs(self.b1), self.c2)
 
 
-def canonical_frame(t: Triangle, side: str) -> CanonicalFrame:
-    """Canonical frame for one side of the triangle.
-
-    The frame is invariant under rigid motions of the input triangle: a
-    rotated or translated copy yields identical (a1, b1, c2).
-    """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}")
+def _frame_floats(xy, diameter: float, side: str):
+    """(a1, b1, c2, motion) of :func:`canonical_frame` from the vertex
+    floats ``xy``, with motion = (tx, r00, r01, ty, r10, r11) the lower two
+    rows of its ``world_to_frame`` matrix."""
     i, j, k = _SIDE_INDEX[side]
-    (pax, pay), (pbx, pby), (pcx, pcy) = t._xy[i], t._xy[j], t._xy[k]
+    (pax, pay), (pbx, pby), (pcx, pcy) = xy[i], xy[j], xy[k]
     ux, uy = pbx - pax, pby - pay
     un = math.hypot(ux, uy)
     ux, uy = ux / un, uy / un
@@ -148,16 +150,22 @@ def canonical_frame(t: Triangle, side: str) -> CanonicalFrame:
     a1 = (pax - fx) * ux + (pay - fy) * uy
     b1 = (pbx - fx) * ux + (pby - fy) * uy
     # area / diameter^2 from the frame lengths, free of under- and overflow
-    if 0.5 * (c2 / t.diameter) * ((b1 - a1) / t.diameter) < MIN_AREA_RATIO:
+    if 0.5 * (c2 / diameter) * ((b1 - a1) / diameter) < MIN_AREA_RATIO:
         raise DegenerateTriangle("triangle too flat for stable computation")
     # world -> frame: x_f = [u w]^T (x - foot)
-    h = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [-(ux * fx + uy * fy), ux, uy],
-            [-(wx * fx + wy * fy), wx, wy],
-        ]
-    )
+    return a1, b1, c2, (-(ux * fx + uy * fy), ux, uy, -(wx * fx + wy * fy), wx, wy)
+
+
+def canonical_frame(t: Triangle, side: str) -> CanonicalFrame:
+    """Canonical frame for one side of the triangle.
+
+    The frame is invariant under rigid motions of the input triangle: a
+    rotated or translated copy yields identical (a1, b1, c2).
+    """
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}")
+    a1, b1, c2, (tx, r00, r01, ty, r10, r11) = _frame_floats(t._xy, t.diameter, side)
+    h = np.array([[1.0, 0.0, 0.0], [tx, r00, r01], [ty, r10, r11]])
     return CanonicalFrame(a1=a1, b1=b1, c2=c2, world_to_frame=h)
 
 
@@ -248,6 +256,12 @@ def solve_cubic(coeffs) -> np.ndarray:
     not have three real roots within tolerance.
     """
     _, b, c, d = map(float, coeffs)
+    return np.array(_cubic_roots(b, c, d))
+
+
+def _cubic_roots(b: float, c: float, d: float) -> list:
+    """The roots of :func:`solve_cubic` for x^3 + b x^2 + c x + d, as a
+    sorted list of floats."""
     p = c - b * b / 3.0
     try:
         q = d - b * c / 3.0 + 2.0 * b**3 / 27.0
@@ -274,7 +288,8 @@ def solve_cubic(coeffs) -> np.ndarray:
         if abs(df) > 1e-300:
             x -= f / df
         roots.append(x)
-    return np.array(sorted(roots))
+    roots.sort()
+    return roots
 
 
 def tangency_root(frame: CanonicalFrame) -> float:
@@ -285,10 +300,15 @@ def tangency_root(frame: CanonicalFrame) -> float:
     lengths never underflow or overflow.  Raises NumericalRootFailure
     unless exactly one root lies in (a1, b1).
     """
-    k = math.frexp(frame.scale)[1]
-    a1, b1, c2 = math.ldexp(frame.a1, -k), math.ldexp(frame.b1, -k), math.ldexp(frame.c2, -k)
-    roots = solve_cubic(_tangency_coefficients(a1, b1, c2))
-    inside = [r for r in roots.tolist() if a1 < r < b1]
+    return _root_in_side(frame.a1, frame.b1, frame.c2)
+
+
+def _root_in_side(a1: float, b1: float, c2: float) -> float:
+    """:func:`tangency_root` of the frame (a1, b1, c2)."""
+    k = math.frexp(max(abs(a1), abs(b1), c2))[1]
+    a1, b1, c2 = math.ldexp(a1, -k), math.ldexp(b1, -k), math.ldexp(c2, -k)
+    _, b, c, d = _tangency_coefficients(a1, b1, c2)
+    inside = [r for r in _cubic_roots(b, c, d) if a1 < r < b1]
     if len(inside) != 1:
         raise NumericalRootFailure(f"expected one root in (a1, b1), found {len(inside)}")
     return math.ldexp(inside[0], k)
@@ -304,7 +324,13 @@ def pencil_member(frame: CanonicalFrame, lam: float) -> Parabola:
     X = p m / c2, through (lam, 0).  Raises SingularPencilMember unless
     a1 < lam < b1.
     """
-    a1, b1, c2 = frame.a1, frame.b1, frame.c2
+    motion = frame.world_to_frame[1:].ravel().tolist()  # (tx, r00, r01, ty, r10, r11)
+    return Parabola(*_member_floats(frame.a1, frame.b1, frame.c2, lam, motion))
+
+
+def _member_floats(a1: float, b1: float, c2: float, lam: float, motion) -> tuple:
+    """(apex, axis_angle, p) of :func:`pencil_member`, ``motion`` as
+    :func:`_frame_floats` returns it."""
     m = lam - a1 - b1
     r = math.hypot(m, c2)
     p = 2.0 * c2 * (c2 / r) * ((lam - a1) / r) * ((b1 - lam) / r)
@@ -314,22 +340,29 @@ def pencil_member(frame: CanonicalFrame, lam: float) -> Parabola:
     x = p * (m / c2)
     drop = 0.5 * x * (m / c2)  # X^2 / (2p) without squaring X
     # frame -> world: x = R^T (x_f - t) for world_to_frame [[1, 0], [t, R]]
-    _, (tx, r00, r01), (ty, r10, r11) = frame.world_to_frame.tolist()
+    tx, r00, r01, ty, r10, r11 = motion
     ax, ay = lam - x * uy - drop * ux - tx, x * ux - drop * uy - ty
     apex = (r00 * ax + r10 * ay, r01 * ax + r11 * ay)
-    return Parabola(apex, math.atan2(r01 * ux + r11 * uy, r00 * ux + r10 * uy), p)
+    return apex, math.atan2(r01 * ux + r11 * uy, r00 * ux + r10 * uy), p
 
 
 @dataclass(frozen=True)
 class ExparabolaResult:
-    """One exparabola: the side it touches internally and its data."""
+    """One exparabola: the side it touches internally and its data.
+
+    ``frame``, the side's canonical frame, is built on first read.
+    """
 
     opposite_vertex: str  # "A", "B" or "C"
     side: str  # the side whose negative half-plane contains the parabola
     lam: float  # tangency abscissa in the side's canonical frame
     parabola: Parabola  # in world coordinates
     tangency: np.ndarray  # tangency point with the side line, world coords
-    frame: CanonicalFrame
+    triangle: Triangle  # the triangle it belongs to
+
+    @cached_property
+    def frame(self) -> CanonicalFrame:
+        return canonical_frame(self.triangle, self.side)
 
 
 def exparabolas(t: Triangle) -> list[ExparabolaResult]:
@@ -340,15 +373,16 @@ def exparabolas(t: Triangle) -> list[ExparabolaResult]:
     half-plane of its side (and the positive half-planes of the other
     two).  The tangency abscissa is the unique cubic root in (a1, b1) of
     that side's canonical frame (``tangency_root``), and the parabola is
-    that pencil member in closed form (``pencil_member``).
+    that pencil member in closed form (``pencil_member``); both run here
+    on the frame's floats, without building the frame.
     """
     out = []
     for side in SIDES:
-        frame = canonical_frame(t, side)
-        lam = tangency_root(frame)
-        # R^T ((lam, 0) - t) from the scalar entries, as in pencil_member
-        _, (tx, r00, r01), (ty, r10, r11) = frame.world_to_frame.tolist()
+        a1, b1, c2, motion = _frame_floats(t._xy, t.diameter, side)
+        lam = _root_in_side(a1, b1, c2)
+        # R^T ((lam, 0) - t), as in _member_floats
+        tx, r00, r01, ty, r10, r11 = motion
         tangency = np.array([r00 * (lam - tx) - r10 * ty, r01 * (lam - tx) - r11 * ty])
-        para = pencil_member(frame, lam)
-        out.append(ExparabolaResult(OPPOSITE[side], side, lam, para, tangency, frame))
+        para = Parabola(*_member_floats(a1, b1, c2, lam, motion))
+        out.append(ExparabolaResult(OPPOSITE[side], side, lam, para, tangency, t))
     return out

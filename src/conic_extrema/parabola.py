@@ -43,13 +43,17 @@ class Parabola:
     parameter: float
 
     def __init__(self, apex, axis_angle: float, parameter: float):
-        apex = np.array(apex, dtype=float).reshape(2)
+        apex = np.array(apex, dtype=float)
+        if apex.shape != (2,):
+            apex = apex.reshape(2)
         axis_angle, parameter = float(axis_angle), float(parameter)
-        if not all(map(math.isfinite, (*apex.tolist(), axis_angle, parameter))):
+        x, y = apex.tolist()
+        isfinite = math.isfinite
+        if not (isfinite(x) and isfinite(y) and isfinite(axis_angle) and isfinite(parameter)):
             raise ValueError("parabola apex, axis angle and parameter must be finite")
         if not parameter > 0.0:
             raise NonpositiveParameter("parabola parameter must be positive")
-        apex.flags.writeable = False
+        apex.setflags(write=False)
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "axis_angle", axis_angle % (2.0 * np.pi))
         object.__setattr__(self, "parameter", parameter)

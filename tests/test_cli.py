@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conic_extrema import cli, horocycle, maxparabola, minhorocycle
+from conic_extrema import cli, horocycle, maxparabola, minhorocycle, verify
 from conic_extrema.cli import dumps_result, main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -383,10 +383,13 @@ class TestInputContract:
         assert err["error"] == "ValueError" and next(iter(extra)) in err["message"]
 
     @pytest.mark.parametrize(
-        "payload", [{"suite": "pencil", "cases": -1}, {"suite": "pencil", "samples": 10}]
+        "payload",
+        [{"suite": "pencil", "cases": -1}, {"suite": "pencil", "samples": 10},
+         {"suite": "cover", "cases": 2, "sample": 10}],
     )
     def test_keyword_the_suite_does_not_take_is_schema_error(self, tmp_path, payload):
-        # the pencil suite used to ignore both counts and exit 0
+        # the pencil suite used to ignore both counts and exit 0, and the CLI
+        # dropped the misspelt "sample" and ran 20000 samples per case
         inp = tmp_path / "in.json"
         inp.write_text(json.dumps(payload))
         proc = run_cli_subprocess(
@@ -396,8 +399,15 @@ class TestInputContract:
         assert not (tmp_path / "o.json").exists()
         assert_one_json_error_line(proc.stderr)
         err = strict_json(proc.stderr)
-        key = next(k for k in payload if k != "suite")
-        assert err == {"error": "ValueError", "message": f"suite 'pencil' takes no keyword '{key}'"}
+        name = payload["suite"]
+        key = next(k for k in payload if k != "suite" and k not in verify.SUITE_KEYWORDS[name])
+        assert err == {"error": "ValueError", "message": f"suite '{name}' takes no keyword '{key}'"}
+
+    def test_keys_the_suite_takes_reach_it(self, tmp_path, capsys):
+        payload = {"suite": "cover", "cases": 10, "samples": 2000}
+        code, out = run_cli(tmp_path, "verify", payload, "kept")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert out.read_text() == dumps_result(verify.run_suite("cover", seed=0, cases=10, samples=2000))
 
 
 # -- contract fuzz: any small payload exits 0..3 with clean stderr -------------

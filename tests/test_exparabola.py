@@ -28,7 +28,8 @@ from conic_extrema import (
     tangency_cubic,
     tangency_root,
 )
-from conic_extrema.exparabola import MIN_AREA_RATIO, CanonicalFrame
+from conic_extrema import exparabola
+from conic_extrema.exparabola import MIN_AREA_RATIO, CanonicalFrame, _cubic_roots
 from conic_extrema.maxparabola import halfplane_violation, triangle_region
 from conic_extrema.parabola import apex_form
 from conic_extrema.projective import adjugate, dualize
@@ -671,3 +672,91 @@ def test_solve_path_returns_python_floats():
         assert isinstance(roots, np.ndarray) and roots.shape == (3,)
         assert roots.tolist() == sorted(roots.tolist())
         assert roots[1] == 0.0 and roots[2] == pytest.approx(np.sqrt(5.0), rel=1e-15)
+
+
+# -- the float pass of exparabolas against the public functions ---------------
+
+
+def composed(t, side):
+    """One side's exparabola from the public functions, as float.hex:
+    lam, parameter, apex, axis angle and the tangency point R^T ((lam, 0) - t)."""
+    fr = canonical_frame(t, side)
+    lam = tangency_root(fr)
+    para = pencil_member(fr, lam)
+    _, (tx, r00, r01), (ty, r10, r11) = fr.world_to_frame.tolist()
+    tangency = (r00 * (lam - tx) - r10 * ty, r01 * (lam - tx) - r11 * ty)
+    got = (lam, para.parameter, *para.apex.tolist(), para.axis_angle, *tangency)
+    return [v.hex() for v in got]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # both paths must raise alike
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("k", [-300, -150, 0, 150, 300])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exparabolas_is_the_public_composition_bit_for_bit(k, seed):
+    # well-shaped and flat triangles (area/diameter^2 down to MIN_AREA_RATIO),
+    # sizes 1e-3..1e3, scaled by 10^k
+    rng = np.random.default_rng(seed)
+    batch = [random_triangle(rng) for _ in range(40)]
+    tris = [np.array([t.A, t.B, t.C]) for t in batch] + flat_triangles(40, seed=seed)
+    solved = 0
+    for tri in tris:
+        t = outcome(lambda: Triangle(*(tri * 10.0**k)))
+        if isinstance(t, tuple):
+            continue
+        want = outcome(lambda: [composed(t, side) for side in ("AB", "BC", "CA")])
+        got = outcome(lambda: [
+            [v.hex() for v in (r.lam, r.parabola.parameter, *r.parabola.apex.tolist(),
+                               r.parabola.axis_angle, *r.tangency.tolist())]
+            for r in exparabolas(t)
+        ])
+        assert got == want
+        solved += not isinstance(got, tuple)
+    assert solved >= 70
+
+
+def test_frame_is_built_on_first_read():
+    t = Triangle([0.3, -1.2], [2.5, 0.4], (-0.7, 1.9))
+    for r in exparabolas(t):
+        assert "frame" not in vars(r)
+        assert r.triangle is t
+        fr, want = r.frame, canonical_frame(t, r.side)
+        assert "frame" in vars(r) and r.frame is fr
+        assert (fr.a1, fr.b1, fr.c2) == (want.a1, want.b1, want.c2)
+        assert np.array_equal(fr.world_to_frame, want.world_to_frame)
+
+
+def test_too_flat_for_the_frame_raises_as_before():
+    # passes Triangle's 1e-9 flatness check, not MIN_AREA_RATIO
+    t = Triangle([0.0, 0.0], [1.0, 0.0], [0.5, 1e-7])
+    assert t.area / t.diameter**2 < MIN_AREA_RATIO
+    for call in (lambda: exparabolas(t), lambda: canonical_frame(t, "AB")):
+        with pytest.raises(DegenerateTriangle, match=r"^triangle too flat for stable computation$"):
+            call()
+
+
+def test_exparabolas_builds_no_frame_and_no_root_array(monkeypatch):
+    def builder(*args, **kwargs):
+        raise AssertionError("exparabolas built a frame or a root array")
+
+    monkeypatch.setattr(exparabola, "canonical_frame", builder)
+    monkeypatch.setattr(exparabola, "solve_cubic", builder)
+    res = {r.side: r for r in exparabolas(WORKED)}
+    assert res["AB"].lam == 0.0 and res["AB"].parabola.parameter == 2.0
+
+
+def test_solve_cubic_is_the_root_list(rng):
+    # the draws of test_solve_cubic_against_numpy and of the tangency cubics
+    draws = []
+    for _ in range(200):
+        r = np.sort(rng.uniform(-5, 5, 3))
+        draws.append([1.0, -r.sum(), r[0] * r[1] + r[0] * r[2] + r[1] * r[2], -r.prod()])
+    draws += [tangency_cubic(frame_of(*random_frame_params(rng))) for _ in range(200)]
+    for coeffs in draws:
+        want = outcome(lambda: solve_cubic(coeffs).tolist())
+        assert outcome(lambda: _cubic_roots(*map(float, coeffs[1:]))) == want

@@ -173,6 +173,32 @@ class TestApexForm:
         with pytest.raises(ValueError, match="finite"):
             Parabola(apex, angle, p)
 
+    def test_non_finite_checked_before_the_sign(self):
+        with pytest.raises(ValueError, match="finite"):
+            Parabola([np.nan, 0.0], 0.0, -1.0)
+        with pytest.raises(NonpositiveParameter):
+            Parabola([0.0, 0.0], 0.0, -0.0)
+
+    @pytest.mark.parametrize("apex", [[[0.5, -1.5]], np.array([[0.5], [-1.5]]), (0.5, -1.5)])
+    def test_apex_of_two_entries_accepted(self, apex):
+        para = Parabola(apex, 0.3, 2.0)
+        assert para.apex.shape == (2,) and para.apex.tolist() == [0.5, -1.5]
+
+    @pytest.mark.parametrize("apex", [[0.0, 1.0, 2.0], [0.5], [[0.0, 1.0], [2.0, 3.0]], 1.0])
+    def test_apex_of_other_sizes_rejected(self, apex):
+        with pytest.raises(ValueError):
+            Parabola(apex, 0.3, 2.0)
+
+    def test_apex_is_a_read_only_copy(self):
+        src = np.array([0.5, -1.5])
+        para = Parabola(src, 0.3, 2.0)
+        src[0] = 9.0
+        assert para.apex.tolist() == [0.5, -1.5] and src.flags.writeable
+        with pytest.raises(ValueError):
+            para.apex[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            para.parameter = 1.0
+
     @pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
     def test_conic_finite_and_exact_at_every_scale(self, s):
         # points of the curve, apex + X v + X^2 / (2p) u, lie on the matrix;
