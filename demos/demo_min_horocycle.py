@@ -3,10 +3,11 @@
 # For a fixed ideal angle theta the smallest enclosing size is a closed
 # form, so the solve is a 1-D minimization of the profile a(theta).
 # When the disk center lies outside the cloud's hull that minimum is
-# unique and found exactly by a small basis solve; a set containing the
-# disk center sits at the bound 2^(-1/2): the minimal ideal angles form an
-# arc, whose ends have a closed form, and infinitely many horocycles are
-# minimal.
+# unique and found exactly by a small basis solve.  Every other set is
+# solved by a sweep over the arcs of ideal angles at which each point
+# fits: the minimum is the least size at which they all meet.  A set
+# containing the disk center sits at the bound 2^(-1/2): the minimal
+# ideal angles form an arc, and infinitely many horocycles are minimal.
 
 import os
 
@@ -63,9 +64,9 @@ if not same:
 if big_report["certificate"] != "cone":
     raise SystemExit(f"the large cloud was not certified by the disk cone: {big_report}")
 
-# the disk center inside the hull but not a point: a* > 2^(-1/2), the
-# grid path, and theta* a kink of the profile, where -u* lies strictly
-# inside the cone of the points active there
+# the disk center inside the hull but not a point: a* > 2^(-1/2), and
+# the certificate is global: just below a*, the arcs of angles where no
+# point fits cover the whole circle
 inside = [[0.1, 0.1], [-0.2, 0.1], [0.0, -0.3]]
 inside_sol = solve_min_horocycle(inside)
 inside_report = verify_solution(inside, inside_sol)
@@ -73,8 +74,32 @@ print("3 points around the disk center:")
 print(f"  theta* = {inside_sol.horocycle.theta:.9f} rad, a* = {inside_sol.horocycle.a:.12f}")
 print("  verification:", inside_report)
 print()
-if inside_report["certificate"] != "circle":
-    raise SystemExit(f"the set around the center was not certified a kink: {inside_report}")
+if inside_report["certificate"] != "arcs":
+    raise SystemExit(f"the set around the center was not certified by the arcs: {inside_report}")
+
+# 20000 points on one circle about the center (the tests' on-circle set
+# of seed 0): the profile has a kink between every two neighbours, and
+# the global minimum lies opposite the widest gap between the points'
+# directions, which is the oracle
+ring_rng = np.random.default_rng(0)
+ring_rng.uniform(0.0, 2.0 * np.pi)  # the tests' family draws an unused angle first
+t = ring_rng.uniform(0.0, 2.0 * np.pi, 20_000)
+ring = ring_rng.uniform(0.05, 0.99) * np.stack([np.cos(t), np.sin(t)], axis=1)
+ring_sol = solve_min_horocycle(ring)
+ring_report = verify_solution(ring, ring_sol)
+phi = np.sort(np.arctan2(ring[:, 1], ring[:, 0]))
+gaps = np.diff(phi, append=phi[0] + 2.0 * np.pi)
+k = int(np.argmax(gaps))
+oracle = size_profile(ring, phi[k] + 0.5 * gaps[k] + np.pi)
+print(f"{len(ring)} points on one circle about the disk center:")
+print(f"  theta* = {ring_sol.horocycle.theta:.9f} rad, a* = {ring_sol.horocycle.a!r}")
+print(f"  opposite the widest gap: {oracle!r}, a* / oracle - 1 = {ring_sol.horocycle.a / oracle - 1:.1e}")
+print(f"  certificate: {ring_report['certificate']}")
+print()
+if not abs(ring_sol.horocycle.a / oracle - 1.0) <= 1e-15:
+    raise SystemExit(f"ring: a* = {ring_sol.horocycle.a!r}, the widest-gap oracle {oracle!r}")
+if ring_report["certificate"] != "arcs":
+    raise SystemExit(f"the ring was not certified by the arcs: {ring_report}")
 
 # the degenerate case: the disk center pins every profile value at 2^(-1/2)
 center_sol = solve_min_horocycle([[0.0, 0.0]])
@@ -88,7 +113,7 @@ if center_sol.horocycle.a != 2**-0.5:
 
 # the center plus 999 points inside the horocycle of size 2^(-1/2) at
 # angle phi, shrunk about its own center: a whole arc of angles is minimal,
-# and the solver returns its ends, solved in closed form
+# the arcs' meet at size 2^(-1/2), and the solver returns its ends
 phi = 0.8
 u, v = np.array([np.cos(phi), np.sin(phi)]), np.array([-np.sin(phi), np.cos(phi)])
 rho, ang = np.sqrt(rng.uniform(0.0, 1.0, 999)), rng.uniform(0.0, 2.0 * np.pi, 999)

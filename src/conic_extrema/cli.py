@@ -10,6 +10,12 @@ Inputs and outputs are UTF-8 JSON; points are [x, y] pairs, triangles
 deterministic for a fixed input and seed, and every float is printed in
 shortest round-trip form, so reruns are byte-identical.
 
+Each command reads only the keys shown in the README's table, and a
+triangle or half-plane object only its own; any other key is a parse
+error, and so is an ``a`` or ``omega`` of lemma-shrink that is not a
+JSON number.  verify takes "suite" and the keywords that suite takes
+(``verify.SUITE_KEYWORDS``); its seed comes from --seed.
+
 Exit codes: 0 success, 1 domain error (degenerate or incompatible
 geometry), 2 verification failure, 3 I/O or parse error, including a
 --seed, --grid or --starts that is no count in its range.  Error
@@ -31,7 +37,7 @@ from .exparabola import Triangle, exparabolas
 from .horocycle import Horocycle, common_cover_unchecked, intersection_points
 from .maxparabola import MAX_STARTS, ConvexRegion, HalfPlane, solve_max_parabola
 from .minhorocycle import MAX_GRID, solve_min_horocycle
-from .verify import run_suite
+from .verify import SUITE_KEYWORDS, run_suite
 
 
 def _numpy_default(obj):
@@ -64,8 +70,28 @@ def _viewbox(points, pad: float = 1.0):
 # -- command implementations ---------------------------------------------------
 
 
+def _only(obj, keys, what: str):
+    """``obj`` if it is a JSON object with no key outside ``keys``;
+    ValueError naming ``what`` and the first other key otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    extra = [k for k in obj if k not in keys]
+    if extra:
+        raise ValueError(f"{what} takes no keyword {extra[0]!r}")
+    return obj
+
+
+def _number(data, key: str) -> float:
+    """``data[key]`` as a float, if it is a JSON number; ValueError otherwise."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a JSON number")
+    return float(value)
+
+
 def _run_exparabola(data, args):
-    tri = data["triangle"]
+    tri = _only(data, ("triangle",), "exparabola input")["triangle"]
+    tri = _only(tri, ("A", "B", "C"), "triangle")
     t = Triangle(tri["A"], tri["B"], tri["C"])
     results = exparabolas(t)
     out = {
@@ -101,7 +127,9 @@ def _run_exparabola(data, args):
 
 
 def _run_max_parabola(data, args):
-    hps = [HalfPlane(h["normal"], h["offset"]) for h in data["halfplanes"]]
+    rows = _only(data, ("halfplanes",), "max-parabola input")["halfplanes"]
+    hps = [_only(h, ("normal", "offset"), "half-plane") for h in rows]
+    hps = [HalfPlane(h["normal"], h["offset"]) for h in hps]
     region = ConvexRegion(hps)
     sol = solve_max_parabola(region, starts=args.starts, seed=args.seed)
     out = {
@@ -125,8 +153,8 @@ def _run_max_parabola(data, args):
 
 
 def _run_lemma_shrink(data, args):
-    a = float(data["a"])
-    omega = float(data["omega"])
+    _only(data, ("a", "omega"), "lemma-shrink input")
+    a, omega = _number(data, "a"), _number(data, "omega")
     lower, upper = intersection_points(a, omega)
     cover = common_cover_unchecked(a, omega)
     out = {
@@ -155,7 +183,7 @@ def _run_lemma_shrink(data, args):
 
 
 def _run_min_horocycle(data, args):
-    pts = np.asarray(data["points"], float)
+    pts = np.asarray(_only(data, ("points",), "min-horocycle input")["points"], float)
     sol = solve_min_horocycle(pts, grid=args.grid)
     out = {
         "theta": sol.horocycle.theta,
@@ -177,7 +205,8 @@ def _run_min_horocycle(data, args):
 
 def _run_verify(data, args):
     name = data.get("suite", "all")
-    # every other key goes to run_suite, which rejects one its suite does not take
+    if name in SUITE_KEYWORDS:  # else run_suite names the unknown suite
+        _only(data, ("suite", *SUITE_KEYWORDS[name]), f"suite {name!r}")
     report = run_suite(name, seed=args.seed, **{k: v for k, v in data.items() if k != "suite"})
     return report, None
 

@@ -11,55 +11,41 @@ circle.  Rearranged, a^2 / (1 - a^2) = max_i t_i(u)^2 with the affine
 t_i(u) = c_i - q_i.u, c_i = 1 / w_i, q_i = p_i / w_i.  Every point must
 be valid (w_i^2 > 0, see ``horocycle``); ``as_point_set`` checks them.
 
-Which sets take which path:
+Two exact paths:
 
-- The disk center strictly outside the hull (no point at the center,
-  see the last paragraph, and the points' directions inside an open
-  half-circle): then some v has q_i.v > 0 for every i, so the convex
-  F(u) = max_i t_i(u) has no minimum inside the disk, its minimum over
-  the disk lies on the circle and is unique.  The solver finds it
-  exactly, as an LP-type problem whose optimum at most two constraints
-  fix (``_exact_minimizer``), whatever the size.
-- The center in the hull or on its boundary: every direction has a
-  point with p_i.u <= 0, so a* >= 2^{-1/2}.  Of these, a set holding
-  the center itself is solved in closed form: the center's size is 2^{-1/2}
-  at every angle, and a point p with w = sqrt(1 - |p|^2) fits in the
-  horocycle of that size at angle theta exactly when
-  cos(theta - phi) >= |p| / (1 + w), phi being p's own angle.  Each such
-  set of angles is an arc of half-width below pi/2, so the arcs meet in
-  one arc or not at all, and one pass over the kept points finds it
-  (``_plateau``).  When they meet, a* = 2^{-1/2} and every angle of the
-  arc is a minimizer: the solver returns the arc's midpoint, or
-  theta* = 0 when every point is at the center.  (A center the hull
-  filter drops lies strictly inside the hull, where a* > 2^{-1/2}.)
-- The grid path takes the rest: the center in the hull but not among
-  the points, arcs that do not meet, a basis solve that has not
-  converged after EXACT_PASSES passes, and a plateau midpoint where the
-  profile is not exactly 2^{-1/2}.  The solver scans a dense theta
-  grid, refines every bracketed local minimum by golden-section search,
-  and returns the global minimum.
+- The disk center strictly outside the hull (no point at the center and
+  the points' directions inside an open half-circle): then some v has
+  q_i.v > 0 for every i, so the convex F(u) = max_i t_i(u) has no
+  minimum inside the disk; its minimum over the disk lies on the circle
+  and is unique.  The basis solve finds it as an LP-type problem whose
+  optimum at most two constraints fix (``_exact_minimizer``).
+- Every other set, and a basis solve that has not converged after
+  EXACT_PASSES passes: the level sweep (``_Arcs``).  On the circle
+  t_i = c_i - r_i cos(theta - phi_i), r_i = |q_i| and phi_i the angle of
+  p_i, so at level t each point fits on one arc of angles, and min F is
+  the least level at which all the arcs meet (``_arc_minimum``).  With
+  the center in the hull, every direction has a point with p_i.u <= 0,
+  so a* >= 2^{-1/2}: at that size the center fits everywhere and another
+  point on an arc of half-width below pi/2, so arcs of a set holding the
+  center meet in one arc, all of it minimal, or not at all.  (A center
+  the hull filter drops lies strictly inside, where a* > 2^{-1/2}.)
 
 So a* < 2^{-1/2} puts the center outside the hull, where the minimizer
 is unique: that bound alone is the ``unique`` flag, on every path.
 
 Every horocycle interior is a Euclidean ellipse interior, hence convex,
-so a horocycle encloses the set exactly when it encloses the set's
-convex-hull vertices, and the profile over any superset of those
-vertices is the profile over all points.  The path test, the basis
-solve, the grid scan and the refine therefore run on the points an
-Akl-Toussaint extreme-point filter keeps, and their cost follows the
-number of extreme points, not n.  The solution names the kept points
-(``hull``), and both optimality tests of :func:`verify_solution` run
-on them, while the boundary ``support`` and its enclosure check use
-every input point.  Each profile value is computed
-per point, so the kept points' values are the full computation's bit
-for bit, and a max over any subset can only be lower, with fewer active
-points: a wrong ``hull`` can only make either test stricter than over
-all points.
+so the profile over any superset of the convex-hull vertices is the
+profile over all points.  The path test, both solves and both optimality
+tests of :func:`verify_solution` run on the points an Akl-Toussaint
+extreme-point filter keeps (``hull``); the boundary ``support`` and its
+enclosure check use every point.  Each profile value is computed per
+point, so the kept points' values are the full computation's bit for
+bit, and a max over a subset can only be lower: a wrong ``hull`` can
+only make either test stricter.
 
 A point with |x| + |y| <= CENTER_RADIUS (``_at_center``) has the
 center's profile term exactly, 2^{-1/2} at every angle, so the path
-test, the plateau and the certificate all count it as the center.
+test, the sweep and the certificates all count it as the center.
 """
 
 from __future__ import annotations
@@ -88,10 +74,10 @@ PRUNE_DIRECTIONS = 64  # extreme-point directions of the hull prefilter
 PRUNE_MARGIN = 1e-12  # relative depth inside the polygon a dropped point needs
 
 PROFILE_BLOCK = 1 << 15  # angle x point elements per block of the profile kernel
-REFINE_TOL = 1e-12  # radians: golden-section refine stops below this bracket width
 MAX_GRID = 100_000  # profile angles per solve, checked before any work
+START_ANGLES = 8  # evenly spaced angles the level sweep descends from
 
-EXACT_PASSES = 32  # most-violated passes of the exact solve before the grid takes over
+EXACT_PASSES = 32  # most-violated passes of the exact solve before the sweep takes over
 EXACT_TOL = 1e-14  # violation, relative to c_i + |q_i|_1, the exact solve leaves alone
 
 
@@ -109,16 +95,13 @@ def as_point_set(points) -> np.ndarray:
 
 
 def _sizes_at(theta: float, terms) -> np.ndarray:
-    """Every point's minimal size at one angle: ``min_sizes_for_points``'s
-    row, bit for bit, on terms already checked."""
+    """``min_sizes_for_points``'s row at one angle, bit for bit, on checked terms."""
     return np.sqrt(_squared_sizes(np.array([theta], dtype=float), terms)[0])
 
 
 def size_profile(points, theta) -> float | np.ndarray:
-    """Smallest enclosing size with the ideal point fixed at angle theta.
-
-    Raises ValueError for a non-finite angle, as for invalid points.
-    """
+    """Smallest enclosing size with the ideal point fixed at angle theta;
+    ValueError for a non-finite angle, as for invalid points."""
     pts = as_point_set(points)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.all(np.isfinite(thetas)):
@@ -131,7 +114,7 @@ def size_profile(points, theta) -> float | np.ndarray:
 class ProfileDiagnostics:
     thetas: np.ndarray
     # [theta*] if exact; the plateau's two ends (or [0.0] when every point
-    # is at the center); else the refined minimizers near the best value
+    # is at the center); else theta* and the other gaps' best points
     tied_minimizers: np.ndarray
     points: np.ndarray = field(repr=False)  # the kept points the solve ran on
 
@@ -152,13 +135,10 @@ class MinHorocycleSolution:
 
 def _profile_of(pts: np.ndarray):
     """The profile of ``pts`` as a function of an angle array:
-    ``min_sizes_for_points(thetas, pts).max(axis=1)``, bit for bit.
-
-    Forms the kernel's per-point terms once.  Each call takes the max of
-    ``_squared_sizes`` over the points and one sqrt after it (monotone
-    and correctly rounded), in blocks of whole angle rows of about
-    PROFILE_BLOCK elements, so the block temporaries stay in cache.
-    """
+    ``min_sizes_for_points(thetas, pts).max(axis=1)``, bit for bit.  Each
+    call takes the max of ``_squared_sizes`` over the points and one sqrt
+    after it (monotone, correctly rounded), in blocks of whole angle rows
+    of about PROFILE_BLOCK elements, so the temporaries stay in cache."""
     terms = _point_terms(pts)
     rows = -(-PROFILE_BLOCK // len(pts))
 
@@ -176,13 +156,12 @@ def _golden_minimize(fun, lo: np.ndarray, hi: np.ndarray, tol: float):
     """Golden-section minima of ``fun`` on every bracket [lo[k], hi[k]].
 
     The brackets are refined in lockstep: ``fun`` maps an array of angles
-    to their profile values, and each step makes one call for the new
-    probes of all brackets still wider than ``tol``.  Each bracket takes
-    exactly the steps of its own scalar golden-section search, so its
-    minimum does not depend on the other brackets.  A bracket also stops
-    when a step no longer narrows it, which only happens once ``tol`` is
-    below the spacing of floats near the bracket.  Returns the midpoints
-    of the final brackets and their values, as lists.
+    to their values, one call per step for the new probes of all brackets
+    wider than ``tol``.  Each bracket takes exactly the steps of its own
+    scalar search, so its minimum does not depend on the others; it also
+    stops when a step no longer narrows it, once ``tol`` is below the
+    float spacing there.  Returns the final brackets' midpoints and their
+    values, as lists.  No solve calls it.
     """
     g = GOLDEN
     # one [lo, hi, x1, x2, f1, f2] list of Python floats per bracket
@@ -217,16 +196,13 @@ def _hull_superset(pts: np.ndarray) -> np.ndarray:
     """Sorted indices of a superset of the convex-hull vertices of ``pts``.
 
     Akl-Toussaint filter: the extreme points in PRUNE_DIRECTIONS evenly
-    spaced directions, taken in direction order, form a convex polygon in
-    counter-clockwise order whose vertices are hull points.  Only points
-    strictly inside every edge, by far more than rounding, are dropped;
-    such a point lies inside the hull and is never one of its vertices.
-
-    Two stages keep every temporary small: the octagon of extreme points
-    in every eighth direction first drops the deep interior, then the
-    full polygon is built and tested on the survivors alone.  A dropped
-    point is no extreme point, and the octagon lies inside the polygon,
-    so the result is the index set the polygon test gives on all points.
+    spaced directions form a convex polygon of hull points, in
+    counter-clockwise order.  Only points deep inside every edge, by far
+    more than rounding, are dropped; they are no hull vertices.  Two
+    stages keep every temporary small: the octagon of every eighth
+    direction first drops the deep interior, then the full polygon tests
+    the survivors.  The octagon lies inside the polygon, so the result is
+    the polygon test's on all points.
     """
     n = len(pts)
     if n <= PRUNE_DIRECTIONS:
@@ -240,13 +216,10 @@ def _hull_superset(pts: np.ndarray) -> np.ndarray:
 
 def _not_deep_inside(pts: np.ndarray, dirs: np.ndarray, margin: float) -> np.ndarray:
     """Mask of the points at most ``margin`` inside the polygon of the
-    extreme points of ``pts`` in the unit directions ``dirs``, taken in
-    counter-clockwise order; all points when the polygon is degenerate.
-
-    Two copies of one point can each win a direction, since the matrix
-    product rounds a column by where it sits in the array; the polygon
-    merges them by coordinates, so which copy wins changes nothing.
-    """
+    extreme points of ``pts`` in the unit directions ``dirs`` (counter-
+    clockwise); all points when the polygon is degenerate.  Two copies of
+    one point can each win a direction (the matrix product rounds a column
+    by its place); the polygon merges them by coordinates."""
     poly = pts[(dirs @ pts.T).argmax(axis=1)]
     poly = poly[(poly != np.roll(poly, 1, axis=0)).any(axis=1)]
     if len(poly) < 3:
@@ -268,25 +241,18 @@ def _at_center(pts: np.ndarray) -> np.ndarray:
 
 
 def _center_outside_hull(pts: np.ndarray) -> bool:
-    """Whether the disk center lies strictly outside the hull of ``pts``.
-
-    It does when no point is at the center (``_at_center``) and the
-    points' directions fit in an open half-circle: the largest circular
-    gap between their angles exceeds pi by more than rounding, the test
-    ``maxparabola._feasible_direction_arc`` runs on normals.
-    """
+    """Whether the disk center lies strictly outside the hull of ``pts``:
+    no point at the center (``_at_center``), and the points' directions
+    in an open half-circle, by the test that
+    ``maxparabola._feasible_direction_arc`` runs on normals."""
     return not _at_center(pts).any() and _feasible_direction_arc(pts) is not None
 
 
 def _circle_optimum(c: list, q: list, basis: tuple):
-    """Minimum of max_{i in basis} c_i - q_i.u over the unit circle.
-
-    On the circle each term is c_i - |q_i| cos(theta - phi_i), so the
-    envelope of at most three of them is least at a term's own optimum
-    q_i / |q_i| or where two terms cross: on the circle's meeting points
-    with the line (q_i - q_j).u = c_i - c_j.  Returns the best candidate
-    u and the one or two constraints that define it.
-    """
+    """Minimum of max_{i in basis} c_i - q_i.u over the unit circle: at a
+    term's own optimum q_i / |q_i|, or where two terms cross, on the line
+    (q_i - q_j).u = c_i - c_j.  Returns the best candidate u and the one
+    or two constraints that define it."""
     cands = []
     for i in basis:
         r = math.hypot(*q[i])
@@ -310,16 +276,14 @@ def _circle_optimum(c: list, q: list, basis: tuple):
 
 def _exact_minimizer(pts: np.ndarray) -> float | None:
     """Angle of the unique minimizer of F(u) = max_i c_i - q_i.u on the
-    circle, for points whose hull misses the center (see the module text).
+    circle, for points whose hull misses the center (module text).
 
     The basis starts at the point nearest the center, whose own optimum
-    c_i - |q_i| is the largest.  Each pass finds the most violated
-    constraint in one array pass and re-solves it with the basis in
-    closed form.  The solve stops when no t_i exceeds F by more than
-    EXACT_TOL (c_i + |q_i|_1), or when the violator is already in the
-    basis: the basis is tight at u, so only rounding is left there, and
-    re-solving could cycle.  Returns None after EXACT_PASSES passes
-    without convergence.
+    c_i - |q_i| is the largest.  Each pass re-solves the basis and the
+    most violated constraint in closed form.  The solve stops when no t_i
+    exceeds F by more than EXACT_TOL (c_i + |q_i|_1), or when the violator
+    is in the basis (only rounding is left, and re-solving could cycle).
+    Returns None after EXACT_PASSES passes without convergence.
     """
     w = np.sqrt(_point_terms(pts)[2])
     c = 1.0 / w
@@ -337,119 +301,165 @@ def _exact_minimizer(pts: np.ndarray) -> float | None:
     return None
 
 
-def _plateau(pts: np.ndarray):
-    """theta* and the ends of the arc of angles where every point of
-    ``pts`` fits in the horocycle of size 2^{-1/2} (see the module text),
-    mod 2 pi; (0.0, [0.0]) when every point is at the center
-    (``_at_center``), None when the arcs do not meet.
-
-    Each point off the center gives the arc phi +- arccos(|p| / (1 + w))
-    of half-width below pi/2, so the meet, if any, lies in the first
-    arc.  Measured from that arc's center, every other arc is the one
-    interval [d - h, d + h] with d in [-pi, pi]: its copies 2 pi away lie
-    beyond +- pi/2.  The meet is the largest lower end to the smallest
-    upper end, and theta* its midpoint.
-    """
-    off = pts[~_at_center(pts)]
-    if not len(off):
-        return 0.0, np.array([0.0])
-    x, y, w2 = _point_terms(off)
-    phi = np.arctan2(y, x)
-    half = np.arccos(np.hypot(x, y) / (1.0 + np.sqrt(w2)))
-    d = (phi - phi[0] + np.pi) % (2.0 * np.pi) - np.pi
-    lo, hi = float((d - half).max()), float((d + half).min())
-    if lo > hi:
-        return None
-    phi0, tau = float(phi[0]), 2.0 * np.pi
-    return (phi0 + 0.5 * (lo + hi)) % tau, np.array([(phi0 + lo) % tau, (phi0 + hi) % tau])
+def _level(a: float) -> float:
+    """The level t = a / sqrt(1 - a^2) of size a, from (1 - a)(1 + a)."""
+    return a / math.sqrt((1.0 - a) * (1.0 + a)) if a < 1.0 else math.inf
 
 
-def _closed_form(hull: np.ndarray, profile):
-    """(a*, theta*, tied minimizers) of a set solved without the grid, or
-    None: the exact solve when the center lies outside the hull, the
-    plateau when a kept point is at the center (``_at_center``) and the
-    profile at theta* is exactly 2^{-1/2}.  a* is the profile's own value
-    at theta*."""
-    if _center_outside_hull(hull):
-        th = _exact_minimizer(hull)
-        return None if th is None else (float(profile(np.array([th]))[0]), th, np.array([th]))
-    found = _plateau(hull) if _at_center(hull).any() else None
-    if found is None:
-        return None
-    a = float(profile(np.array([found[0]]))[0])
-    return (a, *found) if a == INV_SQRT2 else None
+class _Arcs:
+    """The points' arcs of fitting angles.  At level t the point i off the
+    center fits at |theta - phi_i| <= arccos(rho_i), rho_i = (c_i - t) /
+    r_i = |p_i| / (1 + w_i) + (1 - t) w_i / |p_i| (without cancellation);
+    a center point fits everywhere exactly when t >= 1.  Angles are d_i in
+    [-pi, pi) from ``ref`` = phi_0, so one point must be off the center."""
+
+    def __init__(self, pts: np.ndarray):
+        at = _at_center(pts)
+        self.center = bool(at.any())
+        x, y, w2 = _point_terms(pts[~at])
+        r, w = np.hypot(x, y), np.sqrt(w2)
+        self.phi = np.arctan2(y, x)
+        self.ref = float(self.phi[0])
+        self.d = (self.phi - self.ref + np.pi) % (2.0 * np.pi) - np.pi
+        self.alpha, self.beta, self.c = r / (1.0 + w), w / r, 1.0 / w
+        self.qx, self.qy = x * self.c, y * self.c
+
+    def sweep(self, t: float):
+        """The gaps at level t, where every point fits: their ends lo < hi
+        from ``ref``, the points whose arcs bound them on the left and the
+        right, and the least overlap of consecutive arcs where a point does
+        not fit (below 0 with a gap, pi when one point fits nowhere).  Those
+        arcs, d_i + h_i to d_i - h_i + 2 pi, are sorted by start and swept
+        over two laps with a running max of their ends: on the second lap
+        every arc starting before an angle has been seen."""
+        rho = self.alpha + (1.0 - t) * self.beta
+        if (self.center and t < 1.0) or (rho > 1.0).any():
+            return (np.empty(0, dtype=int),) * 4 + (math.pi,)
+        h = np.arccos(np.maximum(rho, -1.0))
+        start = (self.d + h) % (2.0 * np.pi)
+        order = np.argsort(start)
+        m = len(order)
+        s = np.concatenate([start[order], start[order] + 2.0 * np.pi])
+        e = s + np.tile(2.0 * np.pi - 2.0 * h[order], 2)
+        reach = np.maximum.accumulate(e)
+        last = np.maximum.accumulate(np.where(e == reach, np.arange(2 * m), 0))
+        overlap = reach[m - 1 : -1] - s[m:]
+        k = np.nonzero(overlap < 0.0)[0] + m - 1
+        return reach[k], s[k + 1], order[last[k] % m], order[(k + 1) % m], float(overlap.min())
+
+    def candidates(self, lo, hi, i, j):
+        """Two angles per gap, and max(t_i, t_j) there, below F, for its
+        bounding points i and j.  t_i - t_j changes sign across the gap, so
+        first their crossing nearest its midpoint (``_circle_optimum``'s
+        formula), or i's own optimum if none, as when i bounds both ends;
+        then the midpoint."""
+        mid = self.ref + 0.5 * (lo + hi)
+        ex, ey = self.qx[i] - self.qx[j], self.qy[i] - self.qy[j]
+        e, d2 = self.c[i] - self.c[j], ex * ex + ey * ey
+        g = np.sqrt(np.maximum(d2 - e * e, 0.0))
+        one, two = (np.arctan2(e * ey + sg * ex, e * ex - sg * ey) for sg in (g, -g))
+        near = np.where(np.cos(one - mid) >= np.cos(two - mid), one, two)
+        cands = np.concatenate([np.where(d2 > e * e, near, self.phi[i]), mid])
+        i, j = np.tile(i, 2), np.tile(j, 2)
+        ux, uy = np.cos(cands), np.sin(cands)
+        t_i = self.c[i] - self.qx[i] * ux - self.qy[i] * uy
+        return cands, np.maximum(t_i, self.c[j] - self.qx[j] * ux - self.qy[j] * uy)
+
+
+def _least(profile, cands: np.ndarray, bounds: np.ndarray):
+    """The least profile value at ``cands`` and its angle, (inf, None) for
+    none: evaluated in chunks of START_ANGLES, doubling, in rising order of
+    the levels ``bounds`` below F there, until no bound left is below the
+    best level (less ACTIVE_TOL of it, for rounding)."""
+    order = np.argsort(bounds, kind="stable")
+    best, at, k, size = math.inf, None, 0, START_ANGLES
+    while k < len(order) and bounds[order[k]] < _level(best) * (1.0 - ACTIVE_TOL):
+        chunk = order[k : k + size]
+        vals = profile(cands[chunk])
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, at = float(vals[j]), float(cands[chunk[j]])
+        k, size = k + size, 2 * size
+    return best, at
+
+
+def _arc_minimum(hull: np.ndarray, profile):
+    """(a*, theta*, tied minimizers) by the level sweep (see the solver).
+    From the best of START_ANGLES angles, each round sweeps at its level,
+    and the best candidate of all gaps sets the next while it is lower."""
+    if _at_center(hull).all():
+        return float(profile(np.zeros(1))[0]), 0.0, np.array([0.0])
+    arcs, tau = _Arcs(hull), 2.0 * np.pi
+    if arcs.center:
+        lo, hi, i, j, _ = arcs.sweep(1.0)
+        if len(lo):  # one meet: every arc's half-width is below pi/2
+            lo = float(arcs.d[i[0]] - np.arccos(arcs.alpha[i[0]]))
+            hi = float(arcs.d[j[0]] + np.arccos(arcs.alpha[j[0]]))
+            th = (arcs.ref + 0.5 * (lo + hi)) % tau
+            if float(profile(np.array([th]))[0]) == INV_SQRT2:
+                return INV_SQRT2, th, np.array([(arcs.ref + lo) % tau, (arcs.ref + hi) % tau])
+    start = np.linspace(0.0, tau, START_ANGLES, endpoint=False)
+    a, th = _least(profile, start, np.zeros(START_ANGLES))
+    while True:
+        best, at = _least(profile, *arcs.candidates(*arcs.sweep(_level(a))[:4]))
+        if best <= a:  # a tie ends the descent at the formula point of its last pair
+            th = at
+        if not best < a:
+            break
+        a = best
+    th %= tau
+
+    lo, hi, i, j, _ = arcs.sweep(_level(a + UNIQUE_VALUE_TOL))
+    cands, bounds = arcs.candidates(lo, hi, i, j)
+    other = np.nonzero(np.cos(th - arcs.ref - 0.5 * (lo + hi)) < np.cos(0.5 * (hi - lo)))[0]
+    return a, th, np.concatenate([[th], cands[other[np.argsort(bounds[other])]] % tau])
 
 
 def solve_min_horocycle(points, grid: int = 720) -> MinHorocycleSolution:
     """Globally minimal enclosing horocycle of the point set.
 
-    ``profile`` reports the profile on ``grid`` evenly spaced ideal
-    angles from 0; the grid path reads it for its brackets, and a closed
-    form solve leaves it to be evaluated on first read of ``values``.
+    With the disk center strictly outside the points' hull, theta* is
+    solved exactly (``_exact_minimizer``) and ``tied_minimizers`` is
+    ``[theta*]``.  Every other set, and a basis solve that has not
+    converged, takes the level sweep (``_arc_minimum``).  A point at the
+    center and arcs that meet at size 2^{-1/2}: a* = 2^{-1/2} at the
+    meet's midpoint theta* (the profile must be 2^{-1/2} exactly there),
+    and ``tied_minimizers`` holds the meet's two ends, or ``[0.0]`` with
+    theta* = 0 when every point is at the center.  Else a descent finds
+    the least level at which the arcs meet; ``tied_minimizers`` holds
+    theta* and the best pair point of each other gap at level a* +
+    UNIQUE_VALUE_TOL.  a* is the blocked profile's own value at theta*.
 
-    When the disk center lies strictly outside the points' hull, the
-    minimizer theta* is solved exactly (``_exact_minimizer``); ``grid``
-    then only shapes the diagnostic grid, and ``tied_minimizers`` is
-    ``[theta*]``.  When a point is at the center and some angles fit
-    every point in a horocycle of size 2^{-1/2}, those angles form one
-    arc, found in one pass (``_plateau``): theta* is its midpoint,
-    a* = 2^{-1/2}, and ``tied_minimizers`` holds the arc's two ends, or
-    ``[0.0]`` with theta* = 0 when every point is at the center.
-    Otherwise, or if the basis solve does not converge, every bracketed
-    local minimum of the grid is golden-section refined down to
-    REFINE_TOL radians (all brackets in lockstep, one vectorized profile
-    call per step), the best is taken, and ``tied_minimizers`` holds the
-    refined minimizers within UNIQUE_VALUE_TOL of it.  On every path a*
-    is the blocked profile's own value at theta*, the value the
-    enclosure check recomputes; the plateau is used only when that value
-    is 2^{-1/2} exactly.
-
-    ``unique`` is the paper's criterion: a* < 2^{-1/2} -
-    UNIQUE_SIZE_MARGIN, below which the center lies outside the hull and
-    the minimizer is unique (module text).  (On the exact path the
-    minimizer is unique at every size, but a size at or above the bound
-    is not flagged.)
-
-    The path test and the solve see only a superset of the convex-hull
-    vertices: horocycle interiors are convex, so the profile over those
-    points is the profile over all of them.  ``hull`` holds their
-    indices into ``points``, ``support`` those of every input point on
-    the boundary.  Raises ValueError for an invalid point, or unless
-    ``grid`` is a count in [1, MAX_GRID].
+    ``unique`` is the paper's criterion, a* < 2^{-1/2} -
+    UNIQUE_SIZE_MARGIN: the center lies outside the hull below it (on the
+    exact path the minimizer is unique at every size, but only this is
+    flagged).  ``hull`` holds the indices of the kept points (module
+    text), ``support`` those of every point on the boundary.  ``profile``
+    holds ``grid`` evenly spaced angles from 0, whose ``values`` are
+    evaluated on first read.  Raises ValueError for an invalid point, or
+    unless ``grid`` is a count in [1, MAX_GRID].
     """
     grid = check_count("grid", grid, MAX_GRID)
     pts, terms = _point_set(points)
     kept = _hull_superset(pts)
     kept.flags.writeable = False
     hull = pts[kept]
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     profile = _profile_of(hull)
 
-    found = _closed_form(hull, profile)
-    if found is not None:
-        a_star, th_star, ties = found
+    th_star = _exact_minimizer(hull) if _center_outside_hull(hull) else None
+    if th_star is None:
+        a_star, th_star, ties = _arc_minimum(hull, profile)
     else:
-        values = profile(thetas)
-        idx = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
-        # grid angle i is bracketed by its neighbours wrapped[i] and wrapped[i + 2]
-        wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
-        xs, vals = _golden_minimize(profile, wrapped[idx], wrapped[idx + 2], REFINE_TOL)
-        minima = sorted((val, th % (2.0 * np.pi)) for th, val in zip(xs, vals))
-        a_star, th_star = minima[0]
-        ties = np.array([th for val, th in minima if val <= a_star + UNIQUE_VALUE_TOL])
-    unique = a_star < INV_SQRT2 - UNIQUE_SIZE_MARGIN
-
+        a_star, ties = float(profile(np.array([th_star]))[0]), np.array([th_star])
     needs = _sizes_at(th_star, terms)
     support = tuple(int(i) for i in np.nonzero(needs >= a_star - 1e-8)[0])
-    diagnostics = ProfileDiagnostics(thetas=thetas, tied_minimizers=ties, points=hull)
-    if found is None:  # the grid path has the values already: fill the cache
-        object.__setattr__(diagnostics, "values", values)
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     return MinHorocycleSolution(
         horocycle=Horocycle(theta=th_star, a=a_star),
         support=support,
         hull=kept,
-        unique=unique,
-        profile=diagnostics,
+        unique=a_star < INV_SQRT2 - UNIQUE_SIZE_MARGIN,
+        profile=ProfileDiagnostics(thetas=thetas, tied_minimizers=ties, points=hull),
     )
 
 
@@ -458,13 +468,11 @@ def _cone_margin(active: np.ndarray, theta: float) -> float:
     closed cone of the points ``active``; see :func:`verify_solution`.
 
     The cone holds every direction, and the margin is pi, when 0 is in
-    the points' convex hull: when a point is at the center
-    (``_at_center``) or when no open half-circle holds their directions.
-    Otherwise the cone is the arc, of width below pi, left by the largest
-    circular gap between the points' angles measured from u, and the
-    margin is positive when u lies inside that arc, by its distance to
-    the nearer end, and negative, by the same distance, when it lies
-    outside.  No point: -pi.
+    the points' hull: a point at the center (``_at_center``), or no open
+    half-circle holding their directions.  Otherwise it is the arc, below
+    pi wide, left by the largest gap between the points' angles from u;
+    the margin is u's distance to its nearer end, positive inside and
+    negative outside.  No point: -pi.
     """
     if not len(active):
         return -math.pi
@@ -489,39 +497,26 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     optimality, and, when the solution claims uniqueness, that a* lies
     below 2^{-1/2} - UNIQUE_SIZE_MARGIN.
 
-    Optimality is decided exactly, to first order.  G(u) = max_i c_i -
-    q_i.u is convex on the disk (module text), and at u* = (cos theta*,
-    sin theta*) its active points are the kept points that need a*(1 -
-    ACTIVE_TOL) or more; their q_i = p_i / w_i span the cone of the p_i,
-    and a point at the center gives q_i = 0.  On the circle theta* is
-    critical when a nonnegative combination of the active q_i is mu u*,
-    for a mu of either sign, which ``_cone_margin`` tests:
+    Optimality is decided exactly.  G(u) = max_i c_i - q_i.u is convex
+    on the disk (module text), and its active points at u* = (cos theta*,
+    sin theta*) are the kept points that need a*(1 - ACTIVE_TOL) or more.
 
-    - ``"cone"``, mu >= 0: u* lies within CONE_TOL radians of the cone of
-      the active points, or 0 is in their hull: the KKT conditions of min
-      G over |u| <= 1, so theta* is a global minimum.  A solution flagged
-      unique, or whose kept hull misses the center
-      (``_center_outside_hull``), has a unique minimizer (module text)
-      and must pass this test.
-    - ``"circle"``, mu < 0, for any other solution: -u* lies more than
-      CONE_TOL radians inside the cone, so the active slopes -q_i.u*'
-      have both signs and theta* is a kink, a strict local minimum (on
-      the cone's edge an active term is at its own maximum).  With the
-      center in the kept hull, G >= 1 on the circle (every direction has
-      a point with p.u <= 0), and a lone term's least value there,
-      (1 - |p|) / w, is below 1: every minimum is such a kink, or has
-      the center's term active, which the cone certifies.  The test is
-      local: it does not tell a global minimum from another one.
+    - ``"cone"``: u* lies within CONE_TOL radians of the cone of the
+      active points, or 0 is in their hull (``_cone_margin``): the KKT
+      conditions of min G over |u| <= 1, so theta* is a global minimum.
+      A solution flagged unique, or whose kept hull misses the center
+      (``_center_outside_hull``: one minimizer) or is only the center,
+      must pass this test, or fail "local optimality".
+    - ``"arcs"``, for any other solution: the kept points' arcs where they
+      do not fit at a*(1 - ACTIVE_TOL) cover the circle (``_Arcs.sweep``),
+      or it fails "global optimality", naming the best angle of a gap.
 
-    A solution that fails its test fails "local optimality".  Both tests
-    run on the points ``sol.hull`` names, the hull superset the solver
-    ran on.  Their values are those of the same points among all of
-    them, bit for bit, so a max over them is at most the all-points max,
-    and fewer active points span a smaller cone: a wrong ``hull`` can
-    only make either test stricter.  A ``hull`` that is not an index
-    array fails.  The report names the deciding test and its margin, the
-    signed angle of ``_cone_margin``: at least -CONE_TOL at u*, above
-    CONE_TOL at -u*.
+    Both run on the points ``sol.hull`` names (module text): fewer points
+    span a smaller cone and leave more gaps, so a wrong ``hull`` can only
+    make either stricter; one that is not an index array fails.  The
+    report names the test and its margin: the signed angle of
+    ``_cone_margin``, or the thinnest overlap of the arcs in radians (pi
+    when one point, such as the center below 2^{-1/2}, fits nowhere).
     """
     pts, terms = _point_set(points)
     a_star = sol.horocycle.a
@@ -546,15 +541,19 @@ def verify_solution(points, sol: MinHorocycleSolution) -> dict:
     margin = _cone_margin(active, th_star)
     if margin >= -CONE_TOL:
         certificate = "cone"
-    elif sol.unique or _center_outside_hull(pts[hull]):
+    elif sol.unique or _center_outside_hull(pts[hull]) or _at_center(pts[hull]).all():
         raise VerificationFailure(
             f"local optimality: theta* misses the cone of the active points by {-margin:.3g} rad"
         )
     else:
-        certificate, margin = "circle", _cone_margin(active, th_star + math.pi)
-        if not margin > CONE_TOL:
+        arcs = _Arcs(pts[hull])
+        lo, hi, i, j, margin = arcs.sweep(_level(a_star * (1.0 - ACTIVE_TOL)))
+        certificate = "arcs"
+        if len(lo):
+            best, at = _least(_profile_of(pts[hull]), *arcs.candidates(lo, hi, i, j))
             raise VerificationFailure(
-                f"local optimality: theta* is no kink: -u* lies {margin:.3g} rad inside the cone"
+                f"global optimality: a gap at a*(1 - {ACTIVE_TOL:g}); theta = "
+                f"{at % (2.0 * np.pi):.17g} needs {best:.17g}, a* = {a_star:.17g}"
             )
 
     return {

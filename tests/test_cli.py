@@ -403,6 +403,61 @@ class TestInputContract:
         key = next(k for k in payload if k != "suite" and k not in verify.SUITE_KEYWORDS[name])
         assert err == {"error": "ValueError", "message": f"suite '{name}' takes no keyword '{key}'"}
 
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("verify", {"suite": "cover", "cases": 2, "samples": 100, "seed": 3},
+             "suite 'cover' takes no keyword 'seed'"),
+            ("min-horocycle", {"points": [[0.1, 0.2]], "grid": 5},
+             "min-horocycle input takes no keyword 'grid'"),
+            ("lemma-shrink", {"a": "0.5", "omega": 0.3, "omgea": 1},
+             "lemma-shrink input takes no keyword 'omgea'"),
+            ("lemma-shrink", {"a": "0.5", "omega": 0.3}, "a must be a JSON number"),
+            ("exparabola", {"triangle": {**TRIANGLE["triangle"], "D": [0.0, 2.0]}},
+             "triangle takes no keyword 'D'"),
+            ("max-parabola", {"halfplanes": [*HALFPLANES["halfplanes"][:2], {
+                "normal": [-S2, S2], "offset": S2, "ofset": 1.0}]},
+             "half-plane takes no keyword 'ofset'"),
+        ],
+        ids=["verify-seed", "min-horocycle-grid", "lemma-misspelt", "lemma-string",
+             "triangle-key", "halfplane-key"],
+    )
+    def test_key_the_command_does_not_read_is_schema_error(self, tmp_path, command, payload,
+                                                            message):
+        # each of these used to exit 0 with the key ignored, or, for a
+        # verify seed, exit 3 with a TypeError that named run_suite()
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(payload))
+        proc = run_cli_subprocess(
+            [command, "--input", str(inp), "--output", str(tmp_path / "o.json")], timeout=60
+        )
+        assert proc.returncode == 3
+        assert not (tmp_path / "o.json").exists()
+        assert_one_json_error_line(proc.stderr)
+        assert strict_json(proc.stderr) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("verify", {"name": "pencil"}, "suite 'all' takes no keyword 'name'"),
+            ("lemma-shrink", {"a": 0.5, "omega": True}, "omega must be a JSON number"),
+            ("exparabola", {**TRIANGLE, "svg": True}, "exparabola input takes no keyword 'svg'"),
+            ("exparabola", {"triangle": {**TRIANGLE["triangle"], "AB": [0.0, 2.0]}},
+             "triangle takes no keyword 'AB'"),
+            ("max-parabola", {**HALFPLANES, "starts": 8},
+             "max-parabola input takes no keyword 'starts'"),
+        ],
+        ids=["verify-name", "lemma-bool", "exparabola-key", "triangle-two-letters",
+             "max-parabola-key"],
+    )
+    def test_more_keys_and_values_rejected_in_process(self, tmp_path, capsys, command, payload,
+                                                      message):
+        code, out = run_cli(tmp_path, command, payload, "key")
+        err = capsys.readouterr().err
+        assert code == 3 and not out.exists()
+        assert_one_json_error_line(err)
+        assert strict_json(err) == {"error": "ValueError", "message": message}
+
     def test_keys_the_suite_takes_reach_it(self, tmp_path, capsys):
         payload = {"suite": "cover", "cases": 10, "samples": 2000}
         code, out = run_cli(tmp_path, "verify", payload, "kept")

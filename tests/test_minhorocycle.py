@@ -1,13 +1,14 @@
 """Minimal enclosing horocycle: profile, solver, verification."""
 
 import dataclasses
+import functools
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay
 
@@ -19,7 +20,13 @@ from conic_extrema import (
     verify_solution,
 )
 from conic_extrema import minhorocycle as minhorocycle_module
-from conic_extrema.horocycle import INV_SQRT2, Horocycle, min_sizes_for_points
+from conic_extrema.horocycle import (
+    INV_SQRT2,
+    Horocycle,
+    _point_terms,
+    _squared_sizes,
+    min_sizes_for_points,
+)
 from conic_extrema.minhorocycle import (
     ACTIVE_TOL,
     CENTER_RADIUS,
@@ -377,13 +384,18 @@ class TestHullPrune:
 DENSE = np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)
 
 
+EXACT_CLASS = ["near-boundary", "spread", "arc-near-absolute", "above-bound"]
+
+
 class TestExactPath:
     @settings(max_examples=40, deadline=None)
     @given(
-        family=st.sampled_from(["near-boundary", "spread", "arc-near-absolute", "above-bound"]),
+        family=st.sampled_from(EXACT_CLASS),
         n=st.integers(1, 3000),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a point near the absolute, where s = 1 - p.u loses three digits
+    @example(family="arc-near-absolute", n=1, seed=5668)
     def test_matches_dense_and_grid_oracles(self, family, n, seed):
         pts = _point_family(family, np.random.default_rng(seed), n)
         hull = pts[_hull_superset(pts)]
@@ -395,9 +407,12 @@ class TestExactPath:
         needs = min_sizes_for_points([sol.horocycle.theta], pts)[0]
         assert needs.max() <= a + 1e-10
         verify_solution(pts, sol)
+        # the level sweep takes a set whose basis solve does not converge
         with mock.patch.object(minhorocycle_module, "EXACT_PASSES", 0):
-            grid = solve_min_horocycle(pts)
-        assert a <= (1.0 + 1e-13) * grid.horocycle.a
+            swept = solve_min_horocycle(pts)
+        assert a <= (1.0 + 1e-13) * swept.horocycle.a
+        assert verify_solution(pts, swept)["certificate"] == "cone"
+        assert swept.unique == sol.unique
         assert sol.profile.tied_minimizers.tolist() == [sol.horocycle.theta]
         assert sol.unique == (a < INV_SQRT2 - UNIQUE_SIZE_MARGIN)
         if family == "above-bound":
@@ -471,7 +486,7 @@ class TestPlateau:
         assert size_profile(beyond, 0.0) < INV_SQRT2
 
     def test_points_within_rounding_of_the_centre_take_the_plateau(self, monkeypatch):
-        calls = _count_golden_calls(monkeypatch)
+        grids = _no_search(monkeypatch)
         four = [[1e-17, 0.0], [0.0, 1e-17], [-1e-17, 0.0], [0.0, -1e-17]]
         for pts in (four, four[:1]):
             for grid in (720, 20_000):
@@ -488,36 +503,87 @@ class TestPlateau:
         assert near.horocycle == exact.horocycle
         assert near.profile.tied_minimizers.tolist() == exact.profile.tied_minimizers.tolist()
         assert near.support == exact.support
-        assert calls == []
+        assert grids == []
 
     @pytest.mark.parametrize("pts", FALLBACK_SETS[:2])
-    def test_arcs_that_do_not_meet_take_the_grid(self, pts):
+    def test_arcs_that_do_not_meet_take_the_descent(self, pts):
         sol = solve_min_horocycle(pts)
         assert sol.horocycle.a > INV_SQRT2 and not sol.unique
         dense = size_profile(pts, PLATEAU_GRID).min()
         assert sol.horocycle.a <= dense * (1.0 + 1e-12)
         verify_solution(pts, sol)
 
-    def test_plateau_off_the_exact_size_takes_the_grid(self, monkeypatch):
-        # a midpoint where the profile is not exactly 2^(-1/2) is not used
+    def test_plateau_off_the_exact_size_takes_the_descent(self, monkeypatch):
+        # the meet is used only where the profile is the module's 2^(-1/2)
+        # exactly: one ulp above it, no midpoint is, and the descent runs
         pts = _point_family("centre", np.random.default_rng(4), 100)
         lo, hi = solve_min_horocycle(pts).profile.tied_minimizers.tolist()
-        monkeypatch.setattr(minhorocycle_module, "_plateau", lambda hull: (hi + 0.1, [lo, hi]))
-        calls = _count_golden_calls(monkeypatch)
+        monkeypatch.setattr(minhorocycle_module, "INV_SQRT2", np.nextafter(INV_SQRT2, 1.0))
         sol = solve_min_horocycle(pts)
-        assert calls and sol.horocycle.a == pytest.approx(INV_SQRT2, abs=1e-15)
-        assert len(sol.profile.tied_minimizers) > 2
+        assert sol.horocycle.a == INV_SQRT2 and not sol.unique
+        # theta* lies on the plateau, the one gap at every level above it
+        half = 0.5 * ((hi - lo) % (2.0 * np.pi))
+        assert abs(_from(sol.horocycle.theta, [lo + half])[0]) < half
+        assert sol.profile.tied_minimizers.tolist() == [sol.horocycle.theta]
+        assert verify_solution(pts, sol)["certificate"] == "cone"
 
 
-def _count_golden_calls(monkeypatch) -> list:
-    calls = []
+def _no_search(monkeypatch) -> list:
+    """Make ``_golden_minimize`` raise, and record every profile call on
+    the solve's default 720-angle grid: no solve may do either."""
 
-    def counted(*args):
-        calls.append(len(args[1]))
-        return _golden_minimize(*args)
+    def refine(*args):
+        raise AssertionError("a solve ran the golden-section refine")
 
-    monkeypatch.setattr(minhorocycle_module, "_golden_minimize", counted)
-    return calls
+    monkeypatch.setattr(minhorocycle_module, "_golden_minimize", refine)
+    grid = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    grids = []
+
+    def counted(pts):
+        profile = _profile_of(pts)
+
+        def recorded(thetas):
+            if len(thetas) == len(grid) and np.array_equal(thetas, grid):
+                grids.append(len(pts))
+            return profile(thetas)
+
+        return recorded
+
+    monkeypatch.setattr(minhorocycle_module, "_profile_of", counted)
+    return grids
+
+
+SWEEP_GRID = np.linspace(0.0, 2.0 * np.pi, 1 << 12, endpoint=False)
+
+
+class TestSweep:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        q=st.floats(0.0, 1.0),
+    )
+    def test_gaps_are_where_every_point_fits(self, family, n, seed, q):
+        # the oracle: the dense profile below the level, away from it by
+        # more than the arc ends' rounding
+        pts = _point_family(family, np.random.default_rng(seed), n)
+        if _at_center(pts).all():  # no arc to sweep: the solver returns first
+            return
+        vals = size_profile(pts, SWEEP_GRID)
+        a = float(np.quantile(vals, q))
+        arcs = minhorocycle_module._Arcs(pts)
+        lo, hi, left, right, overlap = arcs.sweep(minhorocycle_module._level(a))
+        dist = (SWEEP_GRID - arcs.ref - lo[:, None]) % (2.0 * np.pi)
+        inside = (dist <= (hi - lo)[:, None]).any(axis=0)
+        clear = np.abs(vals / a - 1.0) > 1e-7
+        assert np.array_equal(inside[clear], (vals < a)[clear])
+        assert (overlap < 0.0) == (len(lo) > 0)
+        assert np.all(hi > lo) and np.all(hi - lo < 2.0 * np.pi)
+        # the named points fit at the ends of the gaps they bound
+        off = pts[~_at_center(pts)]
+        for end, k in zip(np.concatenate([lo, hi]), np.concatenate([left, right])):
+            assert size_profile(off[k], arcs.ref + end) <= a * (1.0 + 1e-7)
 
 
 class TestPathSelection:
@@ -552,34 +618,40 @@ class TestPathSelection:
             assert outcomes[-1] == (depth > 0.0)
         assert 50 < sum(outcomes) < 250
 
-    def test_golden_refine_runs_only_without_a_plateau(self, monkeypatch):
-        calls = _count_golden_calls(monkeypatch)
+    def test_no_solve_runs_the_golden_refine_or_the_grid(self, monkeypatch):
+        grids = _no_search(monkeypatch)
         rng = np.random.default_rng(8)
-        for family in ("near-boundary", "spread", "centre"):
+        for family in FAMILIES:
             for n in (1, 10, 1000, 20_000):
-                solve_min_horocycle(_point_family(family, rng, n))
+                pts = _point_family(family, rng, n)
+                verify_solution(pts, solve_min_horocycle(pts))
         solve_min_horocycle([[0.0, 0.0]])
-        assert calls == []
         # the centre in the hull: a point at the centre whose arcs do not
         # meet, or no point at the centre at all
         for pts in FALLBACK_SETS:
             sol = solve_min_horocycle(pts)
             assert sol.horocycle.a > INV_SQRT2 and not sol.unique
-        assert len(calls) == len(FALLBACK_SETS)
+        assert grids == []
 
-    def test_grid_path_runs_when_the_basis_solve_is_capped(self, monkeypatch):
+    def test_sweep_runs_when_the_basis_solve_is_capped(self, monkeypatch):
         pts = _point_family("spread", np.random.default_rng(9), 300)
         exact = solve_min_horocycle(pts)
-        calls = _count_golden_calls(monkeypatch)
         monkeypatch.setattr(minhorocycle_module, "EXACT_PASSES", 0)
+        sweeps = []
+        sweep = minhorocycle_module._Arcs.sweep
+        monkeypatch.setattr(
+            minhorocycle_module._Arcs, "sweep", lambda self, t: sweeps.append(t) or sweep(self, t)
+        )
         capped = solve_min_horocycle(pts)
-        assert len(calls) == 1
-        assert capped.horocycle.a == pytest.approx(exact.horocycle.a, rel=1e-13)
+        assert sweeps
+        assert capped.horocycle.a == pytest.approx(exact.horocycle.a, rel=1e-15)
         dth = (capped.horocycle.theta - exact.horocycle.theta + np.pi) % (2.0 * np.pi) - np.pi
-        assert abs(dth) <= 1e-6
+        assert abs(dth) <= 1e-12
         assert capped.unique and exact.unique
         assert capped.unique == (capped.horocycle.a < INV_SQRT2 - UNIQUE_SIZE_MARGIN)
         assert capped.support == exact.support
+        assert capped.profile.tied_minimizers.tolist() == [capped.horocycle.theta]
+        assert verify_solution(pts, capped)["certificate"] == "cone"
 
 
 class TestProfileKernel:
@@ -709,6 +781,15 @@ class TestVerifySolution:
         with pytest.raises(VerificationFailure, match="uniqueness"):
             verify_solution(pts, lying)
 
+    def test_centre_alone_with_a_larger_size_fails(self):
+        # no point off the centre leaves the arcs certificate nothing to
+        # sweep: the centre's term must be active, which the cone decides
+        pts = [[0.0, 0.0], [1e-17, 0.0]]
+        sol = solve_min_horocycle(pts)
+        big = dataclasses.replace(sol, horocycle=Horocycle(theta=0.0, a=0.8))
+        with pytest.raises(VerificationFailure, match="local optimality"):
+            verify_solution(pts, big)
+
     def test_hull_is_the_solved_superset_read_only(self):
         pts = _point_family("spread", np.random.default_rng(5), 5000)
         sol = solve_min_horocycle(pts)
@@ -755,18 +836,15 @@ class TestCertificate:
     )
     def test_accepts_every_closed_form_solution(self, family, n, seed):
         pts = _point_family(family, np.random.default_rng(seed), n)
-        calls = []
-
-        def counted(*args):
-            calls.append(len(args[1]))
-            return _golden_minimize(*args)
-
-        with mock.patch.object(minhorocycle_module, "_golden_minimize", counted):
-            sol = solve_min_horocycle(pts)
+        sol = solve_min_horocycle(pts)
         report = verify_solution(pts, sol)
-        if not calls or sol.unique:  # the exact solve or the plateau
+        hull = pts[sol.hull]
+        plateau = sol.horocycle.a == INV_SQRT2 and _at_center(hull).any()
+        if sol.unique or _center_outside_hull(hull) or plateau:  # the exact solve or the plateau
             assert report["certificate"] == "cone"
             assert report["certificate_margin"] >= -CONE_TOL
+        else:
+            assert report["certificate"] in ("cone", "arcs")
 
     @pytest.mark.parametrize(
         "family",
@@ -800,9 +878,9 @@ class TestCertificate:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_accepts_every_solution_with_the_centre_in_the_hull(self, family, n, seed):
-        # without the centre among the points these take the grid path; the
+        # without the centre among the points these take the descent; the
         # disk cone may still hold there (near-collinear sets mostly), and
-        # where it does not, theta* is a kink
+        # where it does not, the arcs at a*(1 - ACTIVE_TOL) cover the circle
         pts = _point_family(family, np.random.default_rng(seed), n)
         sol = solve_min_horocycle(pts)
         if _center_outside_hull(pts[sol.hull]):
@@ -811,31 +889,31 @@ class TestCertificate:
         if report["certificate"] == "cone":
             assert report["certificate_margin"] >= -CONE_TOL
         else:
-            assert report["certificate"] == "circle"
-            assert report["certificate_margin"] > CONE_TOL
+            assert report["certificate"] == "arcs"
+            assert 0.0 <= report["certificate_margin"] <= np.pi
 
     @pytest.mark.parametrize("family", IN_HULL_FAMILIES)
     def test_grid_path_angle_moved_by_1e_9_fails(self, family):
-        # the kink test is exact up to ACTIVE_TOL: only a move that raises
-        # a* by less may pass, and such moves are counted, not skipped
+        # the arcs test is global and exact to ACTIVE_TOL: a move that
+        # raises a* by more leaves a gap where every point fits in less,
+        # and a move that raises it by less is within the tolerance
         rng = np.random.default_rng(13)
-        checked, passed = 0, 0
+        checked = 0
         while checked < 8:
             pts = _point_family(family, rng, int(rng.choice([3, 30, 1000])))
             sol = solve_min_horocycle(pts)
-            if verify_solution(pts, sol)["certificate"] != "circle":
+            if verify_solution(pts, sol)["certificate"] != "arcs":
                 continue
             for theta in sol.horocycle.theta + np.array([1e-9, -1e-9]):
-                moved = Horocycle(theta=theta, a=size_profile(pts, theta))
-                try:
-                    verify_solution(pts, dataclasses.replace(sol, horocycle=moved))
-                except VerificationFailure as exc:
-                    assert str(exc).startswith("local optimality")
-                    continue
-                assert moved.a / sol.horocycle.a - 1.0 < ACTIVE_TOL
-                passed += 1
+                moved = dataclasses.replace(
+                    sol, horocycle=Horocycle(theta=theta, a=size_profile(pts, theta))
+                )
+                if moved.horocycle.a / sol.horocycle.a - 1.0 > ACTIVE_TOL:
+                    with pytest.raises(VerificationFailure, match="global optimality"):
+                        verify_solution(pts, moved)
+                else:
+                    assert verify_solution(pts, moved)["certificate"] == "arcs"
             checked += 1
-        assert passed <= 2
 
     @pytest.mark.parametrize("family", IN_HULL_FAMILIES)
     def test_angle_at_a_profile_maximum_fails(self, family):
@@ -844,7 +922,7 @@ class TestCertificate:
         while checked < 6:
             pts = _point_family(family, rng, int(rng.choice([3, 10, 30, 100])))
             sol = solve_min_horocycle(pts)
-            if verify_solution(pts, sol)["certificate"] != "circle":
+            if verify_solution(pts, sol)["certificate"] != "arcs":
                 continue
             # the grid's strict local maxima, refined as maxima
             th, v = sol.profile.thetas, sol.profile.values
@@ -854,7 +932,7 @@ class TestCertificate:
             xs, _ = _golden_minimize(lambda t: -profile(t), th[peaks] - step, th[peaks] + step, 1e-12)
             for theta in xs:
                 top = Horocycle(theta=theta % (2.0 * np.pi), a=size_profile(pts, theta))
-                with pytest.raises(VerificationFailure, match="local optimality"):
+                with pytest.raises(VerificationFailure, match="global optimality"):
                     verify_solution(pts, dataclasses.replace(sol, horocycle=top))
             maxima += len(xs)
             checked += 1
@@ -865,8 +943,8 @@ class TestCertificate:
         [
             ([[0.3, 0.2], [-0.1, 0.4], [0.2, 0.3]], "cone"),  # exact
             ([[0.0, 0.0], [0.3, 0.1], [0.1, 0.3]], "cone"),  # plateau
-            (FALLBACK_SETS[0], "cone"),  # grid, a point at the centre
-            (FALLBACK_SETS[2], "circle"),  # grid, the centre inside the hull
+            (FALLBACK_SETS[0], "cone"),  # descent, a point at the centre
+            (FALLBACK_SETS[2], "arcs"),  # descent, the centre inside the hull
         ],
     )
     def test_report_names_the_deciding_check(self, pts, certificate):
@@ -877,8 +955,8 @@ class TestCertificate:
         assert report["certificate"] == certificate
         if certificate == "cone":
             assert report["certificate_margin"] >= -CONE_TOL
-        else:  # -u* strictly inside the cone of the active points
-            assert report["certificate_margin"] > CONE_TOL
+        else:  # the thinnest overlap of the arcs where a point does not fit
+            assert 0.0 <= report["certificate_margin"] <= np.pi
         if pts[0] == [0.0, 0.0]:
             # an active point at the centre: every direction is certified
             assert report["certificate_margin"] == np.pi
@@ -903,20 +981,97 @@ def _count_profile_angles(monkeypatch) -> list:
 
 class TestLazyProfile:
     @pytest.mark.parametrize(
-        "pts, grid_path",
+        "pts",
         [
-            (_point_family("spread", np.random.default_rng(1), 500), False),
-            (_point_family("centre", np.random.default_rng(1), 500), False),
-            (np.array(FALLBACK_SETS[2]), True),
+            _point_family("spread", np.random.default_rng(1), 500),
+            _point_family("centre", np.random.default_rng(1), 500),
+            np.array(FALLBACK_SETS[2]),
         ],
-        ids=["exact", "plateau", "grid"],
+        ids=["exact", "plateau", "sweep"],
     )
-    def test_grid_is_evaluated_once_and_only_when_needed(self, monkeypatch, pts, grid_path):
+    def test_grid_is_evaluated_once_and_only_when_needed(self, monkeypatch, pts):
         lengths = _count_profile_angles(monkeypatch)
         sol = solve_min_horocycle(pts)
         verify_solution(pts, sol)
-        assert lengths.count(720) == int(grid_path)
+        assert lengths.count(720) == 0
         values = sol.profile.values
         assert sol.profile.values is values
         assert lengths.count(720) == 1
         assert np.array_equal(values, size_profile(pts, sol.profile.thetas))
+
+
+def _widest_gap_oracle(pts):
+    """The minimum for points on one circle about the centre: the profile
+    at the angle opposite the midpoint of the widest gap between the
+    points' directions, where the point farthest from the ideal point is
+    nearest."""
+    phi = np.sort(np.arctan2(pts[:, 1], pts[:, 0]))
+    gaps = np.diff(phi, append=phi[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    return size_profile(pts, phi[k] + 0.5 * gaps[k] + np.pi)
+
+
+def _antipodal_profile(pts, k: int = 64):
+    """The profile of points on one circle about the centre, from the 2k
+    points nearest each angle's antipode.  On the circle the point that
+    needs the most is the one nearest the antipode, within half the
+    widest gap between directions; the 2k nearest span about 2k / n of
+    the circle either way, so the max over them is the max over all, bit
+    for bit, from the same kernel."""
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    order = np.argsort(phi)
+    phi, terms = phi[order], _point_terms(pts[order])
+
+    def profile(thetas):
+        at = np.searchsorted(phi, (thetas + 2.0 * np.pi) % (2.0 * np.pi) - np.pi)
+        idx = (at[:, None] + np.arange(-k, k)) % len(phi)
+        return np.sqrt(_squared_sizes(thetas, tuple(t[idx] for t in terms)).max(axis=1))
+
+    return profile
+
+
+def _bracket_refine(pts) -> Horocycle:
+    """The answer of the search the level sweep replaced, for points on
+    one circle: a 720-angle scan of the profile, every bracketed grid
+    minimum refined by golden section to 1e-12 rad, and the least of
+    them.  Each bracket takes the steps of its own scalar search, so the
+    antipodal profile gives the full profile's answer."""
+    profile = _antipodal_profile(pts)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    values = profile(thetas)
+    assert np.array_equal(values, _profile_of(pts)(thetas))
+    idx = np.nonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))[0]
+    wrapped = np.concatenate([[thetas[-1] - 2.0 * np.pi], thetas, [thetas[0] + 2.0 * np.pi]])
+    xs, vals = _golden_minimize(profile, wrapped[idx], wrapped[idx + 2], 1e-12)
+    a, theta = min((val, th % (2.0 * np.pi)) for th, val in zip(xs, vals))
+    assert a == size_profile(pts, theta)
+    return Horocycle(theta=theta, a=a)
+
+
+ON_CIRCLE = {seed: _point_family("on-circle", np.random.default_rng(seed), 20_000) for seed in range(6)}
+
+
+@functools.cache
+def _on_circle_solution(seed):
+    return solve_min_horocycle(ON_CIRCLE[seed])
+
+
+class TestOnCircle:
+    # the widest gaps between directions (2.7e-3 to 3.7e-3 rad) are under
+    # half a 720-angle grid step, so no grid bracket need hold the minimum
+    @pytest.mark.parametrize("seed", sorted(ON_CIRCLE))
+    def test_matches_the_widest_gap_oracle(self, seed):
+        pts = ON_CIRCLE[seed]
+        sol = _on_circle_solution(seed)
+        assert abs(sol.horocycle.a / _widest_gap_oracle(pts) - 1.0) <= 1e-15
+        assert not sol.unique
+        assert verify_solution(pts, sol)["certificate"] == "arcs"
+
+    @pytest.mark.parametrize("seed", [0, 2, 3, 4])
+    def test_the_bracket_refine_answer_fails_global_optimality(self, seed):
+        pts = ON_CIRCLE[seed]
+        sol = _on_circle_solution(seed)
+        old = _bracket_refine(pts)
+        assert old.a > sol.horocycle.a * (1.0 + 1e-9)
+        with pytest.raises(VerificationFailure, match="global optimality"):
+            verify_solution(pts, dataclasses.replace(sol, horocycle=old))
